@@ -80,6 +80,7 @@ from .lpnorms import (
     ScalingRow,
     family_weight,
     haar_lp_norm,
+    multiplicities,
     predicted_dimension_bound,
     predicted_regular_bound,
     predicted_singular_bound,

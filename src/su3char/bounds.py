@@ -351,6 +351,12 @@ def sweep_constant(
     strict-max scan in (mu, grid index) order, so ties resolve to the
     lexicographically first record regardless of thread count.
     """
+    if threads is None:
+        raw = os.environ.get("SU3CHAR_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"SU3CHAR_THREADS must be an integer, got {raw!r}") from None
     spec = grid_spec or GridSpec()
     mus = [m if isinstance(m, DominantWeight) else DominantWeight(*m) for m in mu_range]
     grid = build_grid(spec, seed)
@@ -358,8 +364,6 @@ def sweep_constant(
     zero_index = 0
     assert grid.t1[zero_index] == 0.0 and grid.t2[zero_index] == 0.0
 
-    if threads is None:
-        threads = int(os.environ.get("SU3CHAR_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(lambda m: _sweep_one(m, grid, zero_index), mus))

@@ -48,7 +48,7 @@ from .lpnorms import (
     haar_lp_norm,
     scaling_fit,
 )
-from .reports import ReportWriteError, emit_json, emit_report
+from .reports import ReportWriteError, emit_json, emit_report, strict_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -253,7 +253,7 @@ def _parse_int_list(value, what: str) -> List[int]:
 
 
 def _print(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(strict_json(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

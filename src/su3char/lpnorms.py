@@ -14,8 +14,25 @@ square's integral (the complement triangle maps onto A by
 (t1,t2) -> (2pi-t2, 2pi-t1), a symmetry of |chi|*w).  The default
 quadrature therefore runs an equal-weight trapezoid rule on the period
 square, where it is *exact* for even p once the grid outruns the
-integrand's bandwidth; a Duffy-mapped triangle rule over A is kept as an
-independent cross-check mapping.
+integrand's bandwidth.
+
+The periodic-square rule needs no character evaluator.  By the Weyl
+character formula chi_mu is a trigonometric polynomial with nonnegative
+integer coefficients, the weight multiplicities M[w1, w3]
+(:func:`multiplicities`, built exactly in int64 by dividing the six-term
+numerator by the three Vandermonde factors).  Up to a unit-modulus phase,
+chi = sum M[w1, w3] exp(i(w1 t1 - w3 t2)); on the n x n grid this is a 2-D
+DFT of M folded modulo n (aliasing folds the coefficients exactly).  Each
+grid level takes an rfft along w3 -- M is real, so chi(-t) = conj chi(t),
+and with w(-t) = w(t) only the columns j2 in [0, n/2] are needed, interior
+ones counted twice -- then a length-n inverse FFT along w1 over blocks of
+at most ``BLOCK_NODES`` nodes, forming (|chi|/dim)^p * w and Z from the
+same tiles with w taken from a sine table.  Scaling by dim keeps every
+power <= 1, so no p overflows.  Peak memory is one block plus the
+(a+b+1) x (n/2+1) complex stage, whatever n is.
+
+A Duffy-mapped triangle rule over A, which evaluates chi node by node
+through ``chi_on_grid``, is kept as the independent cross-check mapping.
 
 Also here: the seven-case predicted Lp bounds driven by (mu_bar, mu_min),
 the model integral I(p; a~, b~, c~) over the shrunken simplex A0 with its
@@ -31,13 +48,14 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cartan import DominantWeight, dim, mu_stats
+from .cartan import WEYL_GROUP, DominantWeight, dim, mu_stats
 from .character import chi_on_grid
 from .quadrature import (
+    BLOCK_NODES,
     ConvergenceError,
     QuadratureResult,
+    _grid_doubling,
     adaptive_triangle,
-    periodic_trapezoid_2d,
 )
 
 __all__ = [
@@ -46,6 +64,7 @@ __all__ = [
     "ScalingRow",
     "FitResult",
     "haar_lp_norm",
+    "multiplicities",
     "predicted_singular_bound",
     "predicted_regular_bound",
     "predicted_dimension_bound",
@@ -102,13 +121,16 @@ def _weight(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 
 def _norm_integrand(mu: DominantWeight, p: float):
+    """(|chi|/dim)^p * w, node by node (the Duffy mapping's integrand)."""
+    scale = 1.0 / dim(mu)
+
     def f(t1, t2):
         w = _weight(t1, t2)
         out = np.zeros(w.shape, dtype=np.float64)
         mask = w > 0.0
         if mask.any():
             vals, _ = chi_on_grid(mu, t1[mask], t2[mask])
-            out[mask] = np.abs(vals) ** p * w[mask]
+            out[mask] = np.abs(vals * scale) ** p * w[mask]
         return out
 
     return f
@@ -119,6 +141,93 @@ def _bandwidth(mu: DominantWeight) -> float:
     return max(2 * mu.a + mu.b, mu.a + 2 * mu.b) / 3.0
 
 
+def multiplicities(mu) -> np.ndarray:
+    """Weight multiplicities of V_mu as an exact int64 array M[w1, w3].
+
+    chi_mu = sum M[w1, w3] x1^w1 x2^w2 x3^w3 with w2 = a+2b-w1-w3, so
+    M.sum() == dim(mu) and M equals the Gelfand-Tsetlin weight histogram.
+    Built on the (e1, e3) exponent lattice from the six-term Weyl numerator
+    by exact division through the Vandermonde factors, O((a+b)^2) work.
+    """
+    if not isinstance(mu, DominantWeight):
+        mu = DominantWeight(*mu)
+    ell = mu.shifted().ell
+    size = mu.a + mu.b + 3
+    num = np.zeros((size, size), dtype=np.int64)
+    for s in WEYL_GROUP:
+        e = s.apply(ell)
+        num[e[0], e[2]] += s.sign
+    # x1 shifts e1 by one, x3 shifts e3, x2 shifts neither
+    q = -np.cumsum(num, axis=0)  # / (x1 - x2)
+    q = np.cumsum(q, axis=1)     # / (x2 - x3)
+    # / (x1 - x3): q[i, j+1] = out[i-1, j+1] - out[i, j], one row at a time
+    out = np.zeros_like(q)
+    for i in range(size):
+        prev = out[i - 1, 1:] if i else 0
+        out[i, :-1] = prev - q[i, 1:]
+    n = mu.a + mu.b + 1
+    return out[:n, :n]
+
+
+def _fold(m: np.ndarray, n: int) -> np.ndarray:
+    """Sum the entries of a square array over indices congruent modulo n."""
+    if m.shape[0] <= n:
+        return m
+    k = -(-m.shape[0] // n) * n
+    padded = np.zeros((k, k), dtype=m.dtype)
+    padded[:m.shape[0], :m.shape[1]] = m
+    return padded.reshape(k // n, n, k // n, n).sum(axis=(0, 2))
+
+
+def _fft_level(m: np.ndarray, d: int, p: float, n: int) -> Tuple[float, float]:
+    """(h^2 sum (|chi|/d)^p w, h^2 sum w) over the n x n period-square grid."""
+    # g[j2, w1] = sum_w3 M[w1, w3] exp(-2 pi i w3 j2 / n) / d, j2 <= n/2
+    g = np.ascontiguousarray(np.fft.rfft(_fold(m, n) / d, n=n, axis=1).T)
+    # sin^2(t/2) at t = 2 pi j / n, periodic in j with period n.  The
+    # argument is folded to pi*min(j, n-j)/n: near pi, the rounding of the
+    # argument would be a large relative error of sin, biased by the sign of
+    # float(pi) - pi, right at the walls where |chi|^p concentrates.
+    j = np.arange(n)
+    s2 = np.sin(np.pi * np.minimum(j, n - j) / n) ** 2
+    s2 = np.concatenate((s2, s2))
+    shifted = np.lib.stride_tricks.sliding_window_view(s2, n)  # [j2, j1] -> s2[j1 + j2]
+    j2 = np.arange(g.shape[0])
+    # column j2 and column n - j2 hold the same values; count each pair once
+    col = np.where((j2 == 0) | (2 * j2 == n), 1.0, 2.0) * s2[j2]
+    rows = max(1, BLOCK_NODES // n)
+    nums, dens = [], []
+    for lo in range(0, g.shape[0], rows):
+        hi = min(lo + rows, g.shape[0])
+        # |chi|/d at [j2, j1]; the complex block is freed once abs returns
+        v = np.abs(np.fft.ifft(g[lo:hi], n=n, axis=1, norm="forward"))
+        v **= p
+        w = shifted[lo:hi] * s2[:n]
+        w *= col[lo:hi, None]
+        v *= w
+        # per-block pairwise sums are fixed by n; fsum across blocks
+        nums.append(float(np.sum(v)))
+        dens.append(float(np.sum(w)))
+        del v, w  # before the next block is allocated
+    h2 = (TWO_PI / n) ** 2
+    return math.fsum(nums) * h2, math.fsum(dens) * h2
+
+
+def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec):
+    """(result for N_p / dim^p, Z at the final level) on the period square."""
+    m = multiplicities(mu)
+    d = dim(mu)
+    z = []
+
+    def level_sum(n: int) -> float:
+        num, den = _fft_level(m, d, p, n)
+        z.append(den)
+        return num
+
+    n0 = max(48, int(math.ceil(p * _bandwidth(mu))) + 8)
+    res = _grid_doubling(level_sum, n0, spec.max_refinements, spec.rel_tol)
+    return res, z[-1]
+
+
 def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpReport:
     if p <= 0.0:
         raise ValueError("p must be positive")
@@ -126,23 +235,25 @@ def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpRepor
         mu = DominantWeight(*mu)
     spec = spec or QuadratureSpec()
 
-    f = _norm_integrand(mu, p)
     if spec.mapping == "periodic_square":
-        n0 = max(48, int(math.ceil(p * _bandwidth(mu))) + 8)
-        num = periodic_trapezoid_2d(f, TWO_PI, n0, spec.max_refinements, spec.rel_tol)
-        den = periodic_trapezoid_2d(_weight, TWO_PI, n0, spec.max_refinements, spec.rel_tol)
+        num, z = _periodic_square(mu, p, spec)
+        converged = num.converged
     else:
+        f = _norm_integrand(mu, p)
         alcove = ((0.0, 0.0), (TWO_PI, 0.0), (0.0, TWO_PI))
         num = adaptive_triangle(f, alcove, spec.base_rule, spec.max_refinements, spec.rel_tol)
         den = adaptive_triangle(_weight, alcove, spec.base_rule, spec.max_refinements, spec.rel_tol)
+        z = den.value
+        converged = num.converged and den.converged
 
-    norm = (num.value / den.value) ** (1.0 / p)
+    # both integrands carry (|chi|/dim)^p, which is <= 1 for any p
+    norm = dim(mu) * (num.value / z) ** (1.0 / p)
     return LpReport(
         mu_a=mu.a,
         mu_b=mu.b,
         p=p,
         norm=norm,
-        normalizer_z=den.value,
+        normalizer_z=z,
         predicted_singular=predicted_singular_bound(mu, p),
         predicted_regular=predicted_regular_bound(mu, p) if p >= 2.0 else None,
         predicted_dimension=(
@@ -150,7 +261,7 @@ def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpRepor
         ),
         levels=num.levels,
         last_delta=num.last_delta,
-        converged=num.converged and den.converged,
+        converged=converged,
     )
 
 

@@ -141,16 +141,17 @@ def adaptive_triangle(
     return QuadratureResult(total, max_refinements + 1, delta, False)
 
 
-def _trapezoid_sum(f, period: float, n: int) -> float:
-    """(period/n)^2 * sum of f over the n x n periodic grid, row-blocked.
+# Nodes per block of a grid level.  Blocks depend only on n, so the
+# partial-sum structure (and hence the rounded total) is identical no matter
+# who calls, and peak memory is a few arrays of this many nodes.
+BLOCK_NODES = 2_000_000
 
-    Block size depends only on n, so the partial-sum structure (and hence
-    the rounded total) is identical no matter who calls us or with how many
-    threads the process runs.
-    """
+
+def _trapezoid_sum(f, period: float, n: int) -> float:
+    """(period/n)^2 * sum of f over the n x n periodic grid, row-blocked."""
     h = period / n
     t = h * np.arange(n)
-    rows_per_block = max(1, 2_000_000 // n)
+    rows_per_block = max(1, BLOCK_NODES // n)
     parts = []
     for start in range(0, n, rows_per_block):
         rows = t[start:start + rows_per_block]
@@ -163,14 +164,14 @@ def _trapezoid_sum(f, period: float, n: int) -> float:
     return math.fsum(parts) * h * h
 
 
-def periodic_trapezoid_2d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    period: float,
+def _grid_doubling(
+    level_sum: Callable[[int], float],
     n0: int,
-    max_doublings: int = 6,
-    rel_tol: float = 1e-6,
+    max_doublings: int,
+    rel_tol: float,
 ) -> QuadratureResult:
-    """Equal-weight trapezoid rule on the period square with grid doubling."""
+    """Evaluate level_sum(n) for n = n0, 2*n0, ... until two successive
+    levels agree within rel_tol (relative) or the doublings run out."""
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     if n0 < 2:
@@ -180,7 +181,7 @@ def periodic_trapezoid_2d(
     total = 0.0
     delta = math.inf
     for level in range(max_doublings + 1):
-        total = _trapezoid_sum(f, period, n)
+        total = level_sum(n)
         if prev is not None:
             delta = abs(total - prev) / max(abs(total), 1e-300)
             if delta <= rel_tol:
@@ -188,3 +189,16 @@ def periodic_trapezoid_2d(
         prev = total
         n *= 2
     return QuadratureResult(total, max_doublings + 1, delta, False)
+
+
+def periodic_trapezoid_2d(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    period: float,
+    n0: int,
+    max_doublings: int = 6,
+    rel_tol: float = 1e-6,
+) -> QuadratureResult:
+    """Equal-weight trapezoid rule on the period square with grid doubling."""
+    return _grid_doubling(
+        lambda n: _trapezoid_sum(f, period, n), n0, max_doublings, rel_tol
+    )

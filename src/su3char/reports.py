@@ -2,15 +2,18 @@
 
 Identical inputs produce identical bytes: fixed field order (dataclass /
 dict insertion order), floats as ``%.17g`` (exact float64 round-trip), LF
-line endings, UTF-8, one trailing newline.  The resolved run configuration
-is echoed into every artifact -- as a ``# config=...`` preamble line in CSV
-and a top-level ``"config"`` key in JSON.
+line endings, UTF-8, one trailing newline.  JSON is strict: non-finite
+floats are written as the strings ``"inf"``, ``"-inf"`` and ``"nan"`` (the
+CSV spelling), never as the bare ``Infinity``/``NaN`` tokens.  The resolved
+run configuration is echoed into every artifact -- as a ``# config=...``
+preamble line in CSV and a top-level ``"config"`` key in JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -19,11 +22,27 @@ __all__ = [
     "emit_report",
     "emit_json",
     "read_report_csv",
+    "strict_json",
 ]
 
 
 class ReportWriteError(RuntimeError):
     """I/O failure while writing an artifact; message carries the path."""
+
+
+def _finite_or_str(v):
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)
+    if isinstance(v, dict):
+        return {k: _finite_or_str(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_str(x) for x in v]
+    return v
+
+
+def strict_json(obj, **kwargs) -> str:
+    """json.dumps(obj, **kwargs) with non-finite floats spelled as strings."""
+    return json.dumps(_finite_or_str(obj), allow_nan=False, **kwargs)
 
 
 def _fmt_scalar(v) -> str:
@@ -52,7 +71,7 @@ def _record_fields(rec) -> List[Tuple[str, object]]:
 def _config_json(config) -> str:
     if dataclasses.is_dataclass(config) and not isinstance(config, type):
         config = dataclasses.asdict(config)
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return strict_json(config, sort_keys=True, separators=(",", ":"))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -89,7 +108,7 @@ def emit_report(records: Iterable, format: str, path: str, config=None) -> None:
             else config,
             "records": [dict(_record_fields(rec)) for rec in records],
         }
-        _write_text(path, json.dumps(payload, indent=2) + "\n")
+        _write_text(path, strict_json(payload, indent=2) + "\n")
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
@@ -102,7 +121,7 @@ def emit_json(payload: dict, path: str, config=None) -> None:
         if dataclasses.is_dataclass(config) and not isinstance(config, type)
         else config
     )
-    _write_text(path, json.dumps(body, indent=2) + "\n")
+    _write_text(path, strict_json(body, indent=2) + "\n")
 
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")

@@ -75,6 +75,35 @@ def test_lp_trivial_weight(capsys):
     assert payload["converged"] is True
 
 
+def test_lp_large_p_is_finite(capsys):
+    code, payload, _ = run(capsys, "lp", "--mu", "20,20", "--p", "90")
+    assert code == EXIT_OK
+    assert math.isfinite(payload["norm"])
+    assert 0.0 < payload["norm"] <= 9261.0  # dim(20, 20)
+
+
+def test_stdout_json_is_strict(capsys):
+    # the pattern sum divides by nothing: condition = inf
+    assert main(["eval", "--mu", "1,0", "--theta", "0,0,0"]) == EXIT_OK
+    out, _ = capsys.readouterr()
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["method"] == "schur"
+    assert payload["condition"] == "inf"
+
+
+def test_bad_thread_count_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SU3CHAR_THREADS", "abc")
+    code, _, err = run(capsys, "verify-envelope", "--dense-max", "1", "--shell-max", "2")
+    assert code == EXIT_USAGE
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert "SU3CHAR_THREADS" in diag["message"]
+
+
 def test_lp_nonconvergence_exit_code(capsys):
     code, payload, _ = run(
         capsys, "lp", "--mu", "3,2", "--p", "2.5",

@@ -15,12 +15,14 @@ from su3char import (
     family_weight,
     haar_lp_norm,
     mu_stats,
+    multiplicities,
     predicted_dimension_bound,
     predicted_regular_bound,
     predicted_singular_bound,
     scaling_fit,
 )
-from su3char.lpnorms import _bandwidth, _ols_loglog, _weight
+from su3char.character import _schur_weight_arrays
+from su3char.lpnorms import _bandwidth, _fft_level, _norm_integrand, _ols_loglog, _weight
 from su3char.quadrature import _trapezoid_sum
 
 TWO_PI = 2.0 * math.pi
@@ -54,7 +56,7 @@ def test_normalizer_matches_closed_form():
 def test_fourth_moment_of_defining_family_counts_invariants():
     # ||chi_(N,0)||_4^4 = N+1: the number of irreducible summands of
     # Sym^N(V) (x) Sym^N(V)* is N+1 (one per diagonal weight (k,k))
-    for N in (1, 2, 3, 5, 8):
+    for N in (1, 2, 3, 5, 8, 64, 512):
         rep = haar_lp_norm(DominantWeight(N, 0), 4.0)
         assert rep.converged
         assert rep.norm ** 4 == pytest.approx(N + 1.0, rel=1e-13)
@@ -66,7 +68,7 @@ def test_quarter_root_two_example():
 
 
 def test_orthonormality_small_sample():
-    for a, b in [(0, 1), (2, 2), (5, 3), (10, 10)]:
+    for a, b in [(0, 1), (2, 2), (5, 3), (10, 10), (512, 512)]:
         rep = haar_lp_norm(DominantWeight(a, b), 2.0)
         assert rep.norm == pytest.approx(1.0, abs=1e-10)
 
@@ -81,14 +83,37 @@ def test_mappings_agree_on_non_even_p():
 
 def test_trapezoid_rule_exactness_kicks_in_for_even_p():
     # doubling the grid beyond the bandwidth must not move N_p
-    from su3char.lpnorms import _norm_integrand
-
     mu = DominantWeight(2, 1)
     f = _norm_integrand(mu, 4.0)
     n = int(math.ceil(4.0 * _bandwidth(mu))) + 8
     a = _trapezoid_sum(f, TWO_PI, n)
     b = _trapezoid_sum(f, TWO_PI, 2 * n)
     assert abs(a - b) / abs(a) < 1e-10
+
+
+def test_multiplicities_equal_the_pattern_weight_histogram():
+    # exact integer oracle: Weyl-numerator division against the GT patterns
+    for a in range(41):
+        for b in range(41 - a):
+            m = multiplicities(DominantWeight(a, b))
+            w1, _, w3 = _schur_weight_arrays(a, b)
+            k = a + b + 1
+            hist = np.bincount(w1 * k + w3, minlength=k * k).reshape(k, k)
+            assert m.dtype == np.int64
+            assert np.array_equal(m, hist), (a, b)
+    big = DominantWeight(512, 512)
+    assert int(multiplicities(big).sum()) == dim(big)
+
+
+def test_fft_level_matches_node_by_node_trapezoid_sum():
+    # the multiplicity/FFT level against chi_on_grid at every node, on odd and
+    # even grids, including grids coarser than the weight support (folded M)
+    for (a, b), p, n in [((2, 1), 2.5, 48), ((5, 3), 3.0, 16), ((5, 3), 3.0, 7), ((9, 0), 1.5, 9)]:
+        mu = DominantWeight(a, b)
+        num, den = _fft_level(multiplicities(mu), dim(mu), p, n)
+        want = _trapezoid_sum(_norm_integrand(mu, p), TWO_PI, n)
+        assert num == pytest.approx(want, rel=1e-12), (a, b, n)
+        assert den == pytest.approx(_trapezoid_sum(_weight, TWO_PI, n), rel=1e-14)
 
 
 def test_report_fields_and_gating():

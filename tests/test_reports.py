@@ -97,6 +97,17 @@ def test_emit_json_config_first(tmp_path):
     assert text.endswith("\n")
 
 
+def test_json_artifacts_spell_non_finite_floats_as_strings(tmp_path):
+    path = str(tmp_path / "s.json")
+    emit_json({"a": math.inf, "b": [-math.inf, math.nan], "c": 1.5}, path, config={"tol": math.inf})
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    body = json.loads(open(path).read(), parse_constant=refuse)
+    assert body == {"config": {"tol": "inf"}, "a": "inf", "b": ["-inf", "nan"], "c": 1.5}
+
+
 def test_write_failure_carries_path(tmp_path):
     bad = str(tmp_path / "no" / "such" / "dir" / "t.csv")
     with pytest.raises(ReportWriteError, match="t.csv"):
