@@ -237,6 +237,14 @@ def chi_schur(mu: DominantWeight, H: TorusPoint) -> CharValue:
     return CharValue(value=complex(re, im), method="schur", condition=math.inf)
 
 
+# Patterns per chunk of the batched pattern sum, and phases per block.  The
+# chunks depend only on dim(mu) and each point's phases form one row, summed
+# pairwise along the pattern axis, so a point's value does not depend on
+# how many points share its batch; blocking the points bounds peak memory.
+SCHUR_CHUNK = 1 << 12
+SCHUR_BLOCK = 1 << 22
+
+
 def _schur_batch(mu: DominantWeight, th1, th2, th3) -> np.ndarray:
     """chi(mu, .) on many torus points at once via the pattern phase sum."""
     d = dim(mu)
@@ -245,18 +253,19 @@ def _schur_batch(mu: DominantWeight, th1, th2, th3) -> np.ndarray:
             f"dim(mu) = {d} exceeds the pattern-sum budget {SCHUR_DIM_LIMIT}"
         )
     w1, w2, w3 = _schur_weight_arrays(mu.a, mu.b)
+    chunk = min(SCHUR_CHUNK, w1.size)
+    rows = max(1, SCHUR_BLOCK // chunk)
     out = np.zeros(th1.shape, dtype=np.complex128)
-    # fixed-size pattern chunks keep peak memory bounded and the reduction
-    # order independent of how many points the caller batched
-    chunk = max(1, (1 << 22) // max(1, th1.size))
-    for lo in range(0, w1.size, chunk):
-        hi = min(lo + chunk, w1.size)
-        angle = (
-            np.multiply.outer(w1[lo:hi].astype(np.float64), th1)
-            + np.multiply.outer(w2[lo:hi].astype(np.float64), th2)
-            + np.multiply.outer(w3[lo:hi].astype(np.float64), th3)
-        )
-        out += np.exp(1j * angle).sum(axis=0)
+    for plo in range(0, w1.size, chunk):
+        c1, c2, c3 = (w[plo:plo + chunk].astype(np.float64) for w in (w1, w2, w3))
+        for lo in range(0, th1.size, rows):
+            pts = slice(lo, lo + rows)
+            angle = (
+                np.multiply.outer(th1[pts], c1)
+                + np.multiply.outer(th2[pts], c2)
+                + np.multiply.outer(th3[pts], c3)
+            )
+            out[pts] += np.exp(1j * angle).sum(axis=1)
     return out
 
 

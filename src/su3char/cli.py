@@ -352,12 +352,12 @@ def _cmd_verify_envelope(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _quad_spec(p: Dict[str, object], mapping_key: str = "mapping") -> QuadratureSpec:
+def _quad_spec(p: Dict[str, object]) -> QuadratureSpec:
     return QuadratureSpec(
         base_rule=int(p["base_rule"]),
         max_refinements=int(p["max_refinements"]),
         rel_tol=float(p["rel_tol"]),
-        mapping=str(p.get(mapping_key, "periodic_square")),
+        mapping=str(p.get("mapping", "periodic_square")),
     )
 
 
@@ -411,12 +411,7 @@ def _cmd_prop_i(cfg: RunConfig) -> int:
     p = cfg.params
     p_values = _parse_float_list(p["p_values"], "--p-values")
     pool = sorted(_parse_float_list(p["pool"], "--pool"))
-    spec = QuadratureSpec(
-        base_rule=int(p["base_rule"]),
-        max_refinements=int(p["max_refinements"]),
-        rel_tol=float(p["rel_tol"]),
-        mapping="duffy",
-    )
+    spec = _quad_spec(p)
     triples = [
         (z, y, x)
         for x, y, z in itertools.combinations_with_replacement(pool, 3)

@@ -54,7 +54,7 @@ from .quadrature import (
     BLOCK_NODES,
     ConvergenceError,
     QuadratureResult,
-    _grid_doubling,
+    _refine,
     adaptive_triangle,
 )
 
@@ -216,15 +216,15 @@ def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec):
     """(result for N_p / dim^p, Z at the final level) on the period square."""
     m = multiplicities(mu)
     d = dim(mu)
+    n0 = max(48, int(math.ceil(p * _bandwidth(mu))) + 8)
     z = []
 
-    def level_sum(n: int) -> float:
-        num, den = _fft_level(m, d, p, n)
+    def level_sum(level: int) -> float:
+        num, den = _fft_level(m, d, p, n0 << level)
         z.append(den)
         return num
 
-    n0 = max(48, int(math.ceil(p * _bandwidth(mu))) + 8)
-    res = _grid_doubling(level_sum, n0, spec.max_refinements, spec.rel_tol)
+    res = _refine(level_sum, spec.max_refinements, spec.rel_tol)
     return res, z[-1]
 
 
@@ -317,10 +317,20 @@ def predicted_dimension_bound(mu, p: float) -> float:
 # the model integral over A0 and its case bound
 # ---------------------------------------------------------------------------
 
-def _model_g(x, y, p: float, aa: float, bb: float, cc: float):
-    num = (x * y) ** 2 * (x + y) ** 2
-    den = (1.0 + aa * x) ** p * (1.0 + bb * y) ** p * (1.0 + cc * (x + y)) ** p
-    return num / den
+def _model_integrand(x, y, p: float, a_t: float, b_t: float, c_t: float):
+    """g(x, y) + g(y, x) for the model integrand
+    g = (x y)^2 (x+y)^2 / [(1+a_t x)(1+b_t y)(1+c_t(x+y))]^p.
+
+    The three factors of each denominator are multiplied before the one
+    power, and (x y)^2 (x+y)^2 and 1+c_t(x+y) are shared by both terms.
+    Swapping a_t with b_t swaps the two denominators bit for bit.
+    """
+    s = x + y
+    shared = 1.0 + c_t * s
+    num = (x * y) ** 2 * s ** 2
+    d1 = (1.0 + a_t * x) * (1.0 + b_t * y) * shared
+    d2 = (1.0 + a_t * y) * (1.0 + b_t * x) * shared
+    return num * (d1 ** -p + d2 ** -p)
 
 
 def I_numeric(
@@ -336,7 +346,9 @@ def I_numeric(
 
     Integrates the diagonal half {t2 <= t1} with the integrand folded across
     t1 = t2; the folded sum is symmetric in (a_t, t1) <-> (b_t, t2) term by
-    term, so swapped calls return bit-identical values.
+    term, so swapped calls return bit-identical values.  Always uses the
+    Duffy triangle rule: ``spec.mapping`` is not read, only its base_rule,
+    max_refinements and rel_tol.
     """
     if p <= 0.0:
         raise ValueError("p must be positive")
@@ -345,7 +357,7 @@ def I_numeric(
     spec = spec or QuadratureSpec()
 
     def h(x, y):
-        return _model_g(x, y, p, a_t, b_t, c_t) + _model_g(y, x, p, a_t, b_t, c_t)
+        return _model_integrand(x, y, p, a_t, b_t, c_t)
 
     lower = ((0.0, 0.0), (A0_SIDE, 0.0), (A0_SIDE / 2.0, A0_SIDE / 2.0))
     res = adaptive_triangle(h, lower, spec.base_rule, spec.max_refinements, spec.rel_tol)

@@ -10,8 +10,14 @@ Two rule families, both returning :class:`QuadratureResult`:
   spectrally accurate for smooth periodic integrands and *exact* for
   trigonometric polynomials once the grid outruns the bandwidth.
 
-All reductions go through ``math.fsum`` (exactly rounded), so totals do not
-depend on evaluation order, chunking, or thread count.
+Both families drive one level-indexed loop (:func:`_refine`), which stops
+when two successive level totals agree to a relative tolerance.
+
+Reductions are two-stage: ``np.sum`` over blocks whose shape is fixed by
+the rule alone (base_rule^2 nodes per triangle; a row block of an n x n
+grid fixed by n), so each block's pairwise tree is fixed, then
+``math.fsum`` (exactly rounded) across blocks.  Totals therefore do not
+depend on the order of the blocks, on who calls, or on the thread count.
 """
 
 from __future__ import annotations
@@ -110,8 +116,31 @@ def _triangulation_sum(f, tris: Sequence[Triangle], n: int) -> float:
     for t in tris:
         x, y, w = triangle_rule(t, n)
         vals = np.asarray(f(x, y), dtype=np.float64)
-        parts.append(math.fsum((w * vals).tolist()))
+        # the n*n shape fixes np.sum's pairwise tree; fsum across triangles
+        parts.append(float(np.sum(w * vals)))
     return math.fsum(parts)
+
+
+def _refine(
+    level_sum: Callable[[int], float],
+    max_refinements: int,
+    rel_tol: float,
+) -> QuadratureResult:
+    """Evaluate level_sum(0), level_sum(1), ... until two successive levels
+    agree within rel_tol (relative) or max_refinements + 1 levels have run."""
+    if rel_tol <= 0.0:
+        raise ValueError("rel_tol must be positive")
+    prev = None
+    total = 0.0
+    delta = math.inf
+    for level in range(max_refinements + 1):
+        total = level_sum(level)
+        if prev is not None:
+            delta = abs(total - prev) / max(abs(total), 1e-300)
+            if delta <= rel_tol:
+                return QuadratureResult(total, level + 1, delta, True)
+        prev = total
+    return QuadratureResult(total, max_refinements + 1, delta, False)
 
 
 def adaptive_triangle(
@@ -123,22 +152,15 @@ def adaptive_triangle(
 ) -> QuadratureResult:
     """Integrate f over a triangle, uniformly subdividing until two
     successive triangulation totals agree within rel_tol (relative)."""
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
     tris: List[Triangle] = [tuple((float(px), float(py)) for px, py in verts)]
-    prev = None
-    total = 0.0
-    delta = math.inf
-    for level in range(max_refinements + 1):
-        total = _triangulation_sum(f, tris, base_rule)
-        if prev is not None:
-            delta = abs(total - prev) / max(abs(total), 1e-300)
-            if delta <= rel_tol:
-                return QuadratureResult(total, level + 1, delta, True)
-        prev = total
-        if level < max_refinements:
+
+    def level_sum(level: int) -> float:
+        nonlocal tris
+        if level:
             tris = [child for t in tris for child in subdivide_triangle(t)]
-    return QuadratureResult(total, max_refinements + 1, delta, False)
+        return _triangulation_sum(f, tris, base_rule)
+
+    return _refine(level_sum, max_refinements, rel_tol)
 
 
 # Nodes per block of a grid level.  Blocks depend only on n, so the
@@ -164,33 +186,6 @@ def _trapezoid_sum(f, period: float, n: int) -> float:
     return math.fsum(parts) * h * h
 
 
-def _grid_doubling(
-    level_sum: Callable[[int], float],
-    n0: int,
-    max_doublings: int,
-    rel_tol: float,
-) -> QuadratureResult:
-    """Evaluate level_sum(n) for n = n0, 2*n0, ... until two successive
-    levels agree within rel_tol (relative) or the doublings run out."""
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
-    if n0 < 2:
-        raise ValueError("n0 must be at least 2")
-    n = n0
-    prev = None
-    total = 0.0
-    delta = math.inf
-    for level in range(max_doublings + 1):
-        total = level_sum(n)
-        if prev is not None:
-            delta = abs(total - prev) / max(abs(total), 1e-300)
-            if delta <= rel_tol:
-                return QuadratureResult(total, level + 1, delta, True)
-        prev = total
-        n *= 2
-    return QuadratureResult(total, max_doublings + 1, delta, False)
-
-
 def periodic_trapezoid_2d(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     period: float,
@@ -198,7 +193,10 @@ def periodic_trapezoid_2d(
     max_doublings: int = 6,
     rel_tol: float = 1e-6,
 ) -> QuadratureResult:
-    """Equal-weight trapezoid rule on the period square with grid doubling."""
-    return _grid_doubling(
-        lambda n: _trapezoid_sum(f, period, n), n0, max_doublings, rel_tol
+    """Equal-weight trapezoid rule on the period square with grid doubling
+    (level k uses the (n0 * 2^k)-point grid per axis)."""
+    if n0 < 2:
+        raise ValueError("n0 must be at least 2")
+    return _refine(
+        lambda level: _trapezoid_sum(f, period, n0 << level), max_doublings, rel_tol
     )

@@ -318,6 +318,25 @@ def test_grid_refuses_exact_wall_with_huge_dim():
         chi_on_grid(mu, np.array([0.0]), np.array([0.0]))
 
 
+def test_grid_pattern_sum_does_not_depend_on_batch_size():
+    # each point's pattern sum is bit-identical whether it arrives alone or
+    # in a batch that spans several pattern chunks and point blocks
+    mu = DominantWeight(20, 20)  # dim 9261: three pattern chunks
+    rng = np.random.default_rng(5)
+    k = 1500
+    r = rng.uniform(1e-5, 5e-4, k)
+    phi = rng.uniform(0.05, 1.5, k)
+    dx, dy = r * np.cos(phi), r * np.sin(phi)
+    corner = np.arange(k) % 3
+    t1 = np.where(corner == 1, TWO_PI - dx - dy, dx)
+    t2 = np.where(corner == 2, TWO_PI - dx - dy, dy)
+    vals, methods = chi_on_grid(mu, t1, t2)
+    assert all(GRID_METHOD_NAMES[m] == "schur" for m in methods)
+    for i in range(0, k, 30):
+        one, _ = chi_on_grid(mu, t1[i:i + 1], t2[i:i + 1])
+        assert one[0] == vals[i], i
+
+
 def test_grid_method_partition_thresholds():
     mu = DominantWeight(2, 2)
     eps = EPS_WALL / 2.0

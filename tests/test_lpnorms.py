@@ -1,5 +1,7 @@
+import itertools
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +24,16 @@ from su3char import (
     scaling_fit,
 )
 from su3char.character import _schur_weight_arrays
-from su3char.lpnorms import _bandwidth, _fft_level, _norm_integrand, _ols_loglog, _weight
+from su3char.cli import _DEFAULTS, _quad_spec
+from su3char.lpnorms import (
+    A0_SIDE,
+    _bandwidth,
+    _fft_level,
+    _model_integrand,
+    _norm_integrand,
+    _ols_loglog,
+    _weight,
+)
 from su3char.quadrature import _trapezoid_sum
 
 TWO_PI = 2.0 * math.pi
@@ -218,6 +229,46 @@ def test_model_integral_swap_is_bit_identical():
         x = I_numeric(p, 4.0, 16.0, 1.0)
         y = I_numeric(p, 16.0, 4.0, 1.0)
         assert struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def _model_g(x, y, p, aa, bb, cc):
+    """One unfolded term of the model integrand, with three separate powers."""
+    num = (x * y) ** 2 * (x + y) ** 2
+    den = (1.0 + aa * x) ** p * (1.0 + bb * y) ** p * (1.0 + cc * (x + y)) ** p
+    return num / den
+
+
+def test_model_integrand_matches_six_power_reference():
+    # random points of the lower triangle (0,0), (A0,0), (A0/2,A0/2)
+    rng = np.random.default_rng(3)
+    u, v = rng.random((2, 4000))
+    flip = u + v > 1.0
+    u, v = np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
+    x = A0_SIDE * u + 0.5 * A0_SIDE * v
+    y = 0.5 * A0_SIDE * v
+    pool = (1.0, 4.0, 16.0, 64.0, 256.0)
+    for p in (2.0, 2.8, 3.0, 4.0, 5.5):
+        for a, b, c in itertools.product(pool, repeat=3):
+            got = _model_integrand(x, y, p, a, b, c)
+            want = _model_g(x, y, p, a, b, c) + _model_g(y, x, p, a, b, c)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_prop_i_default_levels_are_pinned():
+    # all 175 I_numeric calls of `su3char prop-i` at its defaults; a change
+    # of rounding in the integrand or the sums must not flip a convergence
+    # decision unnoticed
+    cfg = _DEFAULTS["prop-i"]
+    spec = _quad_spec(cfg)
+    pool = sorted(float(v) for v in cfg["pool"].split(","))
+    levels = []
+    for p in (float(v) for v in cfg["p_values"].split(",")):
+        for c, b, a in itertools.combinations_with_replacement(pool, 3):
+            res = I_numeric(p, a, b, c, spec, full=True)
+            assert res.converged, (p, a, b, c)
+            levels.append(res.levels)
+    assert sum(levels) == 451
+    assert Counter(levels) == {2: 112, 3: 36, 4: 19, 5: 5, 6: 3}
 
 
 def test_model_integral_monotone_in_each_argument():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from su3char import (
     adaptive_triangle,
     periodic_trapezoid_2d,
 )
-from su3char.quadrature import subdivide_triangle, triangle_rule
+from su3char.quadrature import _triangulation_sum, subdivide_triangle, triangle_rule
 
 UNIT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
@@ -73,6 +74,16 @@ def test_adaptive_triangle_is_deterministic():
     r1 = adaptive_triangle(f, UNIT, base_rule=24)
     r2 = adaptive_triangle(f, UNIT, base_rule=24)
     assert r1 == r2
+
+
+def test_triangulation_sum_does_not_depend_on_triangle_order():
+    f = lambda x, y: np.exp(np.sin(7.0 * x) * y) / (1e-3 + x + y)
+    tris = [UNIT]
+    for _ in range(3):
+        tris = [child for t in tris for child in subdivide_triangle(t)]
+    fwd = _triangulation_sum(f, tris, 16)
+    rev = _triangulation_sum(f, tris[::-1], 16)
+    assert struct.pack("<d", fwd) == struct.pack("<d", rev)
 
 
 def test_periodic_trapezoid_exact_for_trig_polynomials():
