@@ -49,6 +49,7 @@ from .character import (
     chi_stable,
     chi_weyl,
     descent_terms,
+    multiplicities,
 )
 from .bounds import (
     EnvelopeValue,
@@ -80,7 +81,6 @@ from .lpnorms import (
     ScalingRow,
     family_weight,
     haar_lp_norm,
-    multiplicities,
     predicted_dimension_bound,
     predicted_regular_bound,
     predicted_singular_bound,

@@ -31,7 +31,7 @@ from .cartan import (
     mu_stats,
     wall_norm,
 )
-from .character import chi_on_grid, chi_rank1, chi_stable, _rank1_array
+from .character import GRID_METHOD_NAMES, chi_on_grid, chi_rank1, chi_stable, _rank1_array
 
 __all__ = [
     "EnvelopeValue",
@@ -323,8 +323,6 @@ def _sweep_one(mu: DominantWeight, grid: GridPoints, zero_index: int):
     absv = np.abs(vals)
     ratios = absv / env
     i = int(np.argmax(ratios))
-    from .character import GRID_METHOD_NAMES
-
     rec = RatioRecord(
         mu_a=mu.a,
         mu_b=mu.b,

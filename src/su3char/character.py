@@ -15,6 +15,9 @@
                 H = 0.
 ``chi_stable``  dispatcher picking among the three by wall distances.
 
+``chi_on_grid`` vectorizes the dispatch; near two or more walls it groups
+the pattern phases by weight (:func:`multiplicities`), O((a+b)^2) per point.
+
 All evaluators agree on chi~(lambda, H) = chi(mu, H) for lambda = mu + rho;
 the lambda-level entry points (chi_weyl, descent_terms) exist so the Weyl
 antisymmetry chi~(s.lambda, H) = det(s) * chi~(lambda, H) can be exercised
@@ -41,7 +44,6 @@ from .cartan import (
     WeylElement,
     dim,
     pairing_root_torus,
-    pairing_weight_root,
     wall_coset,
     wall_norm,
 )
@@ -56,6 +58,7 @@ __all__ = [
     "descent_terms",
     "chi_stable",
     "chi_on_grid",
+    "multiplicities",
     "SingularInputError",
     "WallTooSmallError",
     "ResourceLimitError",
@@ -74,7 +77,7 @@ RANK1_SIN_SWITCH = 1e-8
 # Exact-zero guard for denominators (an exact wall hit).
 WALL_FLOOR = 1e-14
 
-# chi_schur refuses representations with more patterns than this.
+# chi_schur's pattern budget and multiplicities' array-entry budget.
 SCHUR_DIM_LIMIT = 10**7
 
 # Positive-root representative of each extended wall.  Wall 0 is alpha0's
@@ -93,7 +96,7 @@ class WallTooSmallError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Pattern enumeration refused; representation too large."""
+    """Pattern enumeration or multiplicity array refused; mu too large."""
 
 
 @dataclass(frozen=True)
@@ -237,36 +240,67 @@ def chi_schur(mu: DominantWeight, H: TorusPoint) -> CharValue:
     return CharValue(value=complex(re, im), method="schur", condition=math.inf)
 
 
-# Patterns per chunk of the batched pattern sum, and phases per block.  The
-# chunks depend only on dim(mu) and each point's phases form one row, summed
-# pairwise along the pattern axis, so a point's value does not depend on
-# how many points share its batch; blocking the points bounds peak memory.
-SCHUR_CHUNK = 1 << 12
-SCHUR_BLOCK = 1 << 22
+def multiplicities(mu) -> np.ndarray:
+    """Weight multiplicities of V_mu as an exact int64 array M[w1, w3].
 
-
-def _schur_batch(mu: DominantWeight, th1, th2, th3) -> np.ndarray:
-    """chi(mu, .) on many torus points at once via the pattern phase sum."""
-    d = dim(mu)
-    if d > SCHUR_DIM_LIMIT:
+    chi_mu = sum M[w1, w3] x1^w1 x2^w2 x3^w3 with w2 = a+2b-w1-w3, so
+    M.sum() == dim(mu) and M equals the Gelfand-Tsetlin weight histogram.
+    Built on the (e1, e3) exponent lattice from the six-term Weyl numerator
+    by exact division through the Vandermonde factors, O((a+b)^2) work.
+    Refuses, before allocating, arrays of more than SCHUR_DIM_LIMIT entries.
+    """
+    if not isinstance(mu, DominantWeight):
+        mu = DominantWeight(*mu)
+    n = mu.a + mu.b + 1
+    if n * n > SCHUR_DIM_LIMIT:
         raise ResourceLimitError(
-            f"dim(mu) = {d} exceeds the pattern-sum budget {SCHUR_DIM_LIMIT}"
+            f"(a+b+1)^2 = {n * n} exceeds the multiplicity-array budget "
+            f"{SCHUR_DIM_LIMIT}"
         )
-    w1, w2, w3 = _schur_weight_arrays(mu.a, mu.b)
-    chunk = min(SCHUR_CHUNK, w1.size)
-    rows = max(1, SCHUR_BLOCK // chunk)
-    out = np.zeros(th1.shape, dtype=np.complex128)
-    for plo in range(0, w1.size, chunk):
-        c1, c2, c3 = (w[plo:plo + chunk].astype(np.float64) for w in (w1, w2, w3))
-        for lo in range(0, th1.size, rows):
-            pts = slice(lo, lo + rows)
-            angle = (
-                np.multiply.outer(th1[pts], c1)
-                + np.multiply.outer(th2[pts], c2)
-                + np.multiply.outer(th3[pts], c3)
-            )
-            out[pts] += np.exp(1j * angle).sum(axis=1)
-    return out
+    ell = mu.shifted().ell
+    size = n + 2
+    num = np.zeros((size, size), dtype=np.int64)
+    for s in WEYL_GROUP:
+        e = s.apply(ell)
+        num[e[0], e[2]] += s.sign
+    # x1 shifts e1 by one, x3 shifts e3, x2 shifts neither
+    q = -np.cumsum(num, axis=0)  # / (x1 - x2)
+    q = np.cumsum(q, axis=1)     # / (x2 - x3)
+    # / (x1 - x3): q[i, j+1] = out[i-1, j+1] - out[i, j], one row at a time
+    out = np.zeros_like(q)
+    for i in range(size):
+        prev = out[i - 1, 1:] if i else 0
+        out[i, :-1] = prev - q[i, 1:]
+    return out[:n, :n]
+
+
+# Entries per phase tile (points x (a+b+1)) of the multiplicity contraction;
+# blocking the points by it bounds peak memory.
+GRID_BLOCK = 1 << 18
+
+
+def _multiplicity_batch(mu: DominantWeight, th1, th2, th3) -> np.ndarray:
+    """chi(mu, .) on many torus points: the pattern phase sum grouped by weight.
+
+    The phase of weight (w1, w2, w3) is c*th2 + w1*(th1-th2) + w3*(th3-th2)
+    with c = a+2b, so chi = exp(i c th2) * sum E1[w1] M[w1, w3] E3[w3] with
+    E1[k] = exp(ik(th1-th2)) and E3[k] = exp(ik(th3-th2)), k = 0..a+b.
+    einsum without ``optimize`` uses no BLAS and sums each point's row in a
+    fixed order, so a point's value does not depend on its batch.  At H = 0
+    every phase is exactly 1 and the value is exactly dim(mu).
+    """
+    m = multiplicities(mu).astype(np.complex128)
+    k = np.arange(m.shape[0], dtype=np.float64)
+    d1 = th1 - th2
+    d3 = th3 - th2
+    rows = max(1, GRID_BLOCK // k.size)
+    out = np.empty(th1.shape, dtype=np.complex128)
+    for lo in range(0, th1.size, rows):
+        pts = slice(lo, lo + rows)
+        e1 = np.exp(1j * np.multiply.outer(d1[pts], k))
+        e3 = np.exp(1j * np.multiply.outer(d3[pts], k))
+        out[pts] = np.einsum("pi,ij,pj->p", e1, m, e3)
+    return np.exp(1j * ((mu.a + 2 * mu.b) * th2)) * out
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +409,7 @@ def chi_stable(mu: DominantWeight, H: TorusPoint) -> CharValue:
 # vectorized evaluation on alcove-coordinate grids
 # ---------------------------------------------------------------------------
 
-GRID_METHOD_NAMES = ("weyl", "descent0", "descent1", "descent2", "schur", "weyl_fallback")
+GRID_METHOD_NAMES = ("weyl", "descent0", "descent1", "descent2", "schur")
 
 
 def _theta_cols(t1: np.ndarray, t2: np.ndarray):
@@ -386,24 +420,23 @@ def _theta_cols(t1: np.ndarray, t2: np.ndarray):
     return th1 - m, th2 - m, th3 - m
 
 
-def _weyl_batch(lam: RegularTriple, th1, th2, th3, p0, p1, p2) -> np.ndarray:
+def _weyl_batch(lam: RegularTriple, th1, th2, th3, sines) -> np.ndarray:
+    """Weyl quotient; sines[j] = sin(<beta_j, H>/2) for the three walls."""
     num = np.zeros(th1.shape, dtype=np.complex128)
     for s in WEYL_GROUP:
         e = s.apply(lam.ell)
         angle = e[0] * th1 + e[1] * th2 + e[2] * th3
         num += s.sign * np.exp(1j * angle)
-    den = (2j * np.sin(0.5 * p1)) * (2j * np.sin(0.5 * p2)) * (2j * np.sin(0.5 * p0))
+    den = (2j * sines[1]) * (2j * sines[2]) * (2j * sines[0])
     return num / den
 
 
-def _descent_batch(lam: RegularTriple, th1, th2, th3, pairings, j: int) -> np.ndarray:
+def _descent_batch(lam: RegularTriple, th1, th2, th3, sines, pairing, j: int) -> np.ndarray:
+    """Descent at wall j; pairing = <beta_j, H>, sines as in _weyl_batch."""
     beta_j = WALL_POSITIVE_ROOT[j]
     others = [k for k in (0, 1, 2) if k != j]
-    prefactor = 1.0 / (
-        (2j * np.sin(0.5 * pairings[others[0]]))
-        * (2j * np.sin(0.5 * pairings[others[1]]))
-    )
-    u = 0.5 * pairings[j]
+    prefactor = 1.0 / ((2j * sines[others[0]]) * (2j * sines[others[1]]))
+    u = 0.5 * pairing
     acc = np.zeros(th1.shape, dtype=np.complex128)
     for s in wall_coset(j):
         e = s.apply(lam.ell)
@@ -417,62 +450,44 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
     """chi(mu, .) over flat arrays of alcove coordinates.
 
     Returns (values, methods): complex128 values and a uint8 method code per
-    point, indexing GRID_METHOD_NAMES.  Mirrors chi_stable's dispatch; the
-    single extension is that points needing the pattern sum but exceeding its
-    budget fall back to the Weyl quotient ("weyl_fallback") -- those points
-    sit within ~1e-3 of a corner where |chi| ~ dim is enormous compared to
-    the quotient's absolute error, so the fallback is safe where the scalar
-    API would refuse.
+    point, indexing GRID_METHOD_NAMES.  Mirrors chi_stable's dispatch by the
+    number of walls below EPS_WALL: none, Weyl quotient; one, descent at that
+    wall; two or more, the multiplicity contraction ("schur", the pattern sum
+    grouped by weight: O((a+b)^2) per point, exact dim at H = 0, refused with
+    ResourceLimitError when the multiplicity array exceeds its budget).
     """
     t1 = np.asarray(t1, dtype=np.float64)
     t2 = np.asarray(t2, dtype=np.float64)
     th1, th2, th3 = _theta_cols(t1, t2)
     # pairings with the positive wall representatives, indexed by wall number
     pairings = (t1 + t2, t1, t2)
-    walls = np.stack([np.abs(np.sin(0.5 * p)) for p in pairings])
-    wsort = np.sort(walls, axis=0)
+    sines = [np.sin(0.5 * p) for p in pairings]
+    walls = np.abs(sines)
+    near = np.count_nonzero(walls < EPS_WALL, axis=0)
     values = np.empty(t1.shape, dtype=np.complex128)
     methods = np.empty(t1.shape, dtype=np.uint8)
     lam = mu.shifted()
 
-    m_weyl = wsort[0] >= EPS_WALL
-    if m_weyl.any():
-        idx = np.nonzero(m_weyl)[0]
-        values[idx] = _weyl_batch(
-            lam, th1[idx], th2[idx], th3[idx],
-            pairings[0][idx], pairings[1][idx], pairings[2][idx],
-        )
+    idx = np.nonzero(near == 0)[0]
+    if idx.size:
+        values[idx] = _weyl_batch(lam, th1[idx], th2[idx], th3[idx], [s[idx] for s in sines])
         methods[idx] = 0
 
-    m_desc = (~m_weyl) & (wsort[1] >= EPS_WALL)
-    if m_desc.any():
-        jmin = np.argmin(walls, axis=0)
+    idx = np.nonzero(near == 1)[0]
+    if idx.size:
+        jmin = np.argmin(walls[:, idx], axis=0)
         for j in (0, 1, 2):
-            sel = np.nonzero(m_desc & (jmin == j))[0]
+            sel = idx[jmin == j]
             if sel.size == 0:
                 continue
-            sub_pairings = tuple(p[sel] for p in pairings)
             values[sel] = _descent_batch(
-                lam, th1[sel], th2[sel], th3[sel], sub_pairings, j
+                lam, th1[sel], th2[sel], th3[sel],
+                [s[sel] for s in sines], pairings[j][sel], j,
             )
             methods[sel] = 1 + j
 
-    m_hard = (~m_weyl) & (~m_desc)
-    if m_hard.any():
-        idx = np.nonzero(m_hard)[0]
-        if dim(mu) <= SCHUR_DIM_LIMIT:
-            values[idx] = _schur_batch(mu, th1[idx], th2[idx], th3[idx])
-            methods[idx] = 4
-        else:
-            prod = walls[0][idx] * walls[1][idx] * walls[2][idx]
-            if np.any(prod == 0.0):
-                raise ResourceLimitError(
-                    "grid hits an exact multi-wall point and dim(mu) "
-                    f"= {dim(mu)} exceeds the pattern-sum budget"
-                )
-            values[idx] = _weyl_batch(
-                lam, th1[idx], th2[idx], th3[idx],
-                pairings[0][idx], pairings[1][idx], pairings[2][idx],
-            )
-            methods[idx] = 5
+    idx = np.nonzero(near >= 2)[0]
+    if idx.size:
+        values[idx] = _multiplicity_batch(mu, th1[idx], th2[idx], th3[idx])
+        methods[idx] = 4
     return values, methods

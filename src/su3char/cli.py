@@ -7,9 +7,10 @@ command plus numeric parameters and seed, but not output paths or the thread
 count -- is echoed into every artifact so a run can be reproduced from any
 of its outputs.
 
-Exit codes: 0 success, 2 usage/parse error, 3 resource guard tripped,
-4 quadrature non-convergence, 5 invariant violation detected by a verify
-run.  Errors are also printed as one-line JSON diagnostics on stderr.
+Exit codes: 0 success, 2 usage/parse error or unwritable output path
+(output directories are checked before any computation), 3 resource guard
+tripped, 4 quadrature non-convergence, 5 invariant violation detected by a
+verify run.  Errors are also printed as one-line JSON diagnostics on stderr.
 
 ``SU3CHAR_THREADS`` sets the default worker count for sweeps; results are
 byte-identical for any thread count.
@@ -105,8 +106,10 @@ _DEFAULTS: Dict[str, Dict[str, object]] = {
     },
 }
 
+# output paths, checked before any computation
+_OUTPUTS = ("out", "out_csv", "out_json")
 # runtime knobs that must not influence artifact bytes
-_NOT_ECHOED = {"threads", "out", "out_csv", "out_json", "config"}
+_NOT_ECHOED = {"threads", *_OUTPUTS, "config"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -213,6 +216,15 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         flag_val = raw.get(key)
         if flag_val is not None:
             params[key] = flag_val
+    for key in _OUTPUTS:
+        path = params.get(key)
+        if path:
+            parent = os.path.dirname(os.path.abspath(str(path)))
+            if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+                raise UsageError(
+                    f"--{key.replace('_', '-')} {path}: directory {parent} "
+                    "does not exist or is not writable"
+                )
     return RunConfig(command=cmd, params=params)
 
 
@@ -609,7 +621,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVARIANT
     except ReportWriteError as e:
         _diag("io", e)
-        return 1
+        return EXIT_USAGE
     except ValueError as e:
         _diag("usage", e)
         return EXIT_USAGE

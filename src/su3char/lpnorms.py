@@ -48,8 +48,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cartan import WEYL_GROUP, DominantWeight, dim, mu_stats
-from .character import chi_on_grid
+from .cartan import DominantWeight, dim, mu_stats
+from .character import chi_on_grid, multiplicities
 from .quadrature import (
     BLOCK_NODES,
     ConvergenceError,
@@ -64,7 +64,6 @@ __all__ = [
     "ScalingRow",
     "FitResult",
     "haar_lp_norm",
-    "multiplicities",
     "predicted_singular_bound",
     "predicted_regular_bound",
     "predicted_dimension_bound",
@@ -139,34 +138,6 @@ def _norm_integrand(mu: DominantWeight, p: float):
 def _bandwidth(mu: DominantWeight) -> float:
     """Largest |frequency| of chi_mu in either alcove coordinate."""
     return max(2 * mu.a + mu.b, mu.a + 2 * mu.b) / 3.0
-
-
-def multiplicities(mu) -> np.ndarray:
-    """Weight multiplicities of V_mu as an exact int64 array M[w1, w3].
-
-    chi_mu = sum M[w1, w3] x1^w1 x2^w2 x3^w3 with w2 = a+2b-w1-w3, so
-    M.sum() == dim(mu) and M equals the Gelfand-Tsetlin weight histogram.
-    Built on the (e1, e3) exponent lattice from the six-term Weyl numerator
-    by exact division through the Vandermonde factors, O((a+b)^2) work.
-    """
-    if not isinstance(mu, DominantWeight):
-        mu = DominantWeight(*mu)
-    ell = mu.shifted().ell
-    size = mu.a + mu.b + 3
-    num = np.zeros((size, size), dtype=np.int64)
-    for s in WEYL_GROUP:
-        e = s.apply(ell)
-        num[e[0], e[2]] += s.sign
-    # x1 shifts e1 by one, x3 shifts e3, x2 shifts neither
-    q = -np.cumsum(num, axis=0)  # / (x1 - x2)
-    q = np.cumsum(q, axis=1)     # / (x2 - x3)
-    # / (x1 - x3): q[i, j+1] = out[i-1, j+1] - out[i, j], one row at a time
-    out = np.zeros_like(q)
-    for i in range(size):
-        prev = out[i - 1, 1:] if i else 0
-        out[i, :-1] = prev - q[i, 1:]
-    n = mu.a + mu.b + 1
-    return out[:n, :n]
 
 
 def _fold(m: np.ndarray, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,21 +302,61 @@ def test_grid_handles_exact_wall_zeros():
     assert np.isfinite(vals).all()
 
 
-def test_grid_weyl_fallback_for_huge_dims():
-    mu = DominantWeight(512, 512)  # dim > pattern budget
+def test_grid_multiplicity_sum_for_huge_dims():
+    mu = DominantWeight(512, 512)  # dim ~ 1.35e8, beyond the GT pattern budget
     t1 = np.array([1.5e-3, 1.0])
     t2 = np.array([1.5e-3, 1.2])
     vals, methods = chi_on_grid(mu, t1, t2)
-    assert GRID_METHOD_NAMES[methods[0]] == "weyl_fallback"
+    assert GRID_METHOD_NAMES[methods[0]] == "schur"
     assert GRID_METHOD_NAMES[methods[1]] == "weyl"
-    # near the corner the character is ~ dim-sized; fallback must stay sane
-    assert abs(vals[0]) <= dim(mu) * (1 + 1e-6)
+    # 1.5e-3 from the corner the Weyl quotient is still accurate to ~1e-14*dim
+    ref = chi_weyl(mu.shifted(), TorusPoint.from_alcove_coords(1.5e-3, 1.5e-3))
+    assert abs(vals[0] - ref.value) <= 1e-13 * dim(mu)
 
 
-def test_grid_refuses_exact_wall_with_huge_dim():
+def test_grid_exact_corner_with_huge_dim_is_dim():
     mu = DominantWeight(512, 512)
-    with pytest.raises(ResourceLimitError):
-        chi_on_grid(mu, np.array([0.0]), np.array([0.0]))
+    vals, methods = chi_on_grid(mu, np.array([0.0]), np.array([0.0]))
+    assert GRID_METHOD_NAMES[methods[0]] == "schur"
+    assert vals[0] == complex(dim(mu))
+
+
+def test_multiplicity_budget_trips_before_allocating():
+    mu = DominantWeight(4000, 4000)  # (a+b+1)^2 ~ 6.4e7 entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="multiplicity-array budget"):
+            chi_on_grid(mu, np.array([0.0, 1.0]), np.array([0.0, 1.2]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_grid_multi_wall_values_match_the_pattern_oracle():
+    # the multiplicity contraction against the GT pattern sum, every a+b <= 20
+    rng = np.random.default_rng(11)
+    k = 12
+    r = 10.0 ** rng.uniform(-6.0, -3.2, k)
+    phi = rng.uniform(0.05, 1.5, k)
+    dx, dy = r * np.cos(phi), r * np.sin(phi)
+    corner = np.arange(k) % 3
+    t1 = np.concatenate(([0.0, 0.0, TWO_PI], np.where(corner == 1, TWO_PI - dx - dy, dx)))
+    t2 = np.concatenate(([0.0, TWO_PI, 0.0], np.where(corner == 2, TWO_PI - dx - dy, dy)))
+    omega = cmath.exp(2j * math.pi / 3.0)
+    for s in range(21):
+        for a in range(s + 1):
+            mu = DominantWeight(a, s - a)
+            d = dim(mu)
+            vals, methods = chi_on_grid(mu, t1, t2)
+            assert all(GRID_METHOD_NAMES[m] == "schur" for m in methods)
+            assert vals[0] == complex(d)
+            # t = (0, 2pi) and (2pi, 0): dim * omega^(+-(a-b))
+            assert abs(vals[1] - d * omega ** (a - mu.b)) <= 1e-13 * d
+            assert abs(vals[2] - d * omega ** (mu.b - a)) <= 1e-13 * d
+            for i in range(3, t1.size):
+                H = TorusPoint.from_alcove_coords(float(t1[i]), float(t2[i]))
+                assert abs(vals[i] - chi_schur(mu, H).value) <= 1e-13 * d, (a, i)
 
 
 def test_grid_pattern_sum_does_not_depend_on_batch_size():

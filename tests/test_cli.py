@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from su3char import read_report_csv
+from su3char import cli, read_report_csv
 from su3char.cli import (
     EXIT_INVARIANT,
     EXIT_NONCONVERGENCE,
@@ -66,6 +66,41 @@ def test_eval_resource_guard(capsys):
     )
     assert code == EXIT_RESOURCE
     assert json.loads(err)["error"] == "resource-limit"
+
+
+def test_lp_multiplicity_budget_trips_fast(capsys):
+    code, _, err = run(capsys, "lp", "--mu", "4000,4000", "--p", "4")
+    assert code == EXIT_RESOURCE
+    diag = json.loads(err)
+    assert diag["error"] == "resource-limit"
+    assert "multiplicity-array budget" in diag["message"]
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["prop-i", "--out-csv"], "I_numeric"),
+    (["verify-envelope", "--out-json"], "sweep_constant"),
+    (["lp", "--mu", "2,1", "--p", "4", "--out"], "haar_lp_norm"),
+])
+def test_missing_output_directory_is_refused_before_the_work(capsys, monkeypatch, tmp_path, argv, work):
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "x.out"))
+    assert code == EXIT_USAGE
+    assert calls == []
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert "missing" in diag["message"]
+
+
+def test_late_write_failure_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    def fail(payload, path, config=None):
+        raise cli.ReportWriteError(f"cannot write report to {path}: disk full")
+
+    monkeypatch.setattr(cli, "emit_json", fail)
+    code, _, err = run(capsys, "rank1", "--n-max", "2", "--grid", "10",
+                       "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_USAGE
+    assert json.loads(err)["error"] == "io"
 
 
 def test_lp_trivial_weight(capsys):
