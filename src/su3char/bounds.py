@@ -10,6 +10,12 @@ which dominates |chi(mu, H)| up to a universal constant.  ``sweep_constant``
 hunts for the worst ratio |chi| / envelope over mu ranges and stratified
 alcove grids (interior, exact wall hits, corner approaches) and reports the
 empirical constant together with shell tables for growth analysis.
+
+The sweep loops over fixed blocks of SWEEP_BLOCK grid points on the outside
+and over the weights on the inside: each block builds the character
+module's mu-independent grid geometry once (wall sines, routes, rank-one and
+phase rows, inverse walls), and the per-weight constants are built once per
+weight.  Threads map over blocks; per-weight maxima merge in block order.
 """
 
 from __future__ import annotations
@@ -31,7 +37,14 @@ from .cartan import (
     mu_stats,
     wall_norm,
 )
-from .character import GRID_METHOD_NAMES, chi_on_grid, chi_rank1, chi_stable, _rank1_array
+from .character import (
+    GRID_METHOD_NAMES,
+    _GridGeometry,
+    _GridWeight,
+    _rank1_array,
+    chi_rank1,
+    chi_stable,
+)
 
 __all__ = [
     "EnvelopeValue",
@@ -93,27 +106,35 @@ def envelope_min(mu: DominantWeight, H: TorusPoint) -> EnvelopeValue:
     )
 
 
+def _envelope_pairings(mu: DominantWeight):
+    """The pairings |<s.lambda, alpha>| of envelope_min as (values, index):
+    index[s, a] picks the pairing of Weyl image s (WEYL_GROUP order) with
+    extended root a (EXTENDED_ROOTS order) from the distinct values."""
+    lam = mu.shifted()
+    rows = [[_abs_pairings(s.apply(lam.ell), alpha) for alpha in EXTENDED_ROOTS]
+            for s in WEYL_GROUP]
+    values = sorted({x for row in rows for x in row})
+    index = tuple(tuple(values.index(x) for x in row) for row in rows)
+    return np.array(values, dtype=np.float64), index
+
+
+def _envelope_on(geom: _GridGeometry, pairings) -> np.ndarray:
+    """min_form at the points of geom.  Each distinct factor min(x, 1/wall)
+    (at most three pairings x three walls) is computed once; each Weyl
+    term's product and the sum over terms keep envelope_min's order."""
+    values, index = pairings
+    inv = geom.inverse_walls
+    f = np.minimum(values[None, :, None], inv[:, None, :])  # [wall, pairing, point]
+    total = np.zeros(inv.shape[1:], dtype=np.float64)
+    for q0, q1, q2 in index:
+        total += (f[0, q0] * f[1, q1]) * f[2, q2]
+    return total
+
+
 def _envelope_min_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """min_form over flat alcove-coordinate arrays (same wall conventions
     as chi_on_grid: wall pairings are t1+t2, t1, t2)."""
-    lam = mu.shifted()
-    walls = {
-        EXTENDED_ROOTS[0]: np.abs(np.sin(0.5 * (t1 + t2))),
-        EXTENDED_ROOTS[1]: np.abs(np.sin(0.5 * t1)),
-        EXTENDED_ROOTS[2]: np.abs(np.sin(0.5 * t2)),
-    }
-    total = np.zeros(t1.shape, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = {a: np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), np.inf)
-               for a, w in walls.items()}
-        for s in WEYL_GROUP:
-            ell = s.apply(lam.ell)
-            term = np.ones(t1.shape, dtype=np.float64)
-            for alpha in EXTENDED_ROOTS:
-                x = float(_abs_pairings(ell, alpha))
-                term *= np.minimum(x, inv[alpha])
-            total += term
-    return total
+    return _envelope_on(_GridGeometry(t1, t2), _envelope_pairings(mu))
 
 
 def c_of_H(H: TorusPoint) -> float:
@@ -317,24 +338,46 @@ class SweepReport:
     convention: str = "alpha_sq_2"
 
 
-def _sweep_one(mu: DominantWeight, grid: GridPoints, zero_index: int):
-    vals, methods = chi_on_grid(mu, grid.t1, grid.t2)
-    env = _envelope_min_grid(mu, grid.t1, grid.t2)
-    absv = np.abs(vals)
-    ratios = absv / env
-    i = int(np.argmax(ratios))
-    rec = RatioRecord(
-        mu_a=mu.a,
-        mu_b=mu.b,
-        t1=float(grid.t1[i]),
-        t2=float(grid.t2[i]),
-        abs_chi=float(absv[i]),
-        envelope=float(env[i]),
-        ratio=float(ratios[i]),
-        method=GRID_METHOD_NAMES[methods[i]],
-    )
-    zero_exact = ratios[zero_index] == 1.0 / 12.0
-    return rec, bool(zero_exact), bool(np.isfinite(ratios).all())
+# Points per block of the sweep grid.  Everything that depends only on the
+# points (wall sines, routes, rank-one and phase rows, inverse walls) is
+# built once per block and shared by every weight.
+SWEEP_BLOCK = 1024
+
+
+def _sweep_block(t1: np.ndarray, t2: np.ndarray, weights):
+    """For each weight: the (ratio, index, |chi|, envelope, method code) of
+    the block's largest ratio, and the ratio at the block's first point."""
+    geom = _GridGeometry(t1, t2)
+    best = []
+    first = []
+    for w, pairings in weights:
+        absv = np.abs(geom.chi(w))
+        env = _envelope_on(geom, pairings)
+        ratios = absv / env
+        i = int(np.argmax(ratios))  # the first NaN if any, else the first maximum
+        best.append((float(ratios[i]), i, float(absv[i]), float(env[i]), int(geom.methods[i])))
+        first.append(float(ratios[0]))
+    return best, first
+
+
+def _beats(new: float, old: float) -> bool:
+    """np.argmax's order: a NaN beats any number, and ties keep the older."""
+    return new > old or (math.isnan(new) and not math.isnan(old))
+
+
+def _merge_blocks(blocks, results):
+    """Per-weight (ratio, grid index, |chi|, envelope, method code) maxima
+    over the block results, merged in block order as they arrive, and the
+    first block's ratios at its first point."""
+    top = first = None
+    for blk, (best, block_first) in zip(blocks, results):
+        if first is None:
+            top = [None] * len(best)
+            first = block_first
+        for k, (r, i, *rest) in enumerate(best):
+            if top[k] is None or _beats(r, top[k][0]):
+                top[k] = (r, blk.start + i, *rest)
+    return top, first
 
 
 def sweep_constant(
@@ -345,9 +388,12 @@ def sweep_constant(
 ) -> SweepReport:
     """Max |chi|/envelope over a mu set x stratified alcove grid.
 
-    Deterministic for fixed (mu_range, grid_spec, seed): the reduction is a
-    strict-max scan in (mu, grid index) order, so ties resolve to the
-    lexicographically first record regardless of thread count.
+    The grid is cut into blocks of SWEEP_BLOCK points; each block builds its
+    mu-independent geometry once and evaluates every weight on it, and the
+    per-weight constants are built once.  Threads map over blocks.  Every
+    point's value is computed from that point alone, and the per-mu maxima
+    merge in block order with a strict '>', so ties resolve to the first
+    grid index and the report does not depend on the thread count.
     """
     if threads is None:
         raw = os.environ.get("SU3CHAR_THREADS", "1")
@@ -357,20 +403,41 @@ def sweep_constant(
             raise ValueError(f"SU3CHAR_THREADS must be an integer, got {raw!r}") from None
     spec = grid_spec or GridSpec()
     mus = [m if isinstance(m, DominantWeight) else DominantWeight(*m) for m in mu_range]
+    if not mus:
+        raise ValueError("sweep_constant needs at least one weight")
     grid = build_grid(spec, seed)
-    # index of the exact H = 0 corner (first point by construction)
-    zero_index = 0
-    assert grid.t1[zero_index] == 0.0 and grid.t2[zero_index] == 0.0
+    # the exact H = 0 corner is the first point by construction, so it is
+    # the first point of the first block
+    assert grid.t1[0] == 0.0 and grid.t2[0] == 0.0
+
+    weights = [(_GridWeight(mu), _envelope_pairings(mu)) for mu in mus]
+    blocks = [slice(lo, lo + SWEEP_BLOCK) for lo in range(0, grid.t1.size, SWEEP_BLOCK)]
+
+    def run(blk: slice):
+        return _sweep_block(grid.t1[blk], grid.t2[blk], weights)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda m: _sweep_one(m, grid, zero_index), mus))
+            top, first = _merge_blocks(blocks, ex.map(run, blocks))
     else:
-        results = [_sweep_one(m, grid, zero_index) for m in mus]
+        top, first = _merge_blocks(blocks, map(run, blocks))
 
-    per_mu = tuple(r[0] for r in results)
-    zero_ok = all(r[1] for r in results)
-    finite_ok = all(r[2] for r in results)
+    per_mu = tuple(
+        RatioRecord(
+            mu_a=mu.a,
+            mu_b=mu.b,
+            t1=float(grid.t1[i]),
+            t2=float(grid.t2[i]),
+            abs_chi=absv,
+            envelope=env,
+            ratio=r,
+            method=GRID_METHOD_NAMES[method],
+        )
+        for mu, (r, i, absv, env, method) in zip(mus, top)
+    )
+    zero_ok = all(r == 1.0 / 12.0 for r in first)
+    # a NaN or inf anywhere in a weight's ratios is that weight's maximum
+    finite_ok = all(math.isfinite(rec.ratio) for rec in per_mu)
 
     best = per_mu[0]
     for rec in per_mu[1:]:

@@ -17,6 +17,11 @@
 
 ``chi_on_grid`` vectorizes the dispatch; near two or more walls it groups
 the pattern phases by weight (:func:`multiplicities`), O((a+b)^2) per point.
+Everything it needs that depends only on the points (wall sines, routes,
+descent prefactors and rank-one rows, Weyl phase rows exp(ik t1) and
+exp(-ik t2)) lives in one private geometry object, built once and shared by
+every weight evaluated on the same points; the envelope sweep builds one per
+block of grid points.  A point's value never depends on the other points.
 
 All evaluators agree on chi~(lambda, H) = chi(mu, H) for lambda = mu + rho;
 the lambda-level entry points (chi_weyl, descent_terms) exist so the Weyl
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -274,35 +280,6 @@ def multiplicities(mu) -> np.ndarray:
     return out[:n, :n]
 
 
-# Entries per phase tile (points x (a+b+1)) of the multiplicity contraction;
-# blocking the points by it bounds peak memory.
-GRID_BLOCK = 1 << 18
-
-
-def _multiplicity_batch(mu: DominantWeight, th1, th2, th3) -> np.ndarray:
-    """chi(mu, .) on many torus points: the pattern phase sum grouped by weight.
-
-    The phase of weight (w1, w2, w3) is c*th2 + w1*(th1-th2) + w3*(th3-th2)
-    with c = a+2b, so chi = exp(i c th2) * sum E1[w1] M[w1, w3] E3[w3] with
-    E1[k] = exp(ik(th1-th2)) and E3[k] = exp(ik(th3-th2)), k = 0..a+b.
-    einsum without ``optimize`` uses no BLAS and sums each point's row in a
-    fixed order, so a point's value does not depend on its batch.  At H = 0
-    every phase is exactly 1 and the value is exactly dim(mu).
-    """
-    m = multiplicities(mu).astype(np.complex128)
-    k = np.arange(m.shape[0], dtype=np.float64)
-    d1 = th1 - th2
-    d3 = th3 - th2
-    rows = max(1, GRID_BLOCK // k.size)
-    out = np.empty(th1.shape, dtype=np.complex128)
-    for lo in range(0, th1.size, rows):
-        pts = slice(lo, lo + rows)
-        e1 = np.exp(1j * np.multiply.outer(d1[pts], k))
-        e3 = np.exp(1j * np.multiply.outer(d3[pts], k))
-        out[pts] = np.einsum("pi,ij,pj->p", e1, m, e3)
-    return np.exp(1j * ((mu.a + 2 * mu.b) * th2)) * out
-
-
 # ---------------------------------------------------------------------------
 # descent to a wall
 # ---------------------------------------------------------------------------
@@ -411,6 +388,10 @@ def chi_stable(mu: DominantWeight, H: TorusPoint) -> CharValue:
 
 GRID_METHOD_NAMES = ("weyl", "descent0", "descent1", "descent2", "schur")
 
+# Entries per phase tile (points x (a+b+1)) of the multiplicity contraction;
+# blocking the points by it bounds peak memory.
+GRID_BLOCK = 1 << 18
+
 
 def _theta_cols(t1: np.ndarray, t2: np.ndarray):
     th1 = (2.0 * t1 + t2) / 3.0
@@ -420,30 +401,232 @@ def _theta_cols(t1: np.ndarray, t2: np.ndarray):
     return th1 - m, th2 - m, th3 - m
 
 
-def _weyl_batch(lam: RegularTriple, th1, th2, th3, sines) -> np.ndarray:
-    """Weyl quotient; sines[j] = sin(<beta_j, H>/2) for the three walls."""
-    num = np.zeros(th1.shape, dtype=np.complex128)
-    for s in WEYL_GROUP:
-        e = s.apply(lam.ell)
-        angle = e[0] * th1 + e[1] * th2 + e[2] * th3
-        num += s.sign * np.exp(1j * angle)
-    den = (2j * sines[1]) * (2j * sines[2]) * (2j * sines[0])
-    return num / den
+class _GridWeight:
+    """What the grid routes need of one weight mu, whatever the points.
+
+    ``weyl`` lists (sign, e1, e3) for each Weyl image e = s.lambda of
+    lambda = mu + rho = (a+b+2, b+1, 0), so one entry of e is always 0, and
+    ``degree`` is e1 + e2 + e3, the same for every s.  ``descent[j]`` holds
+    the three coset terms at wall j as rows (det, e1, e2, e3, m).
+    """
+
+    def __init__(self, mu: DominantWeight):
+        self.mu = mu
+        ell = mu.shifted().ell
+        self.weyl = []
+        for s in WEYL_GROUP:
+            e = s.apply(ell)
+            self.weyl.append((s.sign, e[0], e[2]))
+        self.degree = sum(ell)
+        terms = []
+        for j in (0, 1, 2):
+            beta = WALL_POSITIVE_ROOT[j]
+            for s in wall_coset(j):
+                e = s.apply(ell)
+                terms.append((s.sign, *e, e[beta.j - 1] - e[beta.k - 1]))
+        self.descent = np.array(terms, dtype=np.float64).reshape(3, 3, 5)
 
 
-def _descent_batch(lam: RegularTriple, th1, th2, th3, sines, pairing, j: int) -> np.ndarray:
-    """Descent at wall j; pairing = <beta_j, H>, sines as in _weyl_batch."""
-    beta_j = WALL_POSITIVE_ROOT[j]
-    others = [k for k in (0, 1, 2) if k != j]
-    prefactor = 1.0 / ((2j * sines[others[0]]) * (2j * sines[others[1]]))
-    u = 0.5 * pairing
-    acc = np.zeros(th1.shape, dtype=np.complex128)
-    for s in wall_coset(j):
-        e = s.apply(lam.ell)
-        m = e[beta_j.j - 1] - e[beta_j.k - 1]
-        angle = e[0] * th1 + e[1] * th2 + e[2] * th3 - m * u
-        acc += (s.sign * _rank1_array(m, u)) * np.exp(1j * angle)
-    return prefactor * acc
+class _WallPoints:
+    """The descent-route points of wall j and their mu-independent factors.
+
+    ``rank1(m)`` equals ``_rank1_array(m, u)`` on these points and is kept
+    per m.  Its near-pole entries come from one Chebyshev recurrence that is
+    extended, never restarted, when a larger |m| is asked for; the k-th
+    iterate has the same bits whichever m asked for it first.
+    """
+
+    def __init__(self, j: int, idx, th, pairing, sines):
+        self.j = j
+        self.idx = idx
+        self.th = tuple(c[idx] for c in th)
+        k1, k2 = (k for k in (0, 1, 2) if k != j)
+        self.prefactor = 1.0 / ((2j * sines[k1][idx]) * (2j * sines[k2][idx]))
+        self.u = 0.5 * pairing[idx]
+        s = sines[j][idx]  # sin(u)
+        self.safe = np.abs(s) >= RANK1_SIN_SWITCH
+        self._u_safe = self.u[self.safe]
+        self._s_safe = s[self.safe]
+        up = self.u[~self.safe]
+        self._c2 = 2.0 * np.cos(up)
+        self._cheb = [np.zeros_like(up), np.ones_like(up)]  # U_{-1}, U_0, ...
+        self._rows = {}
+
+    def rank1(self, m: int) -> np.ndarray:
+        row = self._rows.get(m)
+        if row is None:
+            row = np.empty_like(self.u)
+            row[self.safe] = np.sin(m * self._u_safe) / self._s_safe
+            if self._c2.size:
+                cheb = self._cheb
+                while len(cheb) <= abs(m):
+                    cheb.append(self._c2 * cheb[-1] - cheb[-2])
+                row[~self.safe] = cheb[m] if m > 0 else -cheb[-m]
+            self._rows[m] = row
+        return row
+
+    def values(self, terms) -> np.ndarray:
+        """Descent at wall j for one weight, its three coset terms stacked.
+
+        Term t is det * rank1(m) * exp(i(e.theta - m u)); the terms are added
+        in coset order and the sum is multiplied by the prefactor, as in
+        DescentTermSet.assembled.
+        """
+        th1, th2, th3 = self.th
+        angle = (terms[:, 1:2] * th1 + terms[:, 2:3] * th2 + terms[:, 3:4] * th3
+                 - terms[:, 4:5] * self.u)
+        rows = np.stack([self.rank1(int(m)) for m in terms[:, 4]])
+        parts = (terms[:, 0:1] * rows) * np.exp(1j * angle)
+        acc = np.zeros(self.u.shape, dtype=np.complex128)
+        for part in parts:
+            acc += part
+        return self.prefactor * acc
+
+
+class _GridGeometry:
+    """Everything about a set of alcove points that does not depend on mu.
+
+    Built once from (t1, t2) and shared by every weight evaluated there.
+    The wall sines are computed at once; the inverse walls (for the
+    envelope) and the routes (for chi) on first use, so a caller that needs
+    only one of them pays for nothing else.
+    """
+
+    def __init__(self, t1, t2):
+        self.t1 = np.asarray(t1, dtype=np.float64)
+        self.t2 = np.asarray(t2, dtype=np.float64)
+        # pairings with the positive wall representatives, indexed by wall number
+        self.pairings = (self.t1 + self.t2, self.t1, self.t2)
+        self.sines = [np.sin(0.5 * p) for p in self.pairings]
+        self.walls = np.abs(self.sines)
+
+    @cached_property
+    def inverse_walls(self) -> np.ndarray:
+        """1/wall per wall and point; +inf on an exact wall."""
+        w = self.walls
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), np.inf)
+
+    @cached_property
+    def routes(self) -> "_GridRoutes":
+        return _GridRoutes(self)
+
+    @property
+    def methods(self) -> np.ndarray:
+        """Method code per point, indexing GRID_METHOD_NAMES."""
+        return self.routes.methods
+
+    def chi(self, w: _GridWeight) -> np.ndarray:
+        """chi(mu, .) at every point, by the route in ``methods``."""
+        r = self.routes
+        values = np.empty(r.methods.shape, dtype=np.complex128)
+        if r.weyl_idx.size:
+            values[r.weyl_idx] = r.weyl(w)
+        for pts in r.descent:
+            values[pts.idx] = pts.values(w.descent[pts.j])
+        if r.multi_idx.size:
+            values[r.multi_idx] = _multiplicity_batch(w, *r.multi_th)
+        return values
+
+
+class _GridRoutes:
+    """The dispatch of chi_on_grid over a geometry's points.
+
+    Each point's route by the number of walls below EPS_WALL, with the
+    gathered per-route arrays: the Weyl denominators and phase rows
+    P1[k] = exp(ik t1) and P2[k] = exp(-ik t2) (each row filled the first
+    time some weight reads it), the descent points of each wall
+    (:class:`_WallPoints`) and the multi-wall points' angles.
+    """
+
+    def __init__(self, geom: _GridGeometry):
+        t1, t2, sines = geom.t1, geom.t2, geom.sines
+        th = _theta_cols(t1, t2)
+        near = np.count_nonzero(geom.walls < EPS_WALL, axis=0)
+        self.methods = np.empty(t1.shape, dtype=np.uint8)
+
+        idx = np.nonzero(near == 0)[0]
+        self.methods[idx] = 0
+        self.weyl_idx = idx
+        self.weyl_den = (2j * sines[1][idx]) * (2j * sines[2][idx]) * (2j * sines[0][idx])
+        self.weyl_d = (t2[idx] - t1[idx]) / 3.0
+        self._phase_angles = (t1[idx], -t2[idx])
+        self._phase_rows = ({}, {})
+
+        idx = np.nonzero(near == 1)[0]
+        jmin = np.argmin(geom.walls[:, idx], axis=0)
+        self.descent = []
+        for j in (0, 1, 2):
+            sel = idx[jmin == j]
+            if sel.size:
+                self.methods[sel] = 1 + j
+                self.descent.append(_WallPoints(j, sel, th, geom.pairings[j], sines))
+
+        idx = np.nonzero(near >= 2)[0]
+        self.methods[idx] = 4
+        self.multi_idx = idx
+        self.multi_th = tuple(c[idx] for c in th)
+
+    def _phase(self, which: int, k: int) -> np.ndarray:
+        rows = self._phase_rows[which]
+        row = rows.get(k)
+        if row is None:
+            row = rows[k] = np.exp(1j * (k * self._phase_angles[which]))
+        return row
+
+    def weyl(self, w: _GridWeight) -> np.ndarray:
+        """Weyl quotient at the Weyl-route points."""
+        # e.theta = e1 t1 - e3 t2 + degree (t2 - t1)/3: the numerator is
+        # exp(i degree (t2 - t1)/3) sum_s sgn(s) P1[e1] P2[e3], and e1 or e3
+        # is 0 in four of the six terms.  Only the common phase is an exp per
+        # weight; a phase row per degree would cost memory for little time.
+        num = np.zeros(self.weyl_idx.shape, dtype=np.complex128)
+        for sign, e1, e3 in w.weyl:
+            if e3 == 0:
+                term = self._phase(0, e1)
+            elif e1 == 0:
+                term = self._phase(1, e3)
+            else:
+                term = self._phase(0, e1) * self._phase(1, e3)
+            if sign > 0:
+                num += term
+            else:
+                num -= term
+        return (num * np.exp(1j * (w.degree * self.weyl_d))) / self.weyl_den
+
+
+def _multiplicity_batch(w: _GridWeight, th1, th2, th3) -> np.ndarray:
+    """chi(mu, .) on many torus points: the pattern phase sum grouped by weight.
+
+    The phase of weight (w1, w2, w3) is c*th2 + w1*(th1-th2) + w3*(th3-th2)
+    with c = a+2b, so chi = exp(i c th2) * sum E1[w1] M[w1, w3] E3[w3] with
+    E1[k] = exp(ik(th1-th2)) and E3[k] = exp(ik(th3-th2)), k = 0..a+b.
+    Both sums run in increasing index order by elementwise array operations,
+    so a point's value does not depend on the other points of its batch (an
+    einsum contraction would pick its summation order from the batch shape).
+    At H = 0 every phase is exactly 1 and the value is exactly dim(mu).
+    """
+    m = multiplicities(w.mu).astype(np.float64)
+    n = m.shape[0]
+    k = np.arange(n, dtype=np.float64)
+    d1 = th1 - th2
+    d3 = th3 - th2
+    rows = max(1, GRID_BLOCK // n)
+    out = np.empty(th1.shape, dtype=np.complex128)
+    for lo in range(0, th1.size, rows):
+        pts = slice(lo, lo + rows)
+        e1 = np.exp(1j * np.multiply.outer(d1[pts], k))
+        e3 = np.exp(1j * np.multiply.outer(d3[pts], k))
+        # y[p, i] = sum_j M[i, j] E3[p, j], then sum_i E1[p, i] y[p, i]
+        y = e3[:, :1] * m[:, 0]
+        tmp = np.empty_like(y)
+        for j in range(1, n):
+            y += np.multiply(e3[:, j:j + 1], m[:, j], out=tmp)
+        acc = e1[:, 0] * y[:, 0]
+        for i in range(1, n):
+            acc += e1[:, i] * y[:, i]
+        out[pts] = acc
+    return np.exp(1j * ((w.mu.a + 2 * w.mu.b) * th2)) * out
 
 
 def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
@@ -451,43 +634,13 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
 
     Returns (values, methods): complex128 values and a uint8 method code per
     point, indexing GRID_METHOD_NAMES.  Mirrors chi_stable's dispatch by the
-    number of walls below EPS_WALL: none, Weyl quotient; one, descent at that
-    wall; two or more, the multiplicity contraction ("schur", the pattern sum
-    grouped by weight: O((a+b)^2) per point, exact dim at H = 0, refused with
+    number of walls below EPS_WALL: none, Weyl quotient (numerator from
+    phase rows, see :class:`_GridRoutes`); one, descent at that wall; two
+    or more, the multiplicity contraction ("schur", the pattern sum grouped
+    by weight: O((a+b)^2) per point, exact dim at H = 0, refused with
     ResourceLimitError when the multiplicity array exceeds its budget).
+    Every point's value is computed from that point alone, so it does not
+    depend on the other points of the call.
     """
-    t1 = np.asarray(t1, dtype=np.float64)
-    t2 = np.asarray(t2, dtype=np.float64)
-    th1, th2, th3 = _theta_cols(t1, t2)
-    # pairings with the positive wall representatives, indexed by wall number
-    pairings = (t1 + t2, t1, t2)
-    sines = [np.sin(0.5 * p) for p in pairings]
-    walls = np.abs(sines)
-    near = np.count_nonzero(walls < EPS_WALL, axis=0)
-    values = np.empty(t1.shape, dtype=np.complex128)
-    methods = np.empty(t1.shape, dtype=np.uint8)
-    lam = mu.shifted()
-
-    idx = np.nonzero(near == 0)[0]
-    if idx.size:
-        values[idx] = _weyl_batch(lam, th1[idx], th2[idx], th3[idx], [s[idx] for s in sines])
-        methods[idx] = 0
-
-    idx = np.nonzero(near == 1)[0]
-    if idx.size:
-        jmin = np.argmin(walls[:, idx], axis=0)
-        for j in (0, 1, 2):
-            sel = idx[jmin == j]
-            if sel.size == 0:
-                continue
-            values[sel] = _descent_batch(
-                lam, th1[sel], th2[sel], th3[sel],
-                [s[sel] for s in sines], pairings[j][sel], j,
-            )
-            methods[sel] = 1 + j
-
-    idx = np.nonzero(near >= 2)[0]
-    if idx.size:
-        values[idx] = _multiplicity_batch(mu, th1[idx], th2[idx], th3[idx])
-        methods[idx] = 4
-    return values, methods
+    geom = _GridGeometry(t1, t2)
+    return geom.chi(_GridWeight(mu)), geom.methods

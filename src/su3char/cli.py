@@ -7,10 +7,11 @@ command plus numeric parameters and seed, but not output paths or the thread
 count -- is echoed into every artifact so a run can be reproduced from any
 of its outputs.
 
-Exit codes: 0 success, 2 usage/parse error or unwritable output path
-(output directories are checked before any computation), 3 resource guard
-tripped, 4 quadrature non-convergence, 5 invariant violation detected by a
-verify run.  Errors are also printed as one-line JSON diagnostics on stderr.
+Exit codes: 0 success, 2 usage/parse error, non-finite number, empty work
+set or unwritable output path (output directories are checked before any
+computation), 3 resource guard tripped, 4 quadrature non-convergence, 5
+invariant violation detected by a verify run.  Errors are also printed as
+one-line JSON diagnostics on stderr.
 
 ``SU3CHAR_THREADS`` sets the default worker count for sweeps; results are
 byte-identical for any thread count.
@@ -246,13 +247,20 @@ def _parse_mu(value) -> DominantWeight:
     return DominantWeight(a, b)
 
 
-def _parse_float_list(value, what: str) -> List[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(x) for x in value]
+def _parse_float(value, what: str) -> float:
     try:
-        return [float(x) for x in str(value).split(",")]
-    except ValueError:
+        x = float(value)
+    except (TypeError, ValueError):
         raise UsageError(f"cannot parse {what} {value!r}")
+    if not math.isfinite(x):
+        raise UsageError(f"{what} must be finite, got {x!r}")
+    return x
+
+
+def _parse_float_list(value, what: str) -> List[float]:
+    if not isinstance(value, (list, tuple)):
+        value = str(value).split(",")
+    return [_parse_float(x, what) for x in value]
 
 
 def _parse_int_list(value, what: str) -> List[int]:
@@ -378,7 +386,7 @@ def _cmd_lp(cfg: RunConfig) -> int:
     mu = _parse_mu(p["mu"])
     if p["p"] is None:
         raise UsageError("--p is required")
-    rep = haar_lp_norm(mu, float(p["p"]), _quad_spec(p))
+    rep = haar_lp_norm(mu, _parse_float(p["p"], "--p"), _quad_spec(p))
     payload = {"config": _echo(cfg), **dataclasses.asdict(rep)}
     _print(payload)
     if p["out"]:
@@ -394,7 +402,7 @@ def _cmd_scaling(cfg: RunConfig) -> int:
     echo = _echo(cfg)
     try:
         fit = scaling_fit(
-            str(p["family"]), float(p["p"]), tuple(n_values),
+            str(p["family"]), _parse_float(p["p"], "--p"), tuple(n_values),
             _quad_spec(p), b0=int(p["b0"]),
         )
     except ConvergenceError as e:
@@ -515,13 +523,15 @@ def _cmd_oracle_diff(cfg: RunConfig) -> int:
     p = cfg.params
     mu = _parse_mu(p["mu"])
     samples = int(p["samples"])
+    if samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {samples}")
     regime = str(p["regime"])
     rng = np.random.default_rng(int(p["seed"]))
     d = dim(mu)
     tol = p["tol"]
     if tol is None:
         tol = (1e-8 if regime == "regular" else 1e-6) * d
-    tol = float(tol)
+    tol = _parse_float(tol, "--tol")
 
     rows = []
     max_diff = 0.0

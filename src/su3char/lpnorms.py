@@ -49,7 +49,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cartan import DominantWeight, dim, mu_stats
-from .character import chi_on_grid, multiplicities
+from .character import SCHUR_DIM_LIMIT, ResourceLimitError, chi_on_grid, multiplicities
 from .quadrature import (
     BLOCK_NODES,
     ConvergenceError,
@@ -89,8 +89,8 @@ class QuadratureSpec:
     mapping: str = "periodic_square"
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not (0.0 < self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
         if self.base_rule < 2:
             raise ValueError("base_rule must be at least 2")
         if self.max_refinements < 0:
@@ -151,7 +151,18 @@ def _fold(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def _fft_level(m: np.ndarray, d: int, p: float, n: int) -> Tuple[float, float]:
-    """(h^2 sum (|chi|/d)^p w, h^2 sum w) over the n x n period-square grid."""
+    """(h^2 sum (|chi|/d)^p w, h^2 sum w) over the n x n period-square grid.
+
+    Refuses, before allocating, a complex stage of more than SCHUR_DIM_LIMIT
+    entries (rows of M after folding times the n/2 + 1 rfft columns).
+    """
+    stage = min(m.shape[0], n) * (n // 2 + 1)
+    if stage > SCHUR_DIM_LIMIT:
+        raise ResourceLimitError(
+            f"grid level n = {n} needs a {min(m.shape[0], n)} x {n // 2 + 1} complex "
+            f"stage ({stage} entries, {16 * stage / 1e6:.0f} MB), over the "
+            f"{SCHUR_DIM_LIMIT}-entry budget"
+        )
     # g[j2, w1] = sum_w3 M[w1, w3] exp(-2 pi i w3 j2 / n) / d, j2 <= n/2
     g = np.ascontiguousarray(np.fft.rfft(_fold(m, n) / d, n=n, axis=1).T)
     # sin^2(t/2) at t = 2 pi j / n, periodic in j with period n.  The

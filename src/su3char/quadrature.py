@@ -128,8 +128,8 @@ def _refine(
 ) -> QuadratureResult:
     """Evaluate level_sum(0), level_sum(1), ... until two successive levels
     agree within rel_tol (relative) or max_refinements + 1 levels have run."""
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not (0.0 < rel_tol < math.inf):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     prev = None
     total = 0.0
     delta = math.inf

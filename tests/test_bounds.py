@@ -12,6 +12,7 @@ from su3char import (
     TorusPoint,
     build_grid,
     c_of_H,
+    chi_on_grid,
     chi_stable,
     default_mu_set,
     dim,
@@ -22,7 +23,8 @@ from su3char import (
     sweep_constant,
     weyl_act_torus,
 )
-from su3char.bounds import _envelope_min_grid
+from su3char.bounds import SWEEP_BLOCK, _envelope_min_grid
+from su3char.character import GRID_METHOD_NAMES
 
 TWO_PI = 2.0 * math.pi
 ZERO = TorusPoint((0.0, 0.0, 0.0))
@@ -249,3 +251,43 @@ def test_sweep_small_is_deterministic_and_sane():
     assert rep1.convention == "alpha_sq_2"
     shell_ids = [row["shell"] for row in rep1.shells]
     assert shell_ids == sorted(set(mu.a + mu.b for mu in mus))
+
+
+def test_sweep_rejects_an_empty_weight_list():
+    with pytest.raises(ValueError, match="at least one weight"):
+        sweep_constant([], GridSpec(total=400, wall_points_per_edge=40,
+                                    chamber_wall_points=30, corner_scales=3, corner_rays=3))
+
+
+def test_grid_point_bits_do_not_depend_on_the_block():
+    # chi and the envelope of every corner point and of points of every
+    # other stratum, alone and in the full default grid (ten sweep blocks)
+    grid = build_grid(GridSpec(), seed=7)
+    starts = list(range(123)) + [123, 400, 623, 1123, 1500, 1623, 2123, 2500, 2623, 5000, 9999]
+    for mu in (DominantWeight(0, 0), DominantWeight(0, 1), DominantWeight(3, 1),
+               DominantWeight(12, 7), DominantWeight(20, 20)):
+        vals, methods = chi_on_grid(mu, grid.t1, grid.t2)
+        env = _envelope_min_grid(mu, grid.t1, grid.t2)
+        for i in starts:
+            one, m1 = chi_on_grid(mu, grid.t1[i:i + 1], grid.t2[i:i + 1])
+            assert m1[0] == methods[i]
+            assert one[0] == vals[i], (mu, i, grid.stratum[i])
+            assert _envelope_min_grid(mu, grid.t1[i:i + 1], grid.t2[i:i + 1])[0] == env[i]
+    assert set(grid.stratum[i] for i in starts) == set(grid.stratum)
+
+
+def test_multi_block_sweep_is_thread_invariant_and_matches_the_full_grid():
+    spec = GridSpec(total=2500, wall_points_per_edge=200, chamber_wall_points=150,
+                    corner_scales=4, corner_rays=3)
+    assert spec.total > 2 * SWEEP_BLOCK  # three blocks
+    mus = default_mu_set(4, 6)
+    rep1 = sweep_constant(mus, spec, seed=3, threads=1)
+    rep3 = sweep_constant(mus, spec, seed=3, threads=3)
+    assert rep1 == rep3
+    grid = build_grid(spec, seed=3)
+    for mu, rec in zip(mus, rep1.per_mu):
+        vals, methods = chi_on_grid(mu, grid.t1, grid.t2)
+        ratios = np.abs(vals) / _envelope_min_grid(mu, grid.t1, grid.t2)
+        i = int(np.argmax(ratios))
+        assert (rec.t1, rec.t2, rec.ratio) == (grid.t1[i], grid.t2[i], ratios[i])
+        assert rec.method == GRID_METHOD_NAMES[methods[i]]

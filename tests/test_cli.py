@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -268,3 +269,52 @@ def test_prop_i_small_run(capsys, tmp_path):
     k_overall = payload["K_overall"]
     assert all(row["ratio"] <= k_overall * (1 + 1e-12) for row in rows)
     assert all(row["a"] >= row["b"] >= row["c"] > 0 for row in rows)
+
+
+def test_empty_weight_set_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "verify-envelope", "--shell-max", "-1")
+    assert code == EXIT_USAGE
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_oracle_diff_needs_at_least_one_sample(capsys):
+    code, _, err = run(capsys, "oracle-diff", "--mu", "3,1", "--samples", "0")
+    assert code == EXIT_USAGE
+    assert "--samples" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "--mu", "1,0", "--alcove", "nan,0"], "--alcove"),
+    (["eval", "--mu", "1,0", "--theta", "nan,0,0"], "--theta"),
+    (["eval", "--mu", "1,0", "--theta", "inf,-inf,0"], "--theta"),
+    (["lp", "--mu", "2,1", "--p", "nan"], "--p"),
+    (["lp", "--mu", "2,1", "--p", "inf"], "--p"),
+    (["lp", "--mu", "64,0", "--p", "2.5", "--rel-tol", "nan"], "rel_tol"),
+    (["scaling", "--family", "axis", "--p", "nan", "--n-values", "1,2,3,4"], "--p"),
+    (["oracle-diff", "--mu", "3,1", "--samples", "1", "--tol", "nan"], "--tol"),
+])
+def test_non_finite_numbers_are_refused_before_the_work(capsys, monkeypatch, argv, flag):
+    calls = []
+    for work in ("chi_stable", "haar_lp_norm", "scaling_fit", "chi_schur"):
+        monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert calls == []
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert flag in diag["message"]
+
+
+def test_lp_grid_stage_budget_trips_before_allocating(capsys):
+    # p = 5000 asks for n = 333 342 at level 0: a 101 x 166 672 complex stage
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "lp", "--mu", "100,0", "--p", "5000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_RESOURCE
+    diag = json.loads(err)
+    assert diag["error"] == "resource-limit"
+    assert "n = 333342" in diag["message"] and "MB" in diag["message"]
+    assert peak < 1 << 20

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from su3char import (
+    WEYL_GROUP,
     DominantWeight,
+    ResourceLimitError,
     I_bound,
     I_numeric,
     QuadratureSpec,
@@ -62,6 +64,59 @@ def test_normalizer_matches_closed_form():
     assert rep.normalizer_z == pytest.approx(3.0 * math.pi ** 2 / 8.0, rel=1e-14)
     repd = haar_lp_norm(DominantWeight(0, 0), 2.0, QuadratureSpec(mapping="duffy"))
     assert repd.normalizer_z == pytest.approx(3.0 * math.pi ** 2 / 16.0, rel=1e-9)
+
+
+def _fourth_moment_exact(mu: DominantWeight) -> int:
+    """sum over nu of (N^nu_{mu mu})^2 from exact integer arithmetic.
+
+    chi_mu^2 has the coefficients M_mu * M_mu (a 2-D convolution on the
+    (w1, w3) exponent lattice).  Multiplied by the rho-numerator
+    sum_s sgn(s) x^{s rho}, it becomes sum_nu N^nu sum_s sgn(s) x^{s(nu+rho)},
+    whose coefficient at a strictly decreasing exponent triple nu+rho is N^nu.
+    """
+    m = multiplicities(mu)
+    k = m.shape[0]
+    sq = np.zeros((2 * k - 1, 2 * k - 1), dtype=np.int64)
+    for i, j in zip(*np.nonzero(m)):
+        sq[i:i + k, j:j + k] += m[i, j] * m
+    num = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.int64)
+    for s in WEYL_GROUP:
+        e = s.apply((2, 1, 0))
+        num[e[0]:e[0] + 2 * k - 1, e[2]:e[2] + 2 * k - 1] += s.sign * sq
+    degree = 2 * (mu.a + 2 * mu.b) + 3
+    total = dims = 0
+    for e1, e3 in zip(*np.nonzero(num)):
+        e2 = degree - e1 - e3
+        if e1 > e2 > e3:
+            n = int(num[e1, e3])
+            assert n > 0
+            total += n * n
+            dims += n * dim(DominantWeight(int(e1 - e2 - 1), int(e2 - e3 - 1)))
+    assert dims == dim(mu) ** 2  # the summands fill V_mu (x) V_mu
+    return total
+
+
+def test_fourth_moment_equals_the_integer_tensor_square_count():
+    # ||chi_mu||_4^4 = sum_nu (N^nu_{mu mu})^2, independent of the quadrature,
+    # of the Weyl integration formula and of the normaliser Z
+    assert _fourth_moment_exact(DominantWeight(1, 1)) == 8  # 8 x 8 = 1+8+8+10+10*+27
+    for a, b in [(1, 1), (2, 1), (5, 3), (7, 7), (20, 3), (64, 17)]:
+        mu = DominantWeight(a, b)
+        rep = haar_lp_norm(mu, 4.0)
+        assert rep.converged
+        assert rep.norm ** 4 == pytest.approx(_fourth_moment_exact(mu), rel=1e-12), (a, b)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0])
+def test_quadrature_spec_refuses_non_finite_tolerance(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        QuadratureSpec(rel_tol=rel_tol)
+
+
+def test_fft_stage_budget_trips_at_level_zero():
+    mu = DominantWeight(100, 0)
+    with pytest.raises(ResourceLimitError, match="n = 333342"):
+        haar_lp_norm(mu, 5000.0)
 
 
 def test_fourth_moment_of_defining_family_counts_invariants():

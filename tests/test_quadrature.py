@@ -120,6 +120,21 @@ def test_periodic_trapezoid_rejects_bad_args():
         adaptive_triangle(f, UNIT, rel_tol=-1.0)
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
+def test_non_finite_tolerance_is_refused_before_the_first_level(rel_tol):
+    calls = []
+
+    def f(t1, t2):
+        calls.append(t1.size)
+        return t1 * 0.0 + 1.0
+
+    with pytest.raises(ValueError, match="finite"):
+        periodic_trapezoid_2d(f, 1.0, n0=4, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="finite"):
+        adaptive_triangle(f, UNIT, rel_tol=rel_tol)
+    assert calls == []
+
+
 @given(st.integers(2, 40))
 def test_trapezoid_constant_is_exact_for_any_grid(n):
     res = periodic_trapezoid_2d(lambda a, b: np.full_like(a, 2.5), 1.0, n0=n)
