@@ -24,7 +24,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ from .character import (
     GRID_METHOD_NAMES,
     _GridGeometry,
     _GridWeight,
-    _rank1_array,
-    chi_rank1,
+    _Rank1Rows,
     chi_stable,
 )
 
@@ -197,21 +196,19 @@ def ratio(mu: DominantWeight, H: TorusPoint) -> RatioRecord:
 def rank1_bound_margin(n: int, theta):
     """min(n+1, 1/|sin theta|) - |sin((n+1)theta)/sin(theta)|; >= 0 in exact math.
 
-    Accepts a scalar angle or an ndarray.  n is the su(2) highest weight, so
-    the character in question has n+1 terms.
+    Accepts a scalar angle (returns a float) or an ndarray.  n is the su(2)
+    highest weight, so the character in question has n+1 terms.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     m = n + 1
-    if np.ndim(theta) == 0:
-        s = abs(math.sin(theta))
-        bound = float(m) if s == 0.0 else min(float(m), 1.0 / s)
-        return bound - abs(chi_rank1(m, float(theta)))
-    theta = np.asarray(theta, dtype=np.float64)
-    s = np.abs(np.sin(theta))
+    t = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    sin_t = np.sin(t)
+    s = np.abs(sin_t)
     with np.errstate(divide="ignore"):
         bound = np.minimum(float(m), np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), np.inf))
-    return bound - np.abs(_rank1_array(m, theta))
+    margin = bound - np.abs(_Rank1Rows(t, sin_t)(m))
+    return float(margin[0]) if np.ndim(theta) == 0 else margin
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +352,7 @@ def _sweep_block(t1: np.ndarray, t2: np.ndarray, weights):
         env = _envelope_on(geom, pairings)
         ratios = absv / env
         i = int(np.argmax(ratios))  # the first NaN if any, else the first maximum
-        best.append((float(ratios[i]), i, float(absv[i]), float(env[i]), int(geom.methods[i])))
+        best.append((float(ratios[i]), i, float(absv[i]), float(env[i]), int(geom.routes.methods[i])))
         first.append(float(ratios[0]))
     return best, first
 

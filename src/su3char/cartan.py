@@ -112,11 +112,11 @@ class TorusPoint:
         return min(self.wall_norms())
 
 
-ZERO_POINT = TorusPoint((0.0, 0.0, 0.0))
-
-
-def theta_from_alcove(t1: float, t2: float) -> Tuple[float, float, float]:
+def theta_from_alcove(t1, t2):
     """Angle triple for alcove coordinates, recentered to exact-ish trace zero.
+
+    Elementwise: floats give a float triple, arrays a triple of arrays with
+    the same bits per point.
 
     The round trip theta1-theta2 ~ t1, theta2-theta3 ~ t2 holds only to a few
     ulp (the /3 splits and the recentering each round); callers that need

@@ -50,6 +50,7 @@ from .cartan import (
     WeylElement,
     dim,
     pairing_root_torus,
+    theta_from_alcove,
     wall_coset,
     wall_norm,
 )
@@ -143,24 +144,36 @@ def chi_rank1(m: int, u: float) -> float:
     return uk if m > 0 else -uk
 
 
-def _rank1_array(m: int, u: np.ndarray) -> np.ndarray:
-    """Vectorized chi_rank1 for scalar integer m over an array of angles."""
-    if m == 0:
-        return np.zeros_like(u)
-    s = np.sin(u)
-    safe = np.abs(s) >= RANK1_SIN_SWITCH
-    out = np.empty_like(u)
-    out[safe] = np.sin(m * u[safe]) / s[safe]
-    if not safe.all():
-        up = u[~safe]
-        n = abs(m)
-        c2 = 2.0 * np.cos(up)
-        ukm1 = np.zeros_like(up)
-        uk = np.ones_like(up)
-        for _ in range(n - 1):
-            ukm1, uk = uk, c2 * uk - ukm1
-        out[~safe] = uk if m > 0 else -uk
-    return out
+class _Rank1Rows:
+    """chi_rank1(m, u) at fixed angles u, built from (u, sin u), kept per m.
+
+    Near-pole entries (|sin u| < RANK1_SIN_SWITCH) come from one Chebyshev
+    recurrence in cos u that is extended, never restarted, when a larger |m|
+    is asked for; the k-th iterate has the same bits whichever m asked for
+    it first.
+    """
+
+    def __init__(self, u: np.ndarray, s: np.ndarray):
+        self.u = u
+        self.safe = np.abs(s) >= RANK1_SIN_SWITCH
+        self._u_safe = u[self.safe]
+        self._s_safe = s[self.safe]
+        self._c2 = 2.0 * np.cos(u[~self.safe])
+        self._cheb = [np.zeros_like(self._c2), np.ones_like(self._c2)]  # U_{-1}, U_0, ...
+        self._rows = {}
+
+    def __call__(self, m: int) -> np.ndarray:
+        row = self._rows.get(m)
+        if row is None:
+            row = np.empty_like(self.u)
+            row[self.safe] = np.sin(m * self._u_safe) / self._s_safe
+            if self._c2.size:
+                cheb = self._cheb
+                while len(cheb) <= abs(m):
+                    cheb.append(self._c2 * cheb[-1] - cheb[-2])
+                row[~self.safe] = cheb[m] if m > 0 else -cheb[-m]
+            self._rows[m] = row
+        return row
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +406,6 @@ GRID_METHOD_NAMES = ("weyl", "descent0", "descent1", "descent2", "schur")
 GRID_BLOCK = 1 << 18
 
 
-def _theta_cols(t1: np.ndarray, t2: np.ndarray):
-    th1 = (2.0 * t1 + t2) / 3.0
-    th2 = (t2 - t1) / 3.0
-    th3 = -(t1 + 2.0 * t2) / 3.0
-    m = (th1 + th2 + th3) / 3.0
-    return th1 - m, th2 - m, th3 - m
-
-
 class _GridWeight:
     """What the grid routes need of one weight mu, whatever the points.
 
@@ -428,13 +433,8 @@ class _GridWeight:
 
 
 class _WallPoints:
-    """The descent-route points of wall j and their mu-independent factors.
-
-    ``rank1(m)`` equals ``_rank1_array(m, u)`` on these points and is kept
-    per m.  Its near-pole entries come from one Chebyshev recurrence that is
-    extended, never restarted, when a larger |m| is asked for; the k-th
-    iterate has the same bits whichever m asked for it first.
-    """
+    """The descent-route points of wall j and their mu-independent factors,
+    with the rank-one rows at u = <beta_j, H>/2 (:class:`_Rank1Rows`)."""
 
     def __init__(self, j: int, idx, th, pairing, sines):
         self.j = j
@@ -443,27 +443,7 @@ class _WallPoints:
         k1, k2 = (k for k in (0, 1, 2) if k != j)
         self.prefactor = 1.0 / ((2j * sines[k1][idx]) * (2j * sines[k2][idx]))
         self.u = 0.5 * pairing[idx]
-        s = sines[j][idx]  # sin(u)
-        self.safe = np.abs(s) >= RANK1_SIN_SWITCH
-        self._u_safe = self.u[self.safe]
-        self._s_safe = s[self.safe]
-        up = self.u[~self.safe]
-        self._c2 = 2.0 * np.cos(up)
-        self._cheb = [np.zeros_like(up), np.ones_like(up)]  # U_{-1}, U_0, ...
-        self._rows = {}
-
-    def rank1(self, m: int) -> np.ndarray:
-        row = self._rows.get(m)
-        if row is None:
-            row = np.empty_like(self.u)
-            row[self.safe] = np.sin(m * self._u_safe) / self._s_safe
-            if self._c2.size:
-                cheb = self._cheb
-                while len(cheb) <= abs(m):
-                    cheb.append(self._c2 * cheb[-1] - cheb[-2])
-                row[~self.safe] = cheb[m] if m > 0 else -cheb[-m]
-            self._rows[m] = row
-        return row
+        self.rank1 = _Rank1Rows(self.u, sines[j][idx])
 
     def values(self, terms) -> np.ndarray:
         """Descent at wall j for one weight, its three coset terms stacked.
@@ -511,13 +491,8 @@ class _GridGeometry:
     def routes(self) -> "_GridRoutes":
         return _GridRoutes(self)
 
-    @property
-    def methods(self) -> np.ndarray:
-        """Method code per point, indexing GRID_METHOD_NAMES."""
-        return self.routes.methods
-
     def chi(self, w: _GridWeight) -> np.ndarray:
-        """chi(mu, .) at every point, by the route in ``methods``."""
+        """chi(mu, .) at every point, by the route in ``routes.methods``."""
         r = self.routes
         values = np.empty(r.methods.shape, dtype=np.complex128)
         if r.weyl_idx.size:
@@ -541,7 +516,7 @@ class _GridRoutes:
 
     def __init__(self, geom: _GridGeometry):
         t1, t2, sines = geom.t1, geom.t2, geom.sines
-        th = _theta_cols(t1, t2)
+        th = theta_from_alcove(t1, t2)
         near = np.count_nonzero(geom.walls < EPS_WALL, axis=0)
         self.methods = np.empty(t1.shape, dtype=np.uint8)
 
@@ -643,4 +618,4 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
     depend on the other points of the call.
     """
     geom = _GridGeometry(t1, t2)
-    return geom.chi(_GridWeight(mu)), geom.methods
+    return geom.chi(_GridWeight(mu)), geom.routes.methods

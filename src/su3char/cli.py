@@ -2,7 +2,8 @@
 
 Subcommands: eval, verify-envelope, lp, scaling, prop-i, rank1, oracle-diff.
 Configuration is flags-first with an optional JSON config file (``--config``)
-whose values the flags override.  The resolved semantic configuration --
+whose values the flags override; each parameter is one row of ``_COMMANDS``,
+which gives its flag, its config-file key and its default.  The resolved semantic configuration --
 command plus numeric parameters and seed, but not output paths or the thread
 count -- is echoed into every artifact so a run can be reproduced from any
 of its outputs.
@@ -13,8 +14,9 @@ computation), 3 resource guard tripped, 4 quadrature non-convergence, 5
 invariant violation detected by a verify run.  Errors are also printed as
 one-line JSON diagnostics on stderr.
 
-``SU3CHAR_THREADS`` sets the default worker count for sweeps; results are
-byte-identical for any thread count.
+``SU3CHAR_THREADS`` sets the default worker count for sweeps
+(``verify-envelope --threads`` overrides it); results are byte-identical for
+any thread count.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .character import (
     descent_terms,
 )
 from .lpnorms import (
+    _FAMILIES,
+    _MAPPINGS,
     ConvergenceError,
     I_bound,
     I_numeric,
@@ -73,44 +77,25 @@ class RunConfig:
     params: Dict[str, object]
 
 
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "eval": {
-        "mu": None, "theta": None, "alcove": None, "method": "auto",
-        "wall": None, "out": None,
-    },
-    "verify-envelope": {
-        "dense_max": 20, "shell_max": 40, "grid_total": 10_000,
-        "wall_per_edge": 500, "chamber": 500, "corner_scales": 8,
-        "corner_rays": 5, "seed": 2718, "threads": None,
-        "out_csv": None, "out_json": None,
-    },
-    "lp": {
-        "mu": None, "p": None, "base_rule": 64, "max_refinements": 6,
-        "rel_tol": 1e-6, "mapping": "periodic_square", "out": None,
-    },
-    "scaling": {
-        "family": None, "p": None, "n_values": "8,16,32,64,128,256,512",
-        "b0": 2, "base_rule": 64, "max_refinements": 6, "rel_tol": 1e-6,
-        "mapping": "periodic_square", "out_csv": None, "out_json": None,
-    },
-    "prop-i": {
-        "p_values": "2,2.8,3,4,5.5", "pool": "1,4,16,64,256",
-        "base_rule": 64, "max_refinements": 6, "rel_tol": 1e-6,
-        "out_csv": None, "out_json": None,
-    },
-    "rank1": {
-        "n_max": 200, "grid": 10_000, "out": None,
-    },
-    "oracle-diff": {
-        "mu": None, "samples": 100, "seed": 1234, "regime": "regular",
-        "tol": None, "out_csv": None, "out_json": None,
-    },
-}
+# rows that several commands share: (name, default, argparse keywords); the
+# name is both the config-file key and, with "_" as "-", the flag
+_MU = ("mu", None, dict(help="dominant weight 'a,b'"))
+_QUAD = (
+    ("base_rule", 64, dict(type=int)),
+    ("max_refinements", 6, dict(type=int)),
+    ("rel_tol", 1e-6, dict(type=float)),
+)
+_MAPPING = ("mapping", "periodic_square", dict(choices=_MAPPINGS))
+_OUT = ("out", None, dict(help="write the result JSON here as well"))
+_OUT_FILES = (
+    ("out_csv", None, dict(help="write the per-row table as CSV here")),
+    ("out_json", None, dict(help="write the summary JSON here")),
+)
 
 # output paths, checked before any computation
-_OUTPUTS = ("out", "out_csv", "out_json")
+_OUTPUTS = tuple(name for name, _, _ in (_OUT, *_OUT_FILES))
 # runtime knobs that must not influence artifact bytes
-_NOT_ECHOED = {"threads", *_OUTPUTS, "config"}
+_NOT_ECHOED = {"threads", *_OUTPUTS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,80 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "envelope and Lp-norm bounds.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(cmd, help_text, flags):
+    for cmd, (_, help_text, rows) in _COMMANDS.items():
         sp = sub.add_parser(cmd, help=help_text)
         sp.add_argument("--config", default=None,
                         help="JSON file of parameter defaults (flags override)")
-        for name, kw in flags:
-            sp.add_argument(name, default=None, **kw)
-        return sp
-
-    add("eval", "evaluate one character value", [
-        ("--mu", dict(help="dominant weight 'a,b'")),
-        ("--theta", dict(help="torus angles 'x,y,z' (must sum to 0)")),
-        ("--alcove", dict(help="alcove coordinates 't1,t2'")),
-        ("--method", dict(choices=["auto", "weyl", "descent", "schur"])),
-        ("--wall", dict(type=int, help="wall index for --method descent")),
-        ("--out", dict(help="write the result JSON here as well")),
-    ])
-    add("verify-envelope", "ratio sweep certifying the envelope bound", [
-        ("--dense-max", dict(type=int)),
-        ("--shell-max", dict(type=int)),
-        ("--grid-total", dict(type=int)),
-        ("--wall-per-edge", dict(type=int)),
-        ("--chamber", dict(type=int)),
-        ("--corner-scales", dict(type=int)),
-        ("--corner-rays", dict(type=int)),
-        ("--seed", dict(type=int)),
-        ("--threads", dict(type=int)),
-        ("--out-csv", dict()),
-        ("--out-json", dict()),
-    ])
-    add("lp", "Lp norm of one character", [
-        ("--mu", dict(help="dominant weight 'a,b'")),
-        ("--p", dict(type=float)),
-        ("--base-rule", dict(type=int)),
-        ("--max-refinements", dict(type=int)),
-        ("--rel-tol", dict(type=float)),
-        ("--mapping", dict(choices=["periodic_square", "duffy"])),
-        ("--out", dict()),
-    ])
-    add("scaling", "log-log exponent fit along a weight family", [
-        ("--family", dict(choices=["axis", "diagonal", "fixed_b"])),
-        ("--p", dict(type=float)),
-        ("--n-values", dict(help="comma-separated N list")),
-        ("--b0", dict(type=int)),
-        ("--base-rule", dict(type=int)),
-        ("--max-refinements", dict(type=int)),
-        ("--rel-tol", dict(type=float)),
-        ("--mapping", dict(choices=["periodic_square", "duffy"])),
-        ("--out-csv", dict()),
-        ("--out-json", dict()),
-    ])
-    add("prop-i", "model-integral one-sided bound check", [
-        ("--p-values", dict(help="comma-separated p list")),
-        ("--pool", dict(help="comma-separated magnitudes for (a,b,c) triples")),
-        ("--base-rule", dict(type=int)),
-        ("--max-refinements", dict(type=int)),
-        ("--rel-tol", dict(type=float)),
-        ("--out-csv", dict()),
-        ("--out-json", dict()),
-    ])
-    add("rank1", "rank-one bound margin over an exhaustive grid", [
-        ("--n-max", dict(type=int)),
-        ("--grid", dict(type=int)),
-        ("--out", dict()),
-    ])
-    add("oracle-diff", "cross-method agreement on random torus points", [
-        ("--mu", dict(help="dominant weight 'a,b'")),
-        ("--samples", dict(type=int)),
-        ("--seed", dict(type=int)),
-        ("--regime", dict(choices=["regular", "wall"])),
-        ("--tol", dict(type=float)),
-        ("--out-csv", dict()),
-        ("--out-json", dict()),
-    ])
+        for name, default, kw in rows:
+            if default is not None:
+                kw = {**kw, "help": f"{kw.get('help', '')} (default: {default})".lstrip()}
+            sp.add_argument("--" + name.replace("_", "-"), default=None, **kw)
     return ap
 
 
@@ -212,6 +131,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError(
                 f"unknown config keys for {cmd}: {sorted(unknown)}"
             )
+        for name, _, kw in _COMMANDS[cmd][2]:
+            choices = kw.get("choices")
+            if choices and name in file_params and file_params[name] not in choices:
+                raise UsageError(f"config key {name}: {file_params[name]!r} is not one of {list(choices)}")
         params.update(file_params)
     for key in params:
         flag_val = raw.get(key)
@@ -272,8 +195,17 @@ def _parse_int_list(value, what: str) -> List[int]:
         raise UsageError(f"cannot parse {what} {value!r}")
 
 
-def _print(payload: dict) -> None:
-    sys.stdout.write(strict_json(payload, indent=2) + "\n")
+def _emit(cfg: RunConfig, summary: dict, rows=()) -> None:
+    """Write the requested artifacts, then print the summary; the config
+    echo is the first key of every JSON and the CSV preamble."""
+    p = cfg.params
+    echo = _echo(cfg)
+    if p.get("out_csv"):
+        emit_report(rows, "csv", p["out_csv"], config=echo)
+    for key in ("out", "out_json"):
+        if p.get(key):
+            emit_json(summary, p[key], config=echo)
+    sys.stdout.write(strict_json({"config": echo, **summary}, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +247,6 @@ def _cmd_eval(cfg: RunConfig) -> int:
 
     t1, t2 = H.alcove_coords
     payload = {
-        "config": _echo(cfg),
         "mu": [mu.a, mu.b],
         "theta": list(H.theta),
         "alcove_t": [t1, t2],
@@ -326,9 +257,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         "condition": cv.condition,
         "dim": dim(mu),
     }
-    _print(payload)
-    if p["out"]:
-        emit_json(payload, p["out"])
+    _emit(cfg, payload)
     return EXIT_OK
 
 
@@ -347,7 +276,6 @@ def _cmd_verify_envelope(cfg: RunConfig) -> int:
         mus, spec, seed=int(p["seed"]),
         threads=int(threads) if threads is not None else None,
     )
-    echo = _echo(cfg)
     summary = {
         "c_emp": rep.c_emp,
         "argmax": dataclasses.asdict(rep.argmax),
@@ -359,11 +287,7 @@ def _cmd_verify_envelope(cfg: RunConfig) -> int:
         "finite_ok": rep.finite_ok,
         "convention": rep.convention,
     }
-    if p["out_csv"]:
-        emit_report(rep.per_mu, "csv", p["out_csv"], config=echo)
-    if p["out_json"]:
-        emit_json(summary, p["out_json"], config=echo)
-    _print({"config": echo, **summary})
+    _emit(cfg, summary, rep.per_mu)
     if not (rep.finite_ok and rep.ratio_at_zero_exact):
         raise InvariantViolation(
             f"envelope sweep violated invariants: finite_ok={rep.finite_ok}, "
@@ -387,10 +311,7 @@ def _cmd_lp(cfg: RunConfig) -> int:
     if p["p"] is None:
         raise UsageError("--p is required")
     rep = haar_lp_norm(mu, _parse_float(p["p"], "--p"), _quad_spec(p))
-    payload = {"config": _echo(cfg), **dataclasses.asdict(rep)}
-    _print(payload)
-    if p["out"]:
-        emit_json(payload, p["out"])
+    _emit(cfg, dataclasses.asdict(rep))
     return EXIT_OK if rep.converged else EXIT_NONCONVERGENCE
 
 
@@ -399,7 +320,6 @@ def _cmd_scaling(cfg: RunConfig) -> int:
     if p["family"] is None or p["p"] is None:
         raise UsageError("--family and --p are required")
     n_values = _parse_int_list(p["n_values"], "--n-values")
-    echo = _echo(cfg)
     try:
         fit = scaling_fit(
             str(p["family"]), _parse_float(p["p"], "--p"), tuple(n_values),
@@ -408,7 +328,7 @@ def _cmd_scaling(cfg: RunConfig) -> int:
     except ConvergenceError as e:
         partial = getattr(e, "partial_table", ())
         if p["out_csv"] and partial:
-            emit_report(partial, "csv", p["out_csv"], config=echo)
+            emit_report(partial, "csv", p["out_csv"], config=_echo(cfg))
         raise
     summary = {
         "family": fit.family,
@@ -419,11 +339,7 @@ def _cmd_scaling(cfg: RunConfig) -> int:
         "residual_trimmed": fit.residual_trimmed,
         "n_values": n_values,
     }
-    if p["out_csv"]:
-        emit_report(fit.table, "csv", p["out_csv"], config=echo)
-    if p["out_json"]:
-        emit_json(summary, p["out_json"], config=echo)
-    _print({"config": echo, **summary})
+    _emit(cfg, summary, fit.table)
     return EXIT_OK
 
 
@@ -471,17 +387,12 @@ def _cmd_prop_i(cfg: RunConfig) -> int:
             "boundary_growth": growths[0] if growths else 0.0,
             "max_shell_growth": max(growths[1:], default=0.0),
         })
-    echo = _echo(cfg)
     summary = {
         "per_p": per_p,
         "K_overall": max(e["K"] for e in per_p),
         "max_shell_growth": max(e["max_shell_growth"] for e in per_p),
     }
-    if p["out_csv"]:
-        emit_report(rows, "csv", p["out_csv"], config=echo)
-    if p["out_json"]:
-        emit_json(summary, p["out_json"], config=echo)
-    _print({"config": echo, **summary})
+    _emit(cfg, summary, rows)
     return EXIT_OK
 
 
@@ -489,6 +400,10 @@ def _cmd_rank1(cfg: RunConfig) -> int:
     p = cfg.params
     n_max = int(p["n_max"])
     grid = int(p["grid"])
+    if n_max < 0:
+        raise UsageError(f"--n-max must be nonnegative, got {n_max}")
+    if grid < 1:
+        raise UsageError(f"--grid must be at least 1, got {grid}")
     thetas = math.pi * (np.arange(grid, dtype=np.float64) + 1.0) / (grid + 1.0)
     min_margin = math.inf
     arg_n = -1
@@ -500,17 +415,13 @@ def _cmd_rank1(cfg: RunConfig) -> int:
             min_margin = float(margins[i])
             arg_n = n
             arg_theta = float(thetas[i])
-    payload = {
-        "config": _echo(cfg),
+    _emit(cfg, {
         "n_max": n_max,
         "grid": grid,
         "min_margin": min_margin,
         "argmin_n": arg_n,
         "argmin_theta": arg_theta,
-    }
-    _print(payload)
-    if p["out"]:
-        emit_json(payload, p["out"])
+    })
     if min_margin < -1e-12:
         raise InvariantViolation(
             f"rank-one margin {min_margin:.3e} below -1e-12 "
@@ -532,6 +443,8 @@ def _cmd_oracle_diff(cfg: RunConfig) -> int:
     if tol is None:
         tol = (1e-8 if regime == "regular" else 1e-6) * d
     tol = _parse_float(tol, "--tol")
+    if tol < 0.0:
+        raise UsageError(f"--tol must be nonnegative, got {tol!r}")
 
     rows = []
     max_diff = 0.0
@@ -570,7 +483,6 @@ def _cmd_oracle_diff(cfg: RunConfig) -> int:
         })
         count += 1
 
-    echo = _echo(cfg)
     summary = {
         "mu": [mu.a, mu.b],
         "dim": d,
@@ -580,11 +492,7 @@ def _cmd_oracle_diff(cfg: RunConfig) -> int:
         "tol": tol,
         "within_tol": max_diff <= tol,
     }
-    if p["out_csv"]:
-        emit_report(rows, "csv", p["out_csv"], config=echo)
-    if p["out_json"]:
-        emit_json(summary, p["out_json"], config=echo)
-    _print({"config": echo, **summary})
+    _emit(cfg, summary, rows)
     if max_diff > tol:
         raise InvariantViolation(
             f"oracle disagreement {max_diff:.3e} exceeds tolerance {tol:.3e}"
@@ -592,15 +500,58 @@ def _cmd_oracle_diff(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# command -> (handler, help text, parameter rows)
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "verify-envelope": _cmd_verify_envelope,
-    "lp": _cmd_lp,
-    "scaling": _cmd_scaling,
-    "prop-i": _cmd_prop_i,
-    "rank1": _cmd_rank1,
-    "oracle-diff": _cmd_oracle_diff,
+    "eval": (_cmd_eval, "evaluate one character value", (
+        _MU,
+        ("theta", None, dict(help="torus angles 'x,y,z' (must sum to 0)")),
+        ("alcove", None, dict(help="alcove coordinates 't1,t2'")),
+        ("method", "auto", dict(choices=["auto", "weyl", "descent", "schur"])),
+        ("wall", None, dict(type=int, help="wall index for --method descent")),
+        _OUT,
+    )),
+    "verify-envelope": (_cmd_verify_envelope, "ratio sweep certifying the envelope bound", (
+        ("dense_max", 20, dict(type=int)),
+        ("shell_max", 40, dict(type=int)),
+        ("grid_total", 10_000, dict(type=int)),
+        ("wall_per_edge", 500, dict(type=int)),
+        ("chamber", 500, dict(type=int)),
+        ("corner_scales", 8, dict(type=int)),
+        ("corner_rays", 5, dict(type=int)),
+        ("seed", 2718, dict(type=int)),
+        ("threads", None, dict(type=int, help="sweep workers (default: SU3CHAR_THREADS, else 1)")),
+        *_OUT_FILES,
+    )),
+    "lp": (_cmd_lp, "Lp norm of one character", (
+        _MU, ("p", None, dict(type=float)), *_QUAD, _MAPPING, _OUT,
+    )),
+    "scaling": (_cmd_scaling, "log-log exponent fit along a weight family", (
+        ("family", None, dict(choices=_FAMILIES)),
+        ("p", None, dict(type=float)),
+        ("n_values", "8,16,32,64,128,256,512", dict(help="comma-separated N list")),
+        ("b0", 2, dict(type=int)),
+        *_QUAD, _MAPPING, *_OUT_FILES,
+    )),
+    "prop-i": (_cmd_prop_i, "model-integral one-sided bound check", (
+        ("p_values", "2,2.8,3,4,5.5", dict(help="comma-separated p list")),
+        ("pool", "1,4,16,64,256", dict(help="comma-separated magnitudes for (a,b,c) triples")),
+        *_QUAD, *_OUT_FILES,
+    )),
+    "rank1": (_cmd_rank1, "rank-one bound margin over an exhaustive grid", (
+        ("n_max", 200, dict(type=int)),
+        ("grid", 10_000, dict(type=int)),
+        _OUT,
+    )),
+    "oracle-diff": (_cmd_oracle_diff, "cross-method agreement on random torus points", (
+        _MU,
+        ("samples", 100, dict(type=int)),
+        ("seed", 1234, dict(type=int)),
+        ("regime", "regular", dict(choices=["regular", "wall"])),
+        ("tol", None, dict(type=float)),
+        *_OUT_FILES,
+    )),
 }
+_DEFAULTS = {cmd: {name: d for name, d, _ in rows} for cmd, (_, _, rows) in _COMMANDS.items()}
 
 
 def _diag(kind: str, exc: BaseException) -> None:
@@ -613,7 +564,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except UsageError as e:
         _diag("usage", e)
         return EXIT_USAGE

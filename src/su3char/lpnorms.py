@@ -43,8 +43,8 @@ exponents on weight families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -441,6 +441,8 @@ def scaling_fit(
     """
     if len(N_values) < 4:
         raise ValueError("need at least 4 N values for a slope fit")
+    if len(set(N_values)) < len(N_values) or min(N_values) < 1:
+        raise ValueError(f"N values must be distinct positive integers, got {tuple(N_values)}")
     rows: List[ScalingRow] = []
     for N in N_values:
         mu = family_weight(family, N, b0)

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 import re
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 __all__ = [
     "ReportWriteError",
@@ -68,12 +68,6 @@ def _record_fields(rec) -> List[Tuple[str, object]]:
     raise TypeError(f"records must be dataclasses or dicts, got {type(rec)!r}")
 
 
-def _config_json(config) -> str:
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        config = dataclasses.asdict(config)
-    return strict_json(config, sort_keys=True, separators=(",", ":"))
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -93,7 +87,7 @@ def emit_report(records: Iterable, format: str, path: str, config=None) -> None:
     if format == "csv":
         lines = []
         if config is not None:
-            lines.append("# config=" + _config_json(config))
+            lines.append("# config=" + strict_json(config, sort_keys=True, separators=(",", ":")))
         lines.append(",".join(fields))
         for rec in records:
             items = _record_fields(rec)
@@ -103,9 +97,7 @@ def emit_report(records: Iterable, format: str, path: str, config=None) -> None:
         _write_text(path, "\n".join(lines) + "\n")
     elif format == "json":
         payload = {
-            "config": dataclasses.asdict(config)
-            if dataclasses.is_dataclass(config) and not isinstance(config, type)
-            else config,
+            "config": config,
             "records": [dict(_record_fields(rec)) for rec in records],
         }
         _write_text(path, strict_json(payload, indent=2) + "\n")
@@ -115,13 +107,7 @@ def emit_report(records: Iterable, format: str, path: str, config=None) -> None:
 
 def emit_json(payload: dict, path: str, config=None) -> None:
     """Write a summary object (config echoed as the first key)."""
-    body = {"config": None, **payload}
-    body["config"] = (
-        dataclasses.asdict(config)
-        if dataclasses.is_dataclass(config) and not isinstance(config, type)
-        else config
-    )
-    _write_text(path, strict_json(body, indent=2) + "\n")
+    _write_text(path, strict_json({"config": config, **payload}, indent=2) + "\n")
 
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")

@@ -24,7 +24,7 @@ from su3char import (
     weyl_act_torus,
     weyl_act_weight,
 )
-from su3char.character import EPS_WALL, GRID_METHOD_NAMES, _rank1_array
+from su3char.character import EPS_WALL, GRID_METHOD_NAMES, _Rank1Rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,11 +87,17 @@ def test_rank1_continuous_across_the_switch(m, eps):
 
 
 def test_rank1_array_matches_scalar():
+    # the rows do not depend on the order in which m is requested, although
+    # the near-pole recurrence is extended rather than restarted
     u = np.array([0.0, 1e-12, 0.5, math.pi, math.pi + 1e-9, 2.0])
-    for m in (1, 2, 7, -7):
-        got = _rank1_array(m, u)
+    ms = (-7, 1, 2, 7, 30)
+    down, up = _Rank1Rows(u, np.sin(u)), _Rank1Rows(u, np.sin(u))
+    rows_down = {m: down(m) for m in sorted(ms, reverse=True)}
+    rows_up = {m: up(m) for m in sorted(ms)}
+    for m in ms:
+        assert rows_down[m].tobytes() == rows_up[m].tobytes(), m
         want = [chi_rank1(m, float(x)) for x in u]
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(rows_up[m], want, rtol=0, atol=1e-12), m
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,21 @@ def test_config_file_unknown_key_rejected(capsys, tmp_path):
     assert "turbo" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("cmd, key, value", [
+    ("oracle-diff", "regime", "walls"),
+    ("lp", "mapping", "square"),
+    ("eval", "method", None),
+])
+def test_config_file_values_obey_the_flag_choices(capsys, tmp_path, cmd, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": "2,1", key: value}))
+    code, _, err = run(capsys, cmd, "--config", str(cfg))
+    assert code == EXIT_USAGE
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert key in diag["message"]
+
+
 def test_echo_omits_runtime_knobs(capsys, tmp_path):
     out_json = str(tmp_path / "s.json")
     code, payload, _ = run(
@@ -318,3 +333,81 @@ def test_lp_grid_stage_budget_trips_before_allocating(capsys):
     assert diag["error"] == "resource-limit"
     assert "n = 333342" in diag["message"] and "MB" in diag["message"]
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--mu", "2,1", "--alcove", "1.0,2.0"],
+    ["lp", "--mu", "2,1", "--p", "4"],
+    ["rank1", "--n-max", "3", "--grid", "20"],
+])
+def test_out_file_echoes_the_config(capsys, tmp_path, argv):
+    path = tmp_path / "out.json"
+    code, payload, _ = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_OK
+    body = json.loads(path.read_text())
+    assert body["config"] == payload["config"]
+    assert body == payload
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["scaling", "--family", "axis", "--p", "4", "--n-values", "8,8,8,8"], "N values"),
+    (["scaling", "--family", "axis", "--p", "4", "--n-values", "0,8,16,32"], "N values"),
+    (["rank1", "--n-max", "-1"], "--n-max"),
+    (["rank1", "--grid", "0"], "--grid"),
+    (["oracle-diff", "--mu", "1,1", "--samples", "2", "--tol", "-1"], "--tol"),
+])
+def test_out_of_domain_inputs_are_usage_errors(capsys, argv, names):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert names in diag["message"]
+
+
+TABLE_ROWS = [(cmd, row) for cmd, (_, _, rows) in cli._COMMANDS.items() for row in rows]
+
+
+def _row_values(row, tmp_path):
+    """(config-file value, flag text, flag value) for one table row, the
+    file value unlike the default and the flag value unlike the file's."""
+    name, default, kw = row
+    if name in ("out", "out_csv", "out_json"):
+        return str(tmp_path / "from_file"), str(tmp_path / "from_flag"), str(tmp_path / "from_flag")
+    if "choices" in kw:
+        from_file = next(c for c in kw["choices"] if c != default)
+        from_flag = next(c for c in kw["choices"] if c != from_file)
+        return from_file, from_flag, from_flag
+    kind = kw.get("type", str)
+    if kind is int:
+        return 3, "5", 5
+    if kind is float:
+        return 0.25, "0.5", 0.5
+    return "from_file", "from_flag", "from_flag"
+
+
+@pytest.mark.parametrize("cmd, row", TABLE_ROWS, ids=[f"{c}:{r[0]}" for c, r in TABLE_ROWS])
+def test_every_table_row_is_a_config_key_and_a_flag(capsys, tmp_path, cmd, row):
+    name, default, _ = row
+    flag = "--" + name.replace("_", "-")
+    from_file, flag_text, from_flag = _row_values(row, tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({name: from_file}))
+    parser = cli._build_parser()
+
+    def resolved(*argv):
+        return cli._resolve(parser.parse_args([cmd, *argv])).params[name]
+
+    assert resolved() == default
+    assert resolved("--config", str(cfg_path)) == from_file
+    assert resolved("--config", str(cfg_path), flag, flag_text) == from_flag
+    with pytest.raises(SystemExit):
+        parser.parse_args([cmd, "--help"])
+    assert flag + " " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", list(cli._COMMANDS))
+def test_echo_is_the_table_rows_minus_runtime_knobs(cmd):
+    cfg = cli._resolve(cli._build_parser().parse_args([cmd]))
+    names = {name for name, _, _ in cli._COMMANDS[cmd][2]}
+    assert set(cli._echo(cfg)) == {"command"} | names - {"threads", "out", "out_csv", "out_json"}

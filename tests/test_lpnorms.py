@@ -66,24 +66,29 @@ def test_normalizer_matches_closed_form():
     assert repd.normalizer_z == pytest.approx(3.0 * math.pi ** 2 / 16.0, rel=1e-9)
 
 
-def _fourth_moment_exact(mu: DominantWeight) -> int:
-    """sum over nu of (N^nu_{mu mu})^2 from exact integer arithmetic.
+def _moment_exact(mu: DominantWeight, k: int) -> int:
+    """||chi_mu||_{2k}^{2k} = sum over nu of (N^nu)^2 from exact integer
+    arithmetic, N^nu the multiplicity of V_nu in the k-fold tensor power.
 
-    chi_mu^2 has the coefficients M_mu * M_mu (a 2-D convolution on the
-    (w1, w3) exponent lattice).  Multiplied by the rho-numerator
+    chi_mu^k has the coefficients M_mu convolved k times (2-D convolutions
+    on the (w1, w3) exponent lattice).  Multiplied by the rho-numerator
     sum_s sgn(s) x^{s rho}, it becomes sum_nu N^nu sum_s sgn(s) x^{s(nu+rho)},
     whose coefficient at a strictly decreasing exponent triple nu+rho is N^nu.
     """
     m = multiplicities(mu)
-    k = m.shape[0]
-    sq = np.zeros((2 * k - 1, 2 * k - 1), dtype=np.int64)
-    for i, j in zip(*np.nonzero(m)):
-        sq[i:i + k, j:j + k] += m[i, j] * m
-    num = np.zeros((2 * k + 1, 2 * k + 1), dtype=np.int64)
+    power = m
+    for _ in range(k - 1):
+        r = power.shape[0]
+        out = np.zeros((r + m.shape[0] - 1,) * 2, dtype=np.int64)
+        for i, j in zip(*np.nonzero(m)):
+            out[i:i + r, j:j + r] += m[i, j] * power
+        power = out
+    size = power.shape[0]
+    num = np.zeros((size + 2, size + 2), dtype=np.int64)
     for s in WEYL_GROUP:
         e = s.apply((2, 1, 0))
-        num[e[0]:e[0] + 2 * k - 1, e[2]:e[2] + 2 * k - 1] += s.sign * sq
-    degree = 2 * (mu.a + 2 * mu.b) + 3
+        num[e[0]:e[0] + size, e[2]:e[2] + size] += s.sign * power
+    degree = k * (mu.a + 2 * mu.b) + 3
     total = dims = 0
     for e1, e3 in zip(*np.nonzero(num)):
         e2 = degree - e1 - e3
@@ -92,19 +97,49 @@ def _fourth_moment_exact(mu: DominantWeight) -> int:
             assert n > 0
             total += n * n
             dims += n * dim(DominantWeight(int(e1 - e2 - 1), int(e2 - e3 - 1)))
-    assert dims == dim(mu) ** 2  # the summands fill V_mu (x) V_mu
+    assert dims == dim(mu) ** k  # the summands fill the tensor power
     return total
 
 
 def test_fourth_moment_equals_the_integer_tensor_square_count():
     # ||chi_mu||_4^4 = sum_nu (N^nu_{mu mu})^2, independent of the quadrature,
     # of the Weyl integration formula and of the normaliser Z
-    assert _fourth_moment_exact(DominantWeight(1, 1)) == 8  # 8 x 8 = 1+8+8+10+10*+27
+    assert _moment_exact(DominantWeight(1, 1), 2) == 8  # 8 x 8 = 1+8+8+10+10*+27
     for a, b in [(1, 1), (2, 1), (5, 3), (7, 7), (20, 3), (64, 17)]:
         mu = DominantWeight(a, b)
         rep = haar_lp_norm(mu, 4.0)
         assert rep.converged
-        assert rep.norm ** 4 == pytest.approx(_fourth_moment_exact(mu), rel=1e-12), (a, b)
+        assert rep.norm ** 4 == pytest.approx(_moment_exact(mu, 2), rel=1e-12), (a, b)
+
+
+def test_sixth_moment_equals_the_integer_tensor_cube_count():
+    counts = {
+        (1, 1): 145,
+        (2, 1): 798,
+        (5, 3): 614_805,
+        (7, 7): 85_735_000,
+        (20, 3): 109_165_755,
+        (64, 17): 81_198_472_384_098,
+    }
+    for (a, b), count in counts.items():
+        mu = DominantWeight(a, b)
+        assert _moment_exact(mu, 3) == count, (a, b)
+        rep = haar_lp_norm(mu, 6.0)
+        assert rep.converged
+        assert rep.norm ** 6 == pytest.approx(count, rel=1e-12), (a, b)
+
+
+def test_sixth_moment_of_defining_family_closed_form():
+    # ||chi_(N,0)||_6^6 = d(d+1)/2 with d = dim(N, 0), a tested identity
+    # (Pieri rule), checked against the integer count where that is cheap
+    for N in (1, 2, 5, 12, 30, 80, 200, 512):
+        mu = DominantWeight(N, 0)
+        d = dim(mu)
+        if N <= 12:
+            assert _moment_exact(mu, 3) == d * (d + 1) // 2
+        rep = haar_lp_norm(mu, 6.0)
+        assert rep.converged
+        assert rep.norm ** 6 == pytest.approx(d * (d + 1) / 2, rel=1e-12), N
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0])
