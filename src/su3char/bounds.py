@@ -12,10 +12,13 @@ alcove grids (interior, exact wall hits, corner approaches) and reports the
 empirical constant together with shell tables for growth analysis.
 
 The sweep loops over fixed blocks of SWEEP_BLOCK grid points on the outside
-and over the weights on the inside: each block builds the character
-module's mu-independent grid geometry once (wall sines, routes, rank-one and
-phase rows, inverse walls), and the per-weight constants are built once per
-weight.  Threads map over blocks; per-weight maxima merge in block order.
+and over chunks of CHUNK_WEIGHTS weights on the inside: each block builds
+the character module's mu-independent grid geometry once (wall sines,
+routes, rank-one and phase rows, inverse walls), and each route and the
+envelope run once per chunk on a [weights x points] tile.  The weights are
+chunked in order of Weyl degree a+2b+3, so weights of one degree share the
+Weyl route's common phase.  A weight's values do not depend on its chunk.
+Threads map over blocks; per-weight maxima merge in block order.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .cartan import (
 )
 from .character import (
     GRID_METHOD_NAMES,
+    _GridChunk,
     _GridGeometry,
-    _GridWeight,
     _Rank1Rows,
     chi_stable,
 )
@@ -78,10 +81,6 @@ class EnvelopeValue:
     per_weyl_terms: Tuple[float, float, float, float, float, float]
 
 
-def _abs_pairings(ell, alpha) -> int:
-    return abs(ell[alpha.j - 1] - ell[alpha.k - 1])
-
-
 def envelope_min(mu: DominantWeight, H: TorusPoint) -> EnvelopeValue:
     lam = mu.shifted()
     walls = {alpha: wall_norm(H, alpha) for alpha in EXTENDED_ROOTS}
@@ -92,7 +91,7 @@ def envelope_min(mu: DominantWeight, H: TorusPoint) -> EnvelopeValue:
         t = 1.0
         p = 1.0
         for alpha in EXTENDED_ROOTS:
-            x = float(_abs_pairings(ell, alpha))
+            x = float(abs(ell[alpha.j - 1] - ell[alpha.k - 1]))
             y = walls[alpha]
             t *= x if y < 1e-300 else min(x, 1.0 / y)
             p *= x / (1.0 + x * y)
@@ -105,35 +104,35 @@ def envelope_min(mu: DominantWeight, H: TorusPoint) -> EnvelopeValue:
     )
 
 
-def _envelope_pairings(mu: DominantWeight):
-    """The pairings |<s.lambda, alpha>| of envelope_min as (values, index):
-    index[s, a] picks the pairing of Weyl image s (WEYL_GROUP order) with
-    extended root a (EXTENDED_ROOTS order) from the distinct values."""
-    lam = mu.shifted()
-    rows = [[_abs_pairings(s.apply(lam.ell), alpha) for alpha in EXTENDED_ROOTS]
-            for s in WEYL_GROUP]
-    values = sorted({x for row in rows for x in row})
-    index = tuple(tuple(values.index(x) for x in row) for row in rows)
-    return np.array(values, dtype=np.float64), index
+# Per Weyl image s and extended root (= wall): which _GridChunk.pairings
+# entry is |<s.lambda, alpha>|; the same for every mu, as l1 > l2 > l3.
+_ENVELOPE_KINDS = tuple(
+    tuple(p[alpha.j - 1] + p[alpha.k - 1] - 1 for alpha in EXTENDED_ROOTS)
+    for s in WEYL_GROUP for p in [s.apply((0, 1, 2))]
+)
 
 
-def _envelope_on(geom: _GridGeometry, pairings) -> np.ndarray:
-    """min_form at the points of geom.  Each distinct factor min(x, 1/wall)
-    (at most three pairings x three walls) is computed once; each Weyl
-    term's product and the sum over terms keep envelope_min's order."""
-    values, index = pairings
+def _envelope_tile(geom: _GridGeometry, chunk: _GridChunk) -> np.ndarray:
+    """min_form for every weight of the chunk at the points of geom,
+    [weights x points].  The nine factors min(x, 1/wall) (three pairings x
+    three walls) are computed once per weight; each Weyl term's product and
+    the sum over terms keep envelope_min's order."""
     inv = geom.inverse_walls
-    f = np.minimum(values[None, :, None], inv[:, None, :])  # [wall, pairing, point]
-    total = np.zeros(inv.shape[1:], dtype=np.float64)
-    for q0, q1, q2 in index:
-        total += (f[0, q0] * f[1, q1]) * f[2, q2]
+    # f[weight, wall, pairing, point]
+    f = np.minimum(chunk.pairings[:, None, :, None], inv[None, :, None, :])
+    total = np.zeros(f[:, 0, 0].shape, dtype=np.float64)
+    tmp = np.empty_like(total)
+    for q0, q1, q2 in _ENVELOPE_KINDS:
+        np.multiply(f[:, 0, q0], f[:, 1, q1], out=tmp)
+        tmp *= f[:, 2, q2]
+        total += tmp
     return total
 
 
 def _envelope_min_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """min_form over flat alcove-coordinate arrays (same wall conventions
     as chi_on_grid: wall pairings are t1+t2, t1, t2)."""
-    return _envelope_on(_GridGeometry(t1, t2), _envelope_pairings(mu))
+    return _envelope_tile(_GridGeometry(t1, t2), _GridChunk([mu]))[0]
 
 
 def c_of_H(H: TorusPoint) -> float:
@@ -340,20 +339,38 @@ class SweepReport:
 # built once per block and shared by every weight.
 SWEEP_BLOCK = 1024
 
+# Entries (weights x points) per tile of the sweep: the weights are evaluated
+# in chunks of CHUNK_WEIGHTS, each route once per chunk on a [weights x points]
+# tile.  Memory, not time, sets the size.
+SWEEP_TILE = 1 << 13
+CHUNK_WEIGHTS = SWEEP_TILE // SWEEP_BLOCK
 
-def _sweep_block(t1: np.ndarray, t2: np.ndarray, weights):
-    """For each weight: the (ratio, index, |chi|, envelope, method code) of
-    the block's largest ratio, and the ratio at the block's first point."""
+
+def _chunks(mus: List[DominantWeight]):
+    """(positions in mus, _GridChunk) per chunk: the weights ordered by Weyl
+    degree a+2b+3 and cut into CHUNK_WEIGHTS, so that weights of one degree
+    share their common phase."""
+    order = sorted(range(len(mus)), key=lambda p: mus[p].a + 2 * mus[p].b)
+    cuts = [order[lo:lo + CHUNK_WEIGHTS] for lo in range(0, len(order), CHUNK_WEIGHTS)]
+    return [(pos, _GridChunk([mus[p] for p in pos])) for pos in cuts]
+
+
+def _sweep_block(t1: np.ndarray, t2: np.ndarray, chunks, count: int):
+    """For each of the count weights: the (ratio, index, |chi|, envelope,
+    method code) of the block's largest ratio, and the ratio at the block's
+    first point."""
     geom = _GridGeometry(t1, t2)
-    best = []
-    first = []
-    for w, pairings in weights:
-        absv = np.abs(geom.chi(w))
-        env = _envelope_on(geom, pairings)
+    methods = geom.routes.methods
+    best = [None] * count
+    first = [None] * count
+    for pos, chunk in chunks:
+        absv = np.abs(geom.chi(chunk))
+        env = _envelope_tile(geom, chunk)
         ratios = absv / env
-        i = int(np.argmax(ratios))  # the first NaN if any, else the first maximum
-        best.append((float(ratios[i]), i, float(absv[i]), float(env[i]), int(geom.routes.methods[i])))
-        first.append(float(ratios[0]))
+        top = np.argmax(ratios, axis=1)  # per row: the first NaN if any, else the first maximum
+        for w, (p, i) in enumerate(zip(pos, top.tolist())):
+            best[p] = (float(ratios[w, i]), i, float(absv[w, i]), float(env[w, i]), int(methods[i]))
+            first[p] = float(ratios[w, 0])
     return best, first
 
 
@@ -386,11 +403,13 @@ def sweep_constant(
     """Max |chi|/envelope over a mu set x stratified alcove grid.
 
     The grid is cut into blocks of SWEEP_BLOCK points; each block builds its
-    mu-independent geometry once and evaluates every weight on it, and the
-    per-weight constants are built once.  Threads map over blocks.  Every
-    point's value is computed from that point alone, and the per-mu maxima
-    merge in block order with a strict '>', so ties resolve to the first
-    grid index and the report does not depend on the thread count.
+    mu-independent geometry once and evaluates the weights on it in chunks
+    (see the module docstring), and the per-chunk constants are built once.
+    Threads map over blocks.  Every value is computed from its point and
+    weight alone, and the per-mu maxima merge in block order with a strict
+    '>', so ties resolve to the first grid index, the report does not
+    depend on the thread count, and a weight's record does not depend on
+    the other weights swept with it.
     """
     if threads is None:
         raw = os.environ.get("SU3CHAR_THREADS", "1")
@@ -407,11 +426,11 @@ def sweep_constant(
     # the first point of the first block
     assert grid.t1[0] == 0.0 and grid.t2[0] == 0.0
 
-    weights = [(_GridWeight(mu), _envelope_pairings(mu)) for mu in mus]
+    chunks = _chunks(mus)
     blocks = [slice(lo, lo + SWEEP_BLOCK) for lo in range(0, grid.t1.size, SWEEP_BLOCK)]
 
     def run(blk: slice):
-        return _sweep_block(grid.t1[blk], grid.t2[blk], weights)
+        return _sweep_block(grid.t1[blk], grid.t2[blk], chunks, len(mus))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -420,44 +439,25 @@ def sweep_constant(
         top, first = _merge_blocks(blocks, map(run, blocks))
 
     per_mu = tuple(
-        RatioRecord(
-            mu_a=mu.a,
-            mu_b=mu.b,
-            t1=float(grid.t1[i]),
-            t2=float(grid.t2[i]),
-            abs_chi=absv,
-            envelope=env,
-            ratio=r,
-            method=GRID_METHOD_NAMES[method],
-        )
+        RatioRecord(mu_a=mu.a, mu_b=mu.b, t1=float(grid.t1[i]), t2=float(grid.t2[i]),
+                    abs_chi=absv, envelope=env, ratio=r, method=GRID_METHOD_NAMES[method])
         for mu, (r, i, absv, env, method) in zip(mus, top)
     )
     zero_ok = all(r == 1.0 / 12.0 for r in first)
     # a NaN or inf anywhere in a weight's ratios is that weight's maximum
     finite_ok = all(math.isfinite(rec.ratio) for rec in per_mu)
 
-    best = per_mu[0]
-    for rec in per_mu[1:]:
-        if rec.ratio > best.ratio:
-            best = rec
+    best = max(per_mu, key=lambda rec: rec.ratio)  # the first of equal maxima
 
     shell_best: dict = {}
     for rec in per_mu:
-        s = rec.mu_a + rec.mu_b
-        cur = shell_best.get(s)
+        cur = shell_best.get(rec.mu_a + rec.mu_b)
         if cur is None or rec.ratio > cur.ratio:
-            shell_best[s] = rec
+            shell_best[rec.mu_a + rec.mu_b] = rec
     shells = tuple(
-        {
-            "shell": s,
-            "max_ratio": shell_best[s].ratio,
-            "mu_a": shell_best[s].mu_a,
-            "mu_b": shell_best[s].mu_b,
-            "t1": shell_best[s].t1,
-            "t2": shell_best[s].t2,
-            "method": shell_best[s].method,
-        }
-        for s in sorted(shell_best)
+        {"shell": s, "max_ratio": rec.ratio, "mu_a": rec.mu_a, "mu_b": rec.mu_b,
+         "t1": rec.t1, "t2": rec.t2, "method": rec.method}
+        for s, rec in sorted(shell_best.items())
     )
     return SweepReport(
         c_emp=best.ratio,

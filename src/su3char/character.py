@@ -18,10 +18,11 @@
 ``chi_on_grid`` vectorizes the dispatch; near two or more walls it groups
 the pattern phases by weight (:func:`multiplicities`), O((a+b)^2) per point.
 Everything it needs that depends only on the points (wall sines, routes,
-descent prefactors and rank-one rows, Weyl phase rows exp(ik t1) and
-exp(-ik t2)) lives in one private geometry object, built once and shared by
-every weight evaluated on the same points; the envelope sweep builds one per
-block of grid points.  A point's value never depends on the other points.
+descent prefactors, rank-one and Weyl phase rows, multi-wall tables) lives
+in one private geometry object, shared by every weight evaluated on the
+same points; each route runs once per chunk of weights on a [weights x
+points] tile, and chi_on_grid is a chunk of one weight.  A value never
+depends on the other points or weights of its call (see :func:`_cmul`).
 
 All evaluators agree on chi~(lambda, H) = chi(mu, H) for lambda = mu + rho;
 the lambda-level entry points (chi_weyl, descent_terms) exist so the Weyl
@@ -406,30 +407,56 @@ GRID_METHOD_NAMES = ("weyl", "descent0", "descent1", "descent2", "schur")
 GRID_BLOCK = 1 << 18
 
 
-class _GridWeight:
-    """What the grid routes need of one weight mu, whatever the points.
+# (sign, c1, c3) per Weyl image e = s.lambda, in WEYL_GROUP order: e1 and e3
+# are components c1 and c3 of lambda = (a+b+2, b+1, 0); c = 2 is its zero.
+_WEYL_SLOTS = tuple(
+    (s.sign, p[0], p[2]) for s in WEYL_GROUP for p in [s.apply((0, 1, 2))]
+)
 
-    ``weyl`` lists (sign, e1, e3) for each Weyl image e = s.lambda of
-    lambda = mu + rho = (a+b+2, b+1, 0), so one entry of e is always 0, and
-    ``degree`` is e1 + e2 + e3, the same for every s.  ``descent[j]`` holds
-    the three coset terms at wall j as rows (det, e1, e2, e3, m).
+
+class _GridChunk:
+    """What the grid routes need of a chunk of weights.
+
+    Every lambda = mu + rho is (a+b+2, b+1, 0): ``lam`` per weight.  Weights
+    of one degree a+2b+3 share the Weyl route's common phase; ``runs`` lists
+    (degree, rows) per run of equal degree.  ``descent[:, j]`` holds the
+    coset terms at wall j as rows (det, e1, e2, e3, m), ``pairings`` the
+    magnitudes (l1-l2, l1-l3, l2-l3) = (a+1, a+b+2, b+1).
     """
 
-    def __init__(self, mu: DominantWeight):
-        self.mu = mu
-        ell = mu.shifted().ell
-        self.weyl = []
-        for s in WEYL_GROUP:
-            e = s.apply(ell)
-            self.weyl.append((s.sign, e[0], e[2]))
-        self.degree = sum(ell)
+    def __init__(self, mus):
+        self.mus = tuple(mus)
+        ells = [mu.shifted().ell for mu in self.mus]
+        degrees = [sum(ell) for ell in ells]
+        starts = [w for w in range(len(ells)) if w == 0 or degrees[w] != degrees[w - 1]]
+        self.runs = [(degrees[lo], slice(lo, hi))
+                     for lo, hi in zip(starts, starts[1:] + [len(ells)])]
+        self.lam = np.array(ells, dtype=np.int64)
         terms = []
-        for j in (0, 1, 2):
-            beta = WALL_POSITIVE_ROOT[j]
-            for s in wall_coset(j):
-                e = s.apply(ell)
-                terms.append((s.sign, *e, e[beta.j - 1] - e[beta.k - 1]))
-        self.descent = np.array(terms, dtype=np.float64).reshape(3, 3, 5)
+        for ell in ells:
+            for j in (0, 1, 2):
+                beta = WALL_POSITIVE_ROOT[j]
+                for s in wall_coset(j):
+                    e = s.apply(ell)
+                    terms.append((s.sign, *e, e[beta.j - 1] - e[beta.k - 1]))
+        self.descent = np.array(terms, dtype=np.float64).reshape(len(ells), 3, 3, 5)
+        self.pairings = np.array([(l1 - l2, l1, l2) for l1, l2, _ in ells], dtype=np.float64)
+
+
+def _cmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x * y into out: every product of two complex factors in the grid
+    kernels, so that a value's bits do not depend on the size of its call.
+
+    Under FMA numpy's complex product is not bitwise commutative, and a bare
+    ``x * tmp`` runs as ``tmp * x`` once the temporary exceeds 256 KiB
+    (temporary elision): x is always the first operand.  A one-element
+    product whose operand is broadcast or is the output takes another loop
+    with other rounding: out is never an operand, and one element goes as a
+    1-vector.
+    """
+    if out.size == 1:
+        x, y, out = x.reshape(1), y.reshape(1), out.reshape(1)
+    return np.multiply(x, y, out=out)
 
 
 class _WallPoints:
@@ -445,29 +472,90 @@ class _WallPoints:
         self.u = 0.5 * pairing[idx]
         self.rank1 = _Rank1Rows(self.u, sines[j][idx])
 
-    def values(self, terms) -> np.ndarray:
-        """Descent at wall j for one weight, its three coset terms stacked.
+    def tile(self, chunk: _GridChunk) -> np.ndarray:
+        """Descent at wall j, [weights x points], the coset terms stacked.
 
         Term t is det * rank1(m) * exp(i(e.theta - m u)); the terms are added
         in coset order and the sum is multiplied by the prefactor, as in
         DescentTermSet.assembled.
         """
+        terms = chunk.descent[:, self.j, :, :, None]  # [weight, term, field, 1]
+        shape = (len(chunk.mus), 3, self.idx.size)
         th1, th2, th3 = self.th
-        angle = (terms[:, 1:2] * th1 + terms[:, 2:3] * th2 + terms[:, 3:4] * th3
-                 - terms[:, 4:5] * self.u)
-        rows = np.stack([self.rank1(int(m)) for m in terms[:, 4]])
-        parts = (terms[:, 0:1] * rows) * np.exp(1j * angle)
-        acc = np.zeros(self.u.shape, dtype=np.complex128)
-        for part in parts:
-            acc += part
-        return self.prefactor * acc
+        angle = (terms[:, :, 1] * th1 + terms[:, :, 2] * th2 + terms[:, :, 3] * th3
+                 - terms[:, :, 4] * self.u)
+        phase = np.exp(1j * angle)
+        ms = chunk.descent[:, self.j, :, 4].astype(np.int64).ravel().tolist()
+        rows = np.stack([self.rank1(m) for m in ms]).reshape(shape)
+        rows *= terms[:, :, 0]
+        acc = np.zeros(shape[::2], dtype=np.complex128)
+        part = np.empty_like(acc)
+        for t in range(3):
+            acc += _cmul(rows[:, t], phase[:, t], part)
+        return _cmul(self.prefactor, acc, part)
+
+
+class _MultiWallPoints:
+    """The points near two or more walls, with the tables
+    E1[k] = exp(ik(th1-th2)) and E3[k] = exp(ik(th3-th2)), [k x points], of
+    the multiplicity contraction, kept for every later chunk when all points
+    fit one tile of GRID_BLOCK entries."""
+
+    def __init__(self, idx, th):
+        self.idx = idx
+        self.th2 = th[1][idx]
+        self.d1 = th[0][idx] - self.th2
+        self.d3 = th[2][idx] - self.th2
+        self._kept = None
+
+    def _tables(self, pts: slice, n: int):
+        k = np.arange(n, dtype=np.float64)
+        if self.d1.size * n > GRID_BLOCK:
+            return tuple(np.exp(1j * np.multiply.outer(k, d[pts])) for d in (self.d1, self.d3))
+        if self._kept is None or len(self._kept[0]) < n:
+            self._kept = tuple(np.exp(1j * np.multiply.outer(k, d)) for d in (self.d1, self.d3))
+        return self._kept[0][:n, pts], self._kept[1][:n, pts]
+
+    def tile(self, chunk: _GridChunk) -> np.ndarray:
+        """chi on the multi-wall points, [weights x points]: the pattern phase
+        sum grouped by weight.
+
+        The phase of weight (w1, w2, w3) is c*th2 + w1*(th1-th2) + w3*(th3-th2)
+        with c = a+2b, so chi = exp(i c th2) * sum E1[w1] M[w1, w3] E3[w3],
+        k = 0..a+b.  Both sums run in increasing index order by elementwise
+        array operations, so a point's value does not depend on the other
+        points (an einsum contraction would pick its summation order from
+        the shape); a product by the real M is exact in any numpy loop.  At
+        H = 0 every phase is exactly 1 and the value is exactly dim(mu).
+        """
+        out = np.empty((len(chunk.mus), self.d1.size), dtype=np.complex128)
+        for w, mu in enumerate(chunk.mus):
+            m = multiplicities(mu).astype(np.float64)[:, :, None]  # [i, j, point]
+            n = m.shape[0]
+            step = max(1, GRID_BLOCK // n)
+            for lo in range(0, self.d1.size, step):
+                pts = slice(lo, lo + step)
+                e1, e3 = self._tables(pts, n)
+                # y[i, p] = sum_j M[i, j] E3[j, p], then sum_i E1[i, p] y[i, p]
+                y = np.multiply(e3[0], m[:, 0])
+                tmp = np.empty_like(y)
+                for j in range(1, n):
+                    y += np.multiply(e3[j], m[:, j], out=tmp)
+                acc = _cmul(e1[0], y[0], np.empty(y.shape[1], dtype=np.complex128))
+                for i in range(1, n):
+                    acc += _cmul(e1[i], y[i], tmp[0])
+                out[w, pts] = acc
+        for degree, rows in chunk.runs:
+            phase = np.exp(1j * ((degree - 3) * self.th2))
+            out[rows] = _cmul(phase, out[rows], np.empty_like(out[rows]))
+        return out
 
 
 class _GridGeometry:
     """Everything about a set of alcove points that does not depend on mu.
 
-    Built once from (t1, t2) and shared by every weight evaluated there.
-    The wall sines are computed at once; the inverse walls (for the
+    Built once from (t1, t2) and shared by every chunk of weights evaluated
+    there.  The wall sines are computed at once; the inverse walls (for the
     envelope) and the routes (for chi) on first use, so a caller that needs
     only one of them pays for nothing else.
     """
@@ -491,16 +579,19 @@ class _GridGeometry:
     def routes(self) -> "_GridRoutes":
         return _GridRoutes(self)
 
-    def chi(self, w: _GridWeight) -> np.ndarray:
-        """chi(mu, .) at every point, by the route in ``routes.methods``."""
+    def chi(self, chunk: _GridChunk) -> np.ndarray:
+        """chi(mu, .) for every weight of the chunk at every point,
+        [weights x points], by the route in ``routes.methods``."""
         r = self.routes
-        values = np.empty(r.methods.shape, dtype=np.complex128)
+        if r.weyl_idx.size == r.methods.size:  # no scatter where every point is Weyl
+            return r.weyl_tile(chunk)
+        values = np.empty((len(chunk.mus), r.methods.size), dtype=np.complex128)
         if r.weyl_idx.size:
-            values[r.weyl_idx] = r.weyl(w)
+            values[:, r.weyl_idx] = r.weyl_tile(chunk)
         for pts in r.descent:
-            values[pts.idx] = pts.values(w.descent[pts.j])
-        if r.multi_idx.size:
-            values[r.multi_idx] = _multiplicity_batch(w, *r.multi_th)
+            values[:, pts.idx] = pts.tile(chunk)
+        if r.multi.idx.size:
+            values[:, r.multi.idx] = r.multi.tile(chunk)
         return values
 
 
@@ -509,9 +600,9 @@ class _GridRoutes:
 
     Each point's route by the number of walls below EPS_WALL, with the
     gathered per-route arrays: the Weyl denominators and phase rows
-    P1[k] = exp(ik t1) and P2[k] = exp(-ik t2) (each row filled the first
-    time some weight reads it), the descent points of each wall
-    (:class:`_WallPoints`) and the multi-wall points' angles.
+    P1[k] = exp(ik t1) and P2[k] = exp(-ik t2), the descent points of each
+    wall (:class:`_WallPoints`) and the multi-wall points
+    (:class:`_MultiWallPoints`).
     """
 
     def __init__(self, geom: _GridGeometry):
@@ -539,69 +630,46 @@ class _GridRoutes:
 
         idx = np.nonzero(near >= 2)[0]
         self.methods[idx] = 4
-        self.multi_idx = idx
-        self.multi_th = tuple(c[idx] for c in th)
+        self.multi = _MultiWallPoints(idx, th)
 
-    def _phase(self, which: int, k: int) -> np.ndarray:
-        rows = self._phase_rows[which]
-        row = rows.get(k)
-        if row is None:
-            row = rows[k] = np.exp(1j * (k * self._phase_angles[which]))
-        return row
+    def _phase(self, which: int, ks) -> np.ndarray:
+        """Rows P1[k] (which 0) or P2[k] (which 1) for each k of ks,
+        [len(ks) x points]; a row is computed when first read."""
+        rows, angles = self._phase_rows[which], self._phase_angles[which]
+        for k in ks:
+            if k not in rows:
+                rows[k] = np.exp(1j * (k * angles))
+        return np.stack([rows[k] for k in ks])
 
-    def weyl(self, w: _GridWeight) -> np.ndarray:
-        """Weyl quotient at the Weyl-route points."""
+    def weyl_tile(self, chunk: _GridChunk) -> np.ndarray:
+        """Weyl quotient at the Weyl-route points, [weights x points]."""
         # e.theta = e1 t1 - e3 t2 + degree (t2 - t1)/3: the numerator is
         # exp(i degree (t2 - t1)/3) sum_s sgn(s) P1[e1] P2[e3], and e1 or e3
-        # is 0 in four of the six terms.  Only the common phase is an exp per
-        # weight; a phase row per degree would cost memory for little time.
-        num = np.zeros(self.weyl_idx.shape, dtype=np.complex128)
-        for sign, e1, e3 in w.weyl:
-            if e3 == 0:
-                term = self._phase(0, e1)
-            elif e1 == 0:
-                term = self._phase(1, e3)
+        # is 0 in four of the six terms.  The common phase is one row per
+        # run of weights of equal degree.
+        p1 = [self._phase(0, chunk.lam[:, c].tolist()) for c in (0, 1)]
+        p2 = [self._phase(1, chunk.lam[:, c].tolist()) for c in (0, 1)]
+        num = np.zeros(p1[0].shape, dtype=np.complex128)
+        tmp = np.empty_like(num)
+        for sign, c1, c3 in _WEYL_SLOTS:
+            if c3 == 2:
+                term = p1[c1]
+            elif c1 == 2:
+                term = p2[c3]
             else:
-                term = self._phase(0, e1) * self._phase(1, e3)
+                term = _cmul(p1[c1], p2[c3], tmp)
             if sign > 0:
                 num += term
             else:
                 num -= term
-        return (num * np.exp(1j * (w.degree * self.weyl_d))) / self.weyl_den
-
-
-def _multiplicity_batch(w: _GridWeight, th1, th2, th3) -> np.ndarray:
-    """chi(mu, .) on many torus points: the pattern phase sum grouped by weight.
-
-    The phase of weight (w1, w2, w3) is c*th2 + w1*(th1-th2) + w3*(th3-th2)
-    with c = a+2b, so chi = exp(i c th2) * sum E1[w1] M[w1, w3] E3[w3] with
-    E1[k] = exp(ik(th1-th2)) and E3[k] = exp(ik(th3-th2)), k = 0..a+b.
-    Both sums run in increasing index order by elementwise array operations,
-    so a point's value does not depend on the other points of its batch (an
-    einsum contraction would pick its summation order from the batch shape).
-    At H = 0 every phase is exactly 1 and the value is exactly dim(mu).
-    """
-    m = multiplicities(w.mu).astype(np.float64)
-    n = m.shape[0]
-    k = np.arange(n, dtype=np.float64)
-    d1 = th1 - th2
-    d3 = th3 - th2
-    rows = max(1, GRID_BLOCK // n)
-    out = np.empty(th1.shape, dtype=np.complex128)
-    for lo in range(0, th1.size, rows):
-        pts = slice(lo, lo + rows)
-        e1 = np.exp(1j * np.multiply.outer(d1[pts], k))
-        e3 = np.exp(1j * np.multiply.outer(d3[pts], k))
-        # y[p, i] = sum_j M[i, j] E3[p, j], then sum_i E1[p, i] y[p, i]
-        y = e3[:, :1] * m[:, 0]
-        tmp = np.empty_like(y)
-        for j in range(1, n):
-            y += np.multiply(e3[:, j:j + 1], m[:, j], out=tmp)
-        acc = e1[:, 0] * y[:, 0]
-        for i in range(1, n):
-            acc += e1[:, i] * y[:, i]
-        out[pts] = acc
-    return np.exp(1j * ((w.mu.a + 2 * w.mu.b) * th2)) * out
+        out = tmp
+        for degree, rows in chunk.runs:
+            phase = np.exp(1j * (degree * self.weyl_d))
+            # num * phase in this operand order at any size: under FMA the
+            # swapped product rounds differently (see _cmul)
+            _cmul(num[rows], phase, out[rows])
+        out /= self.weyl_den
+        return out
 
 
 def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
@@ -614,8 +682,10 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
     or more, the multiplicity contraction ("schur", the pattern sum grouped
     by weight: O((a+b)^2) per point, exact dim at H = 0, refused with
     ResourceLimitError when the multiplicity array exceeds its budget).
-    Every point's value is computed from that point alone, so it does not
-    depend on the other points of the call.
+    It is a chunk of one weight through the same kernels as the envelope
+    sweep.  Every point's value is computed from that point alone, so its
+    bits do not depend on the other points of the call, nor on the call's
+    size.
     """
     geom = _GridGeometry(t1, t2)
-    return geom.chi(_GridWeight(mu)), geom.routes.methods
+    return geom.chi(_GridChunk([mu]))[0], geom.routes.methods

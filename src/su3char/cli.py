@@ -116,6 +116,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _file_value(name: str, value, kw: dict):
+    """A config-file value read as its row's flag would read it, so that the
+    run and the echo agree: refuses booleans and values that the flag's type
+    would change (2.7 for an int, "5" for a number) or its choices reject.
+    null stays null for a typed row, NaN stays NaN."""
+    kind, converted = kw.get("type"), value
+    if kind is not None and value is not None:
+        try:
+            converted = None if isinstance(value, bool) else kind(value)
+        except (TypeError, ValueError, OverflowError):
+            converted = None
+        if converted is None or not (converted == value or value != value):
+            raise UsageError(f"config key {name}: {json.dumps(value)} is not of type {kind.__name__}")
+    if "choices" in kw and converted not in kw["choices"]:
+        raise UsageError(f"config key {name}: {value!r} is not one of {list(kw['choices'])}")
+    return converted
+
+
 def _resolve(args: argparse.Namespace) -> RunConfig:
     cmd = args.command
     params = dict(_DEFAULTS[cmd])
@@ -132,9 +150,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 f"unknown config keys for {cmd}: {sorted(unknown)}"
             )
         for name, _, kw in _COMMANDS[cmd][2]:
-            choices = kw.get("choices")
-            if choices and name in file_params and file_params[name] not in choices:
-                raise UsageError(f"config key {name}: {file_params[name]!r} is not one of {list(choices)}")
+            if name in file_params:
+                file_params[name] = _file_value(name, file_params[name], kw)
         params.update(file_params)
     for key in params:
         flag_val = raw.get(key)

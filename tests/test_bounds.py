@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from su3char import (
     sweep_constant,
     weyl_act_torus,
 )
-from su3char.bounds import SWEEP_BLOCK, _envelope_min_grid
+from su3char.bounds import CHUNK_WEIGHTS, SWEEP_BLOCK, _envelope_min_grid
 from su3char.character import GRID_METHOD_NAMES
 
 TWO_PI = 2.0 * math.pi
@@ -281,9 +282,15 @@ def test_multi_block_sweep_is_thread_invariant_and_matches_the_full_grid():
                     corner_scales=4, corner_rays=3)
     assert spec.total > 2 * SWEEP_BLOCK  # three blocks
     mus = default_mu_set(4, 6)
+    assert len(mus) > 2 * CHUNK_WEIGHTS  # three weight chunks
+    assert max(Counter(mu.a + 2 * mu.b for mu in mus).values()) >= 2  # chunks share degrees
     rep1 = sweep_constant(mus, spec, seed=3, threads=1)
     rep3 = sweep_constant(mus, spec, seed=3, threads=3)
     assert rep1 == rep3
+    # a weight's record does not depend on the weights chunked with it
+    assert sweep_constant(mus[::-1], spec, seed=3).per_mu == rep1.per_mu[::-1]
+    for mu, rec in zip(mus, rep1.per_mu):
+        assert sweep_constant([mu], spec, seed=3).per_mu == (rec,)
     grid = build_grid(spec, seed=3)
     for mu, rec in zip(mus, rep1.per_mu):
         vals, methods = chi_on_grid(mu, grid.t1, grid.t2)

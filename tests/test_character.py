@@ -384,6 +384,23 @@ def test_grid_pattern_sum_does_not_depend_on_batch_size():
         assert one[0] == vals[i], i
 
 
+def test_grid_values_do_not_depend_on_the_call_size():
+    # 20 000 points in one call, bit for bit equal to 1 000-point calls: the
+    # complex products keep their operand order however large the arrays
+    rng = np.random.default_rng(2)
+    u, v = rng.uniform(0.0, 1.0, (2, 20_000))
+    flip = u + v > 1.0
+    u[flip], v[flip] = 1.0 - u[flip], 1.0 - v[flip]
+    t1, t2 = TWO_PI * u, TWO_PI * v
+    t1[:300] = 0.0  # descent points on an exact wall
+    for mu in (DominantWeight(3, 1), DominantWeight(12, 7)):
+        vals, methods = chi_on_grid(mu, t1, t2)
+        assert set(methods.tolist()) >= {0, 2}
+        parts = np.concatenate([chi_on_grid(mu, t1[i:i + 1000], t2[i:i + 1000])[0]
+                                for i in range(0, t1.size, 1000)])
+        assert vals.tobytes() == parts.tobytes(), mu
+
+
 def test_grid_method_partition_thresholds():
     mu = DominantWeight(2, 2)
     eps = EPS_WALL / 2.0

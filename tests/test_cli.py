@@ -219,6 +219,37 @@ def test_config_file_values_obey_the_flag_choices(capsys, tmp_path, cmd, key, va
     assert key in diag["message"]
 
 
+@pytest.mark.parametrize("cmd, key, value", [
+    ("rank1", "n_max", 2.7),
+    ("rank1", "n_max", True),
+    ("rank1", "n_max", math.inf),
+    ("rank1", "grid", "500"),
+    ("verify-envelope", "seed", 1.5),
+    ("lp", "p", "2"),
+    ("lp", "p", False),
+])
+def test_config_file_values_the_flag_type_would_change_are_refused(capsys, tmp_path, cmd, key,
+                                                                   value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": "2,1", key: value} if cmd == "lp" else {key: value}))
+    code, payload, err = run(capsys, cmd, "--config", str(cfg))
+    assert code == EXIT_USAGE and payload is None
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert key in diag["message"]
+
+
+def test_config_file_values_are_read_with_the_flag_type(capsys, tmp_path):
+    # 40.0 runs as the int 40 and is echoed as 40, like --n-max 40
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_max": 40.0, "grid": 500}))
+    code, from_file, _ = run(capsys, "rank1", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert from_file["config"]["n_max"] == 40 and isinstance(from_file["config"]["n_max"], int)
+    code, from_flags, _ = run(capsys, "rank1", "--n-max", "40", "--grid", "500")
+    assert from_file == from_flags
+
+
 def test_echo_omits_runtime_knobs(capsys, tmp_path):
     out_json = str(tmp_path / "s.json")
     code, payload, _ = run(
