@@ -360,7 +360,7 @@ def _sweep_block(t1: np.ndarray, t2: np.ndarray, chunks, count: int):
     method code) of the block's largest ratio, and the ratio at the block's
     first point."""
     geom = _GridGeometry(t1, t2)
-    methods = geom.routes.methods
+    methods, _ = geom.routes
     best = [None] * count
     first = [None] * count
     for pos, chunk in chunks:

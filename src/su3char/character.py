@@ -18,11 +18,11 @@
 ``chi_on_grid`` vectorizes the dispatch; near two or more walls it groups
 the pattern phases by weight (:func:`multiplicities`), O((a+b)^2) per point.
 Everything it needs that depends only on the points (wall sines, routes,
-descent prefactors, rank-one and Weyl phase rows, multi-wall tables) lives
-in one private geometry object, shared by every weight evaluated on the
-same points; each route runs once per chunk of weights on a [weights x
-points] tile, and chi_on_grid is a chunk of one weight.  A value never
-depends on the other points or weights of its call (see :func:`_cmul`).
+descent prefactors, rank-one and Weyl phase rows) lives in one private
+geometry object, shared by every weight evaluated on the same points; each
+route runs once per chunk of weights on a [weights x points] tile, and
+chi_on_grid is a chunk of one weight.  A value never depends on the other
+points or weights of its call (see :func:`_cmul`).
 
 All evaluators agree on chi~(lambda, H) = chi(mu, H) for lambda = mu + rho;
 the lambda-level entry points (chi_weyl, descent_terms) exist so the Weyl
@@ -264,34 +264,27 @@ def multiplicities(mu) -> np.ndarray:
     """Weight multiplicities of V_mu as an exact int64 array M[w1, w3].
 
     chi_mu = sum M[w1, w3] x1^w1 x2^w2 x3^w3 with w2 = a+2b-w1-w3, so
-    M.sum() == dim(mu) and M equals the Gelfand-Tsetlin weight histogram.
-    Built on the (e1, e3) exponent lattice from the six-term Weyl numerator
-    by exact division through the Vandermonde factors, O((a+b)^2) work.
-    Refuses, before allocating, arrays of more than SCHUR_DIM_LIMIT entries.
+    M.sum() == dim(mu) and M equals the Gelfand-Tsetlin weight histogram:
+    M[w1, w3] counts the patterns of shape (a+b, b, 0) with m11 = w1 and
+    m12 + m22 = s = a+2b-w3, i.e. the m12 in [max(b, s-b, w1, s-w1),
+    min(a+b, s)].  O((a+b)^2) work, no loop.  Refuses, before allocating,
+    arrays of more than SCHUR_DIM_LIMIT entries.
     """
     if not isinstance(mu, DominantWeight):
         mu = DominantWeight(*mu)
-    n = mu.a + mu.b + 1
+    a, b = mu.a, mu.b
+    n = a + b + 1
     if n * n > SCHUR_DIM_LIMIT:
         raise ResourceLimitError(
             f"(a+b+1)^2 = {n * n} exceeds the multiplicity-array budget "
             f"{SCHUR_DIM_LIMIT}"
         )
-    ell = mu.shifted().ell
-    size = n + 2
-    num = np.zeros((size, size), dtype=np.int64)
-    for s in WEYL_GROUP:
-        e = s.apply(ell)
-        num[e[0], e[2]] += s.sign
-    # x1 shifts e1 by one, x3 shifts e3, x2 shifts neither
-    q = -np.cumsum(num, axis=0)  # / (x1 - x2)
-    q = np.cumsum(q, axis=1)     # / (x2 - x3)
-    # / (x1 - x3): q[i, j+1] = out[i-1, j+1] - out[i, j], one row at a time
-    out = np.zeros_like(q)
-    for i in range(size):
-        prev = out[i - 1, 1:] if i else 0
-        out[i, :-1] = prev - q[i, 1:]
-    return out[:n, :n]
+    w1 = np.arange(n, dtype=np.int64)[:, None]
+    s = (a + 2 * b) - np.arange(n, dtype=np.int64)
+    m = np.maximum(w1, s - w1)
+    np.maximum(m, np.maximum(b, s - b), out=m)
+    np.subtract(np.minimum(a + b, s) + 1, m, out=m)
+    return np.maximum(m, 0, out=m)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +452,58 @@ def _cmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(x, y, out=out)
 
 
+class _WeylPoints:
+    """The Weyl-route points with their denominators and the phase rows
+    P1[k] = exp(ik t1) and P2[k] = exp(-ik t2), each row computed when
+    first read."""
+
+    def __init__(self, idx, t1, t2, sines):
+        self.idx = idx
+        self.den = (2j * sines[1][idx]) * (2j * sines[2][idx]) * (2j * sines[0][idx])
+        self.d = (t2[idx] - t1[idx]) / 3.0
+        self._angles = (t1[idx], -t2[idx])
+        self._rows = ({}, {})
+
+    def _phase(self, which: int, ks) -> np.ndarray:
+        """Rows P1[k] (which 0) or P2[k] (which 1) for each k of ks,
+        [len(ks) x points]."""
+        rows, angles = self._rows[which], self._angles[which]
+        for k in ks:
+            if k not in rows:
+                rows[k] = np.exp(1j * (k * angles))
+        return np.stack([rows[k] for k in ks])
+
+    def tile(self, chunk: _GridChunk) -> np.ndarray:
+        """Weyl quotient at the Weyl-route points, [weights x points]."""
+        # e.theta = e1 t1 - e3 t2 + degree (t2 - t1)/3: the numerator is
+        # exp(i degree (t2 - t1)/3) sum_s sgn(s) P1[e1] P2[e3], and e1 or e3
+        # is 0 in four of the six terms.  The common phase is one row per
+        # run of weights of equal degree.
+        p1 = [self._phase(0, chunk.lam[:, c].tolist()) for c in (0, 1)]
+        p2 = [self._phase(1, chunk.lam[:, c].tolist()) for c in (0, 1)]
+        num = np.zeros(p1[0].shape, dtype=np.complex128)
+        tmp = np.empty_like(num)
+        for sign, c1, c3 in _WEYL_SLOTS:
+            if c3 == 2:
+                term = p1[c1]
+            elif c1 == 2:
+                term = p2[c3]
+            else:
+                term = _cmul(p1[c1], p2[c3], tmp)
+            if sign > 0:
+                num += term
+            else:
+                num -= term
+        out = tmp
+        for degree, rows in chunk.runs:
+            phase = np.exp(1j * (degree * self.d))
+            # num * phase in this operand order at any size: under FMA the
+            # swapped product rounds differently (see _cmul)
+            _cmul(num[rows], phase, out[rows])
+        out /= self.den
+        return out
+
+
 class _WallPoints:
     """The descent-route points of wall j and their mu-independent factors,
     with the rank-one rows at u = <beta_j, H>/2 (:class:`_Rank1Rows`)."""
@@ -496,46 +541,39 @@ class _WallPoints:
 
 
 class _MultiWallPoints:
-    """The points near two or more walls, with the tables
-    E1[k] = exp(ik(th1-th2)) and E3[k] = exp(ik(th3-th2)), [k x points], of
-    the multiplicity contraction, kept for every later chunk when all points
-    fit one tile of GRID_BLOCK entries."""
+    """The points near two or more walls, with their angle differences
+    th1-th2 and th3-th2."""
 
     def __init__(self, idx, th):
         self.idx = idx
         self.th2 = th[1][idx]
         self.d1 = th[0][idx] - self.th2
         self.d3 = th[2][idx] - self.th2
-        self._kept = None
-
-    def _tables(self, pts: slice, n: int):
-        k = np.arange(n, dtype=np.float64)
-        if self.d1.size * n > GRID_BLOCK:
-            return tuple(np.exp(1j * np.multiply.outer(k, d[pts])) for d in (self.d1, self.d3))
-        if self._kept is None or len(self._kept[0]) < n:
-            self._kept = tuple(np.exp(1j * np.multiply.outer(k, d)) for d in (self.d1, self.d3))
-        return self._kept[0][:n, pts], self._kept[1][:n, pts]
 
     def tile(self, chunk: _GridChunk) -> np.ndarray:
         """chi on the multi-wall points, [weights x points]: the pattern phase
         sum grouped by weight.
 
         The phase of weight (w1, w2, w3) is c*th2 + w1*(th1-th2) + w3*(th3-th2)
-        with c = a+2b, so chi = exp(i c th2) * sum E1[w1] M[w1, w3] E3[w3],
-        k = 0..a+b.  Both sums run in increasing index order by elementwise
-        array operations, so a point's value does not depend on the other
-        points (an einsum contraction would pick its summation order from
-        the shape); a product by the real M is exact in any numpy loop.  At
-        H = 0 every phase is exactly 1 and the value is exactly dim(mu).
+        with c = a+2b, so chi = exp(i c th2) * sum E1[w1] M[w1, w3] E3[w3]
+        with E1[k] = exp(ik(th1-th2)), E3[k] = exp(ik(th3-th2)), k = 0..a+b.
+        The tables are built per tile of GRID_BLOCK entries at the chunk's
+        largest a+b+1 and serve every weight of the chunk.  Both sums run
+        in increasing index order by elementwise array operations, so a
+        point's value does not depend on the other points (an einsum
+        contraction would pick its summation order from the shape); a
+        product by the real M is exact in any numpy loop.  At H = 0 every
+        phase is exactly 1 and the value is exactly dim(mu).
         """
-        out = np.empty((len(chunk.mus), self.d1.size), dtype=np.complex128)
-        for w, mu in enumerate(chunk.mus):
-            m = multiplicities(mu).astype(np.float64)[:, :, None]  # [i, j, point]
-            n = m.shape[0]
-            step = max(1, GRID_BLOCK // n)
-            for lo in range(0, self.d1.size, step):
-                pts = slice(lo, lo + step)
-                e1, e3 = self._tables(pts, n)
+        out = np.empty((len(chunk.mus), self.idx.size), dtype=np.complex128)
+        k = np.arange(max(mu.a + mu.b for mu in chunk.mus) + 1, dtype=np.float64)
+        step = max(1, GRID_BLOCK // k.size)
+        for lo in range(0, self.idx.size, step):
+            pts = slice(lo, lo + step)
+            e1, e3 = (np.exp(1j * np.multiply.outer(k, d[pts])) for d in (self.d1, self.d3))
+            for w, mu in enumerate(chunk.mus):
+                m = multiplicities(mu).astype(np.float64)[:, :, None]  # [i, j, point]
+                n = m.shape[0]
                 # y[i, p] = sum_j M[i, j] E3[j, p], then sum_i E1[i, p] y[i, p]
                 y = np.multiply(e3[0], m[:, 0])
                 tmp = np.empty_like(y)
@@ -576,100 +614,35 @@ class _GridGeometry:
             return np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), np.inf)
 
     @cached_property
-    def routes(self) -> "_GridRoutes":
-        return _GridRoutes(self)
+    def routes(self):
+        """(methods, routes): each point's uint8 code into GRID_METHOD_NAMES,
+        by the number of walls below EPS_WALL, and the non-empty routes --
+        Weyl (:class:`_WeylPoints`), descent at each wall
+        (:class:`_WallPoints`), multi-wall (:class:`_MultiWallPoints`) --
+        each with its points ``idx`` and ``tile(chunk)``."""
+        th = theta_from_alcove(self.t1, self.t2)
+        near = np.count_nonzero(self.walls < EPS_WALL, axis=0)
+        jmin = np.argmin(self.walls, axis=0)
+        methods = np.where(near == 1, 1 + jmin, 4 * (near > 1)).astype(np.uint8)
+        idx = [np.nonzero(methods == code)[0] for code in range(5)]
+        routes = [_WeylPoints(idx[0], self.t1, self.t2, self.sines)]
+        routes += [_WallPoints(j, idx[1 + j], th, self.pairings[j], self.sines)
+                   for j in (0, 1, 2)]
+        routes.append(_MultiWallPoints(idx[4], th))
+        return methods, [r for r in routes if r.idx.size]
 
     def chi(self, chunk: _GridChunk) -> np.ndarray:
         """chi(mu, .) for every weight of the chunk at every point,
-        [weights x points], by the route in ``routes.methods``."""
-        r = self.routes
-        if r.weyl_idx.size == r.methods.size:  # no scatter where every point is Weyl
-            return r.weyl_tile(chunk)
-        values = np.empty((len(chunk.mus), r.methods.size), dtype=np.complex128)
-        if r.weyl_idx.size:
-            values[:, r.weyl_idx] = r.weyl_tile(chunk)
-        for pts in r.descent:
-            values[:, pts.idx] = pts.tile(chunk)
-        if r.multi.idx.size:
-            values[:, r.multi.idx] = r.multi.tile(chunk)
+        [weights x points], by each point's route."""
+        methods, routes = self.routes
+        if len(routes) == 1 and isinstance(routes[0], _WeylPoints):
+            # no scatter where every point is Weyl; other tiles of one
+            # weight at one point are 1-vectors (see _cmul)
+            return routes[0].tile(chunk)
+        values = np.empty((len(chunk.mus), methods.size), dtype=np.complex128)
+        for r in routes:
+            values[:, r.idx] = r.tile(chunk)
         return values
-
-
-class _GridRoutes:
-    """The dispatch of chi_on_grid over a geometry's points.
-
-    Each point's route by the number of walls below EPS_WALL, with the
-    gathered per-route arrays: the Weyl denominators and phase rows
-    P1[k] = exp(ik t1) and P2[k] = exp(-ik t2), the descent points of each
-    wall (:class:`_WallPoints`) and the multi-wall points
-    (:class:`_MultiWallPoints`).
-    """
-
-    def __init__(self, geom: _GridGeometry):
-        t1, t2, sines = geom.t1, geom.t2, geom.sines
-        th = theta_from_alcove(t1, t2)
-        near = np.count_nonzero(geom.walls < EPS_WALL, axis=0)
-        self.methods = np.empty(t1.shape, dtype=np.uint8)
-
-        idx = np.nonzero(near == 0)[0]
-        self.methods[idx] = 0
-        self.weyl_idx = idx
-        self.weyl_den = (2j * sines[1][idx]) * (2j * sines[2][idx]) * (2j * sines[0][idx])
-        self.weyl_d = (t2[idx] - t1[idx]) / 3.0
-        self._phase_angles = (t1[idx], -t2[idx])
-        self._phase_rows = ({}, {})
-
-        idx = np.nonzero(near == 1)[0]
-        jmin = np.argmin(geom.walls[:, idx], axis=0)
-        self.descent = []
-        for j in (0, 1, 2):
-            sel = idx[jmin == j]
-            if sel.size:
-                self.methods[sel] = 1 + j
-                self.descent.append(_WallPoints(j, sel, th, geom.pairings[j], sines))
-
-        idx = np.nonzero(near >= 2)[0]
-        self.methods[idx] = 4
-        self.multi = _MultiWallPoints(idx, th)
-
-    def _phase(self, which: int, ks) -> np.ndarray:
-        """Rows P1[k] (which 0) or P2[k] (which 1) for each k of ks,
-        [len(ks) x points]; a row is computed when first read."""
-        rows, angles = self._phase_rows[which], self._phase_angles[which]
-        for k in ks:
-            if k not in rows:
-                rows[k] = np.exp(1j * (k * angles))
-        return np.stack([rows[k] for k in ks])
-
-    def weyl_tile(self, chunk: _GridChunk) -> np.ndarray:
-        """Weyl quotient at the Weyl-route points, [weights x points]."""
-        # e.theta = e1 t1 - e3 t2 + degree (t2 - t1)/3: the numerator is
-        # exp(i degree (t2 - t1)/3) sum_s sgn(s) P1[e1] P2[e3], and e1 or e3
-        # is 0 in four of the six terms.  The common phase is one row per
-        # run of weights of equal degree.
-        p1 = [self._phase(0, chunk.lam[:, c].tolist()) for c in (0, 1)]
-        p2 = [self._phase(1, chunk.lam[:, c].tolist()) for c in (0, 1)]
-        num = np.zeros(p1[0].shape, dtype=np.complex128)
-        tmp = np.empty_like(num)
-        for sign, c1, c3 in _WEYL_SLOTS:
-            if c3 == 2:
-                term = p1[c1]
-            elif c1 == 2:
-                term = p2[c3]
-            else:
-                term = _cmul(p1[c1], p2[c3], tmp)
-            if sign > 0:
-                num += term
-            else:
-                num -= term
-        out = tmp
-        for degree, rows in chunk.runs:
-            phase = np.exp(1j * (degree * self.weyl_d))
-            # num * phase in this operand order at any size: under FMA the
-            # swapped product rounds differently (see _cmul)
-            _cmul(num[rows], phase, out[rows])
-        out /= self.weyl_den
-        return out
 
 
 def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
@@ -678,7 +651,7 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
     Returns (values, methods): complex128 values and a uint8 method code per
     point, indexing GRID_METHOD_NAMES.  Mirrors chi_stable's dispatch by the
     number of walls below EPS_WALL: none, Weyl quotient (numerator from
-    phase rows, see :class:`_GridRoutes`); one, descent at that wall; two
+    phase rows, see :class:`_WeylPoints`); one, descent at that wall; two
     or more, the multiplicity contraction ("schur", the pattern sum grouped
     by weight: O((a+b)^2) per point, exact dim at H = 0, refused with
     ResourceLimitError when the multiplicity array exceeds its budget).
@@ -688,4 +661,4 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
     size.
     """
     geom = _GridGeometry(t1, t2)
-    return geom.chi(_GridChunk([mu]))[0], geom.routes.methods
+    return geom.chi(_GridChunk([mu]))[0], geom.routes[0]

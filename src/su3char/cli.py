@@ -116,11 +116,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _file_value(name: str, value, kw: dict):
+def _file_value(name: str, value, default, kw: dict):
     """A config-file value read as its row's flag would read it, so that the
     run and the echo agree: refuses booleans and values that the flag's type
-    would change (2.7 for an int, "5" for a number) or its choices reject.
-    null stays null for a typed row, NaN stays NaN."""
+    would change (2.7 for an int, "5" for a number) or its choices reject,
+    and null where the default is not null.  NaN stays NaN."""
+    if value is None and default is not None:
+        raise UsageError(f"config key {name}: null is not allowed (default {default!r})")
     kind, converted = kw.get("type"), value
     if kind is not None and value is not None:
         try:
@@ -149,9 +151,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError(
                 f"unknown config keys for {cmd}: {sorted(unknown)}"
             )
-        for name, _, kw in _COMMANDS[cmd][2]:
+        for name, default, kw in _COMMANDS[cmd][2]:
             if name in file_params:
-                file_params[name] = _file_value(name, file_params[name], kw)
+                file_params[name] = _file_value(name, file_params[name], default, kw)
         params.update(file_params)
     for key in params:
         flag_val = raw.get(key)
@@ -257,7 +259,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         if j is None:
             walls = H.wall_norms()
             j = min(range(3), key=lambda i: walls[i])
-        ts = descent_terms(mu.shifted(), H, int(j))
+        ts = descent_terms(mu.shifted(), H, j)
         cv = CharValue(ts.assembled(), f"descent{ts.j}", ts.condition)
     else:
         raise UsageError(f"unknown method {method!r}")
@@ -281,18 +283,14 @@ def _cmd_eval(cfg: RunConfig) -> int:
 def _cmd_verify_envelope(cfg: RunConfig) -> int:
     p = cfg.params
     spec = GridSpec(
-        total=int(p["grid_total"]),
-        wall_points_per_edge=int(p["wall_per_edge"]),
-        chamber_wall_points=int(p["chamber"]),
-        corner_scales=int(p["corner_scales"]),
-        corner_rays=int(p["corner_rays"]),
+        total=p["grid_total"],
+        wall_points_per_edge=p["wall_per_edge"],
+        chamber_wall_points=p["chamber"],
+        corner_scales=p["corner_scales"],
+        corner_rays=p["corner_rays"],
     )
-    mus = default_mu_set(int(p["dense_max"]), int(p["shell_max"]))
-    threads = p["threads"]
-    rep = sweep_constant(
-        mus, spec, seed=int(p["seed"]),
-        threads=int(threads) if threads is not None else None,
-    )
+    mus = default_mu_set(p["dense_max"], p["shell_max"])
+    rep = sweep_constant(mus, spec, seed=p["seed"], threads=p["threads"])
     summary = {
         "c_emp": rep.c_emp,
         "argmax": dataclasses.asdict(rep.argmax),
@@ -315,10 +313,10 @@ def _cmd_verify_envelope(cfg: RunConfig) -> int:
 
 def _quad_spec(p: Dict[str, object]) -> QuadratureSpec:
     return QuadratureSpec(
-        base_rule=int(p["base_rule"]),
-        max_refinements=int(p["max_refinements"]),
-        rel_tol=float(p["rel_tol"]),
-        mapping=str(p.get("mapping", "periodic_square")),
+        base_rule=p["base_rule"],
+        max_refinements=p["max_refinements"],
+        rel_tol=p["rel_tol"],
+        mapping=p.get("mapping", "periodic_square"),
     )
 
 
@@ -339,8 +337,8 @@ def _cmd_scaling(cfg: RunConfig) -> int:
     n_values = _parse_int_list(p["n_values"], "--n-values")
     try:
         fit = scaling_fit(
-            str(p["family"]), _parse_float(p["p"], "--p"), tuple(n_values),
-            _quad_spec(p), b0=int(p["b0"]),
+            p["family"], _parse_float(p["p"], "--p"), tuple(n_values),
+            _quad_spec(p), b0=p["b0"],
         )
     except ConvergenceError as e:
         partial = getattr(e, "partial_table", ())
@@ -415,8 +413,7 @@ def _cmd_prop_i(cfg: RunConfig) -> int:
 
 def _cmd_rank1(cfg: RunConfig) -> int:
     p = cfg.params
-    n_max = int(p["n_max"])
-    grid = int(p["grid"])
+    n_max, grid = p["n_max"], p["grid"]
     if n_max < 0:
         raise UsageError(f"--n-max must be nonnegative, got {n_max}")
     if grid < 1:
@@ -450,11 +447,11 @@ def _cmd_rank1(cfg: RunConfig) -> int:
 def _cmd_oracle_diff(cfg: RunConfig) -> int:
     p = cfg.params
     mu = _parse_mu(p["mu"])
-    samples = int(p["samples"])
+    samples = p["samples"]
     if samples < 1:
         raise UsageError(f"--samples must be at least 1, got {samples}")
-    regime = str(p["regime"])
-    rng = np.random.default_rng(int(p["seed"]))
+    regime = p["regime"]
+    rng = np.random.default_rng(p["seed"])
     d = dim(mu)
     tol = p["tol"]
     if tol is None:

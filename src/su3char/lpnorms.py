@@ -19,8 +19,8 @@ integrand's bandwidth.
 The periodic-square rule needs no character evaluator.  By the Weyl
 character formula chi_mu is a trigonometric polynomial with nonnegative
 integer coefficients, the weight multiplicities M[w1, w3]
-(:func:`multiplicities`, built exactly in int64 by dividing the six-term
-numerator by the three Vandermonde factors).  Up to a unit-modulus phase,
+(:func:`multiplicities`, the closed-form Gelfand-Tsetlin pattern count,
+exact in int64).  Up to a unit-modulus phase,
 chi = sum M[w1, w3] exp(i(w1 t1 - w3 t2)); on the n x n grid this is a 2-D
 DFT of M folded modulo n (aliasing folds the coefficients exactly).  Each
 grid level takes an rfft along w3 -- M is real, so chi(-t) = conj chi(t),

@@ -24,7 +24,7 @@ from su3char import (
     weyl_act_torus,
     weyl_act_weight,
 )
-from su3char.character import EPS_WALL, GRID_METHOD_NAMES, _Rank1Rows
+from su3char.character import EPS_WALL, GRID_BLOCK, GRID_METHOD_NAMES, _Rank1Rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -382,6 +382,27 @@ def test_grid_pattern_sum_does_not_depend_on_batch_size():
     for i in range(0, k, 30):
         one, _ = chi_on_grid(mu, t1[i:i + 1], t2[i:i + 1])
         assert one[0] == vals[i], i
+
+
+def test_grid_multi_wall_points_over_several_tables_match_one_point_calls():
+    # 3 000 points within 5e-4 of H = 0 at (60, 60) need two exponential
+    # tables of GRID_BLOCK entries; a point's bits do not depend on its table
+    mu = DominantWeight(60, 60)
+    rng = np.random.default_rng(8)
+    k = 3000
+    assert k * (mu.a + mu.b + 1) > GRID_BLOCK
+    r = rng.uniform(0.0, 5e-4, k)
+    phi = rng.uniform(0.0, 0.5 * math.pi, k)
+    t1, t2 = r * np.cos(phi), r * np.sin(phi)
+    vals, methods = chi_on_grid(mu, t1, t2)
+    assert all(GRID_METHOD_NAMES[m] == "schur" for m in methods)
+    for i in range(0, k, 125):
+        one, _ = chi_on_grid(mu, t1[i:i + 1], t2[i:i + 1])
+        assert one.tobytes() == vals[i:i + 1].tobytes(), i
+    d = dim(mu)
+    for i in (0, 1500, k - 1):
+        H = TorusPoint.from_alcove_coords(float(t1[i]), float(t2[i]))
+        assert abs(vals[i] - chi_schur(mu, H).value) <= 1e-13 * d, i
 
 
 def test_grid_values_do_not_depend_on_the_call_size():

@@ -47,6 +47,17 @@ def test_eval_alcove_input_and_explicit_descent_wall(capsys):
     assert auto["value_im"] == pytest.approx(payload["value_im"], abs=1e-9)
 
 
+def test_eval_descent_without_a_wall_takes_the_nearest(capsys):
+    code, payload, _ = run(
+        capsys, "eval", "--mu", "2,1", "--alcove", "0.3,1e-7", "--method", "descent",
+    )
+    assert code == EXIT_OK
+    assert payload["method"] == "descent2"
+    _, auto, _ = run(capsys, "eval", "--mu", "2,1", "--alcove", "0.3,1e-7")
+    assert auto["method"] == "descent2"
+    assert (auto["value_re"], auto["value_im"]) == (payload["value_re"], payload["value_im"])
+
+
 def test_eval_requires_a_point(capsys):
     code, _, err = run(capsys, "eval", "--mu", "1,0")
     assert code == EXIT_USAGE
@@ -149,6 +160,20 @@ def test_lp_nonconvergence_exit_code(capsys):
     assert payload["converged"] is False
 
 
+def test_scaling_nonconvergence_writes_the_partial_table_and_no_summary(capsys, tmp_path):
+    csv_p, json_p = tmp_path / "scale.csv", tmp_path / "scale.json"
+    code, payload, err = run(
+        capsys, "scaling", "--family", "axis", "--p", "4", "--n-values", "4,8,16,32",
+        "--max-refinements", "0", "--out-csv", str(csv_p), "--out-json", str(json_p),
+    )
+    assert code == EXIT_NONCONVERGENCE and payload is None
+    assert json.loads(err)["error"] == "non-convergence"
+    config, rows = read_report_csv(str(csv_p))
+    assert [r["N"] for r in rows] == [4]
+    assert config["command"] == "scaling" and config["max_refinements"] == 0
+    assert not json_p.exists()
+
+
 def test_oracle_diff_regular_within_tolerance(capsys, tmp_path):
     csv_path = str(tmp_path / "diff.csv")
     code, payload, _ = run(
@@ -227,11 +252,15 @@ def test_config_file_values_obey_the_flag_choices(capsys, tmp_path, cmd, key, va
     ("verify-envelope", "seed", 1.5),
     ("lp", "p", "2"),
     ("lp", "p", False),
+    ("rank1", "n_max", None),
+    ("lp", "base_rule", None),
+    ("oracle-diff", "samples", None),
 ])
 def test_config_file_values_the_flag_type_would_change_are_refused(capsys, tmp_path, cmd, key,
                                                                    value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mu": "2,1", key: value} if cmd == "lp" else {key: value}))
+    with_mu = cmd in ("lp", "oracle-diff")
+    cfg.write_text(json.dumps({"mu": "2,1", key: value} if with_mu else {key: value}))
     code, payload, err = run(capsys, cmd, "--config", str(cfg))
     assert code == EXIT_USAGE and payload is None
     diag = json.loads(err)

@@ -193,7 +193,7 @@ def test_trapezoid_rule_exactness_kicks_in_for_even_p():
 
 
 def test_multiplicities_equal_the_pattern_weight_histogram():
-    # exact integer oracle: Weyl-numerator division against the GT patterns
+    # exact integer oracle: the closed-form GT count against the enumerated patterns
     for a in range(41):
         for b in range(41 - a):
             m = multiplicities(DominantWeight(a, b))
