@@ -76,6 +76,7 @@ from .lpnorms import (
     FitResult,
     I_bound,
     I_numeric,
+    I_numeric_table,
     LpReport,
     QuadratureSpec,
     ScalingRow,

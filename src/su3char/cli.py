@@ -49,7 +49,7 @@ from .lpnorms import (
     _MAPPINGS,
     ConvergenceError,
     I_bound,
-    I_numeric,
+    I_numeric_table,
     QuadratureSpec,
     haar_lp_norm,
     scaling_fit,
@@ -86,10 +86,10 @@ _QUAD = (
     ("rel_tol", 1e-6, dict(type=float)),
 )
 _MAPPING = ("mapping", "periodic_square", dict(choices=_MAPPINGS))
-_OUT = ("out", None, dict(help="write the result JSON here as well"))
+_OUT = ("out", None, dict(type=str, help="write the result JSON here as well"))
 _OUT_FILES = (
-    ("out_csv", None, dict(help="write the per-row table as CSV here")),
-    ("out_json", None, dict(help="write the summary JSON here")),
+    ("out_csv", None, dict(type=str, help="write the per-row table as CSV here")),
+    ("out_json", None, dict(type=str, help="write the summary JSON here")),
 )
 
 # output paths, checked before any computation
@@ -179,11 +179,8 @@ def _echo(cfg: RunConfig) -> Dict[str, object]:
 def _parse_mu(value) -> DominantWeight:
     if value is None:
         raise UsageError("--mu is required (format 'a,b')")
-    if isinstance(value, (list, tuple)):
-        a, b = value
-        return DominantWeight(int(a), int(b))
     try:
-        a, b = (int(x) for x in str(value).split(","))
+        a, b = _parse_int_list(value, "--mu")
     except ValueError:
         raise UsageError(f"cannot parse --mu {value!r}; expected 'a,b'")
     return DominantWeight(a, b)
@@ -206,12 +203,17 @@ def _parse_float_list(value, what: str) -> List[float]:
 
 
 def _parse_int_list(value, what: str) -> List[int]:
+    """Integers from 'a,b,...' or from a config-file list of JSON integers
+    (1.5, true or "1" would run as something other than their echo)."""
     if isinstance(value, (list, tuple)):
-        return [int(x) for x in value]
-    try:
-        return [int(x) for x in str(value).split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse {what} {value!r}")
+        if all(type(x) is int for x in value):
+            return list(value)
+    else:
+        try:
+            return [int(x) for x in str(value).split(",")]
+        except ValueError:
+            pass
+    raise UsageError(f"cannot parse {what} {value!r}")
 
 
 def _emit(cfg: RunConfig, summary: dict, rows=()) -> None:
@@ -369,19 +371,15 @@ def _cmd_prop_i(cfg: RunConfig) -> int:
     ]
     rows = []
     per_p = []
-    for pv in p_values:
-        best = None
+    for pv, i_nums in zip(p_values, I_numeric_table(p_values, triples, spec)):
         shell_max: Dict[float, float] = {}
-        for a, b, c in triples:
-            i_num = I_numeric(pv, a, b, c, spec)
+        for (a, b, c), i_num in zip(triples, i_nums):
             i_bd = I_bound(pv, a, b, c)
             ratio = i_num / i_bd
             rows.append({
                 "p": pv, "a": a, "b": b, "c": c,
                 "i_numeric": i_num, "i_bound": i_bd, "ratio": ratio,
             })
-            if best is None or ratio > best:
-                best = ratio
             # magnitude shell = the smallest entry: the whole triple has been
             # scaled up by at least that factor from the unit boundary
             shell_max[c] = max(shell_max.get(c, 0.0), ratio)
@@ -397,7 +395,7 @@ def _cmd_prop_i(cfg: RunConfig) -> int:
         # the boundary step is reported unmetered
         per_p.append({
             "p": pv,
-            "K": best,
+            "K": max(shell_max.values(), default=None),
             "shells": shells,
             "boundary_growth": growths[0] if growths else 0.0,
             "max_shell_growth": max(growths[1:], default=0.0),

@@ -42,6 +42,7 @@ exponents on weight families.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -55,7 +56,7 @@ from .quadrature import (
     ConvergenceError,
     QuadratureResult,
     _refine,
-    adaptive_triangle,
+    triangle_batch,
 )
 
 __all__ = [
@@ -68,6 +69,7 @@ __all__ = [
     "predicted_regular_bound",
     "predicted_dimension_bound",
     "I_numeric",
+    "I_numeric_table",
     "I_bound",
     "scaling_fit",
     "family_weight",
@@ -120,11 +122,12 @@ def _weight(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 
 def _norm_integrand(mu: DominantWeight, p: float):
-    """(|chi|/dim)^p * w, node by node (the Duffy mapping's integrand)."""
+    """(|chi|/dim)^p * w, node by node (the Duffy mapping's integrand); w may
+    be passed in when the caller has it."""
     scale = 1.0 / dim(mu)
 
-    def f(t1, t2):
-        w = _weight(t1, t2)
+    def f(t1, t2, w=None):
+        w = _weight(t1, t2) if w is None else w
         out = np.zeros(w.shape, dtype=np.float64)
         mask = w > 0.0
         if mask.any():
@@ -201,12 +204,12 @@ def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec):
     n0 = max(48, int(math.ceil(p * _bandwidth(mu))) + 8)
     z = []
 
-    def level_sum(level: int) -> float:
+    def level_sum(level: int, _) -> List[float]:
         num, den = _fft_level(m, d, p, n0 << level)
         z.append(den)
-        return num
+        return [num]
 
-    res = _refine(level_sum, spec.max_refinements, spec.rel_tol)
+    res = _refine(level_sum, 1, spec.max_refinements, spec.rel_tol)[0]
     return res, z[-1]
 
 
@@ -222,9 +225,14 @@ def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpRepor
         converged = num.converged
     else:
         f = _norm_integrand(mu, p)
+
+        def values(t1, t2, active):  # N_p and Z as one batch, w once per triangle
+            w = _weight(t1, t2)
+            return [w if k else f(t1, t2, w) for k in active]
+
         alcove = ((0.0, 0.0), (TWO_PI, 0.0), (0.0, TWO_PI))
-        num = adaptive_triangle(f, alcove, spec.base_rule, spec.max_refinements, spec.rel_tol)
-        den = adaptive_triangle(_weight, alcove, spec.base_rule, spec.max_refinements, spec.rel_tol)
+        num, den = triangle_batch(values, 2, alcove, spec.base_rule,
+                                  spec.max_refinements, spec.rel_tol)
         z = den.value
         converged = num.converged and den.converged
 
@@ -299,30 +307,59 @@ def predicted_dimension_bound(mu, p: float) -> float:
 # the model integral over A0 and its case bound
 # ---------------------------------------------------------------------------
 
-def _model_integrand(x, y, p: float, a_t: float, b_t: float, c_t: float):
-    """g(x, y) + g(y, x) for the model integrand
-    g = (x y)^2 (x+y)^2 / [(1+a_t x)(1+b_t y)(1+c_t(x+y))]^p.
+def _model_integrand(p_values: Sequence[float], triples: Sequence[Tuple[float, float, float]]):
+    """Batch integrand of :func:`I_numeric_table`: g(x, y) + g(y, x) for
+    g = (x y)^2 (x+y)^2 / [(1+a_t x)(1+b_t y)(1+c_t(x+y))]^p, integral k
+    taking triples[k // len(p_values)] and p_values[k % len(p_values)].
+    Per triangle, (x y)^2 (x+y)^2 is formed once, the two denominators once
+    per triple (the three factors multiplied before the one power, with
+    1+c_t(x+y) shared), and only the powers per p.  Swapping a_t with b_t
+    swaps the two denominators bit for bit."""
+    n_p = len(p_values)
 
-    The three factors of each denominator are multiplied before the one
-    power, and (x y)^2 (x+y)^2 and 1+c_t(x+y) are shared by both terms.
-    Swapping a_t with b_t swaps the two denominators bit for bit.
+    def values(x, y, active):
+        s = x + y
+        num = (x * y) ** 2 * s ** 2
+        for j, ks in itertools.groupby(active, lambda k: k // n_p):
+            a_t, b_t, c_t = triples[j]
+            shared = 1.0 + c_t * s
+            d1 = (1.0 + a_t * x) * (1.0 + b_t * y) * shared
+            d2 = (1.0 + a_t * y) * (1.0 + b_t * x) * shared
+            for k in ks:
+                p = p_values[k % n_p]
+                yield num * (d1 ** -p + d2 ** -p)
+
+    return values
+
+
+def I_numeric_table(p_values: Sequence[float], triples: Sequence[Tuple[float, float, float]],
+                    spec: Optional[QuadratureSpec] = None, full: bool = False):
+    """I_numeric(p, a_t, b_t, c_t) for every p in p_values and every triple,
+    as rows per p.  All integrals run in lockstep on shared triangles (one
+    :func:`triangle_batch`), each with its own stop, so every entry is
+    bit-identical to its own I_numeric call.  Without ``full``, raises
+    ConvergenceError for the first non-converged entry in (p, triple) order.
     """
-    s = x + y
-    shared = 1.0 + c_t * s
-    num = (x * y) ** 2 * s ** 2
-    d1 = (1.0 + a_t * x) * (1.0 + b_t * y) * shared
-    d2 = (1.0 + a_t * y) * (1.0 + b_t * x) * shared
-    return num * (d1 ** -p + d2 ** -p)
+    for p in p_values:
+        if p <= 0.0:
+            raise ValueError("p must be positive")
+        if any(min(t) <= 0.0 for t in triples):
+            raise ValueError("a_t, b_t, c_t must be positive")
+    spec = spec or QuadratureSpec()
+    lower = ((0.0, 0.0), (A0_SIDE, 0.0), (A0_SIDE / 2.0, A0_SIDE / 2.0))
+    flat = triangle_batch(
+        _model_integrand(p_values, triples), len(p_values) * len(triples), lower,
+        spec.base_rule, spec.max_refinements, spec.rel_tol,
+    )
+    table = [flat[i::len(p_values)] for i in range(len(p_values))]
+    return table if full else [
+        [res.require_converged(f"I_numeric(p={p}, {a_t}, {b_t}, {c_t})").value
+         for res, (a_t, b_t, c_t) in zip(row, triples)] for p, row in zip(p_values, table)
+    ]
 
 
-def I_numeric(
-    p: float,
-    a_t: float,
-    b_t: float,
-    c_t: float,
-    spec: Optional[QuadratureSpec] = None,
-    full: bool = False,
-):
+def I_numeric(p: float, a_t: float, b_t: float, c_t: float,
+              spec: Optional[QuadratureSpec] = None, full: bool = False):
     """int over {t1,t2 >= 0, t1+t2 <= 4pi/3} of
     t1^2 t2^2 (t1+t2)^2 / [(1+a_t t1)^p (1+b_t t2)^p (1+c_t(t1+t2))^p].
 
@@ -330,23 +367,10 @@ def I_numeric(
     t1 = t2; the folded sum is symmetric in (a_t, t1) <-> (b_t, t2) term by
     term, so swapped calls return bit-identical values.  Always uses the
     Duffy triangle rule: ``spec.mapping`` is not read, only its base_rule,
-    max_refinements and rel_tol.
+    max_refinements and rel_tol.  A table of one (:func:`I_numeric_table`):
+    the value, or with ``full`` the QuadratureResult.
     """
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    if min(a_t, b_t, c_t) <= 0.0:
-        raise ValueError("a_t, b_t, c_t must be positive")
-    spec = spec or QuadratureSpec()
-
-    def h(x, y):
-        return _model_integrand(x, y, p, a_t, b_t, c_t)
-
-    lower = ((0.0, 0.0), (A0_SIDE, 0.0), (A0_SIDE / 2.0, A0_SIDE / 2.0))
-    res = adaptive_triangle(h, lower, spec.base_rule, spec.max_refinements, spec.rel_tol)
-    if full:
-        return res
-    res.require_converged(f"I_numeric(p={p}, {a_t}, {b_t}, {c_t})")
-    return res.value
+    return I_numeric_table([p], [(a_t, b_t, c_t)], spec, full)[0][0]
 
 
 def I_bound(p: float, a: float, b: float, c: float) -> float:

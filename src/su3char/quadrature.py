@@ -10,8 +10,12 @@ Two rule families, both returning :class:`QuadratureResult`:
   spectrally accurate for smooth periodic integrands and *exact* for
   trigonometric polynomials once the grid outruns the bandwidth.
 
-Both families drive one level-indexed loop (:func:`_refine`), which stops
-when two successive level totals agree to a relative tolerance.
+Both families drive one level-indexed loop (:func:`_refine`) over a batch
+of integrals on shared nodes: each level's nodes are built once for all
+integrals still running, and each stops at its own first level that agrees
+with the previous one to a relative tolerance.  One integral is a batch of
+one.  Batching changes no operand and no reduction tree, so values, levels
+and deltas equal those of separate calls.
 
 Reductions are two-stage: ``np.sum`` over blocks whose shape is fixed by
 the rule alone (base_rule^2 nodes per triangle; a row block of an n x n
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +38,7 @@ __all__ = [
     "ConvergenceError",
     "triangle_rule",
     "subdivide_triangle",
+    "triangle_batch",
     "adaptive_triangle",
     "periodic_trapezoid_2d",
 ]
@@ -111,56 +116,64 @@ def subdivide_triangle(verts: Triangle) -> List[Triangle]:
     return [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
 
 
-def _triangulation_sum(f, tris: Sequence[Triangle], n: int) -> float:
-    parts = []
+def _triangulation_sums(values, active: List[int], tris: Sequence[Triangle], n: int):
+    """Totals of the active integrals over the triangulation, in order."""
+    parts: List[List[float]] = [[] for _ in active]
     for t in tris:
         x, y, w = triangle_rule(t, n)
-        vals = np.asarray(f(x, y), dtype=np.float64)
-        # the n*n shape fixes np.sum's pairwise tree; fsum across triangles
-        parts.append(float(np.sum(w * vals)))
-    return math.fsum(parts)
+        for part, vals in zip(parts, values(x, y, active)):
+            # the n*n shape fixes np.sum's pairwise tree; fsum across triangles
+            part.append(float(np.sum(w * np.asarray(vals, dtype=np.float64))))
+    return [math.fsum(part) for part in parts]
 
 
-def _refine(
-    level_sum: Callable[[int], float],
-    max_refinements: int,
-    rel_tol: float,
-) -> QuadratureResult:
-    """Evaluate level_sum(0), level_sum(1), ... until two successive levels
-    agree within rel_tol (relative) or max_refinements + 1 levels have run."""
+def _refine(level_sums: Callable[[int, List[int]], Sequence[float]], count: int,
+            max_refinements: int, rel_tol: float) -> List[QuadratureResult]:
+    """Evaluate level_sums(level, active), the totals of the integrals still
+    running, for level = 0, 1, ...; integral k stops at its first level that
+    agrees with its previous one within rel_tol (relative), or after
+    max_refinements + 1 levels."""
     if not (0.0 < rel_tol < math.inf):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-    prev = None
-    total = 0.0
-    delta = math.inf
+    if max_refinements < 0:
+        raise ValueError(f"at least one level is needed, got {max_refinements!r} refinements")
+    results: List[QuadratureResult] = [None] * count
+    active = list(range(count))
     for level in range(max_refinements + 1):
-        total = level_sum(level)
-        if prev is not None:
-            delta = abs(total - prev) / max(abs(total), 1e-300)
-            if delta <= rel_tol:
-                return QuadratureResult(total, level + 1, delta, True)
-        prev = total
-    return QuadratureResult(total, max_refinements + 1, delta, False)
+        if not active:
+            break
+        for k, total in zip(active, level_sums(level, active)):
+            prev = results[k]
+            delta = math.inf if prev is None else abs(total - prev.value) / max(abs(total), 1e-300)
+            results[k] = QuadratureResult(total, level + 1, delta, delta <= rel_tol)
+        active = [k for k in active if not results[k].converged]
+    return results
 
 
-def adaptive_triangle(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    verts: Triangle,
-    base_rule: int = 64,
-    max_refinements: int = 6,
-    rel_tol: float = 1e-6,
-) -> QuadratureResult:
-    """Integrate f over a triangle, uniformly subdividing until two
-    successive triangulation totals agree within rel_tol (relative)."""
+def triangle_batch(values: Callable[[np.ndarray, np.ndarray, List[int]], Iterable[np.ndarray]],
+                   count: int, verts: Triangle, base_rule: int = 64, max_refinements: int = 6,
+                   rel_tol: float = 1e-6) -> List[QuadratureResult]:
+    """Integrate count integrands over a triangle on shared nodes, uniformly
+    subdividing until each one's successive triangulation totals agree within
+    rel_tol (relative).  values(x, y, active) yields the active integrands at
+    one triangle's nodes, in order, so work they share is done once."""
     tris: List[Triangle] = [tuple((float(px), float(py)) for px, py in verts)]
 
-    def level_sum(level: int) -> float:
+    def level_sums(level: int, active: List[int]) -> List[float]:
         nonlocal tris
         if level:
             tris = [child for t in tris for child in subdivide_triangle(t)]
-        return _triangulation_sum(f, tris, base_rule)
+        return _triangulation_sums(values, active, tris, base_rule)
 
-    return _refine(level_sum, max_refinements, rel_tol)
+    return _refine(level_sums, count, max_refinements, rel_tol)
+
+
+def adaptive_triangle(f: Callable[[np.ndarray, np.ndarray], np.ndarray], verts: Triangle,
+                      base_rule: int = 64, max_refinements: int = 6,
+                      rel_tol: float = 1e-6) -> QuadratureResult:
+    """Integrate f over a triangle: :func:`triangle_batch` of one."""
+    return triangle_batch(lambda x, y, _: (f(x, y),), 1, verts, base_rule,
+                          max_refinements, rel_tol)[0]
 
 
 # Nodes per block of a grid level.  Blocks depend only on n, so the
@@ -198,5 +211,5 @@ def periodic_trapezoid_2d(
     if n0 < 2:
         raise ValueError("n0 must be at least 2")
     return _refine(
-        lambda level: _trapezoid_sum(f, period, n0 << level), max_doublings, rel_tol
-    )
+        lambda level, _: [_trapezoid_sum(f, period, n0 << level)], 1, max_doublings, rel_tol
+    )[0]

@@ -89,7 +89,7 @@ def test_lp_multiplicity_budget_trips_fast(capsys):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["prop-i", "--out-csv"], "I_numeric"),
+    (["prop-i", "--out-csv"], "I_numeric_table"),
     (["verify-envelope", "--out-json"], "sweep_constant"),
     (["lp", "--mu", "2,1", "--p", "4", "--out"], "haar_lp_norm"),
 ])
@@ -266,6 +266,72 @@ def test_config_file_values_the_flag_type_would_change_are_refused(capsys, tmp_p
     diag = json.loads(err)
     assert diag["error"] == "usage"
     assert key in diag["message"]
+
+
+@pytest.mark.parametrize("cmd, key, work", [
+    ("rank1", "out", "rank1_bound_margin"),
+    ("prop-i", "out_csv", "I_numeric_table"),
+    ("verify-envelope", "out_json", "sweep_constant"),
+])
+@pytest.mark.parametrize("value", [5, True, ["x.json"]])
+def test_config_file_output_paths_must_be_strings(capsys, monkeypatch, tmp_path, cmd, key, work,
+                                                  value):
+    # an int path would be opened as a file descriptor
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, payload, err = run(capsys, cmd, "--config", str(cfg))
+    assert code == EXIT_USAGE and payload is None
+    assert calls == []
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert key in diag["message"]
+
+
+@pytest.mark.parametrize("cmd, key, value", [
+    ("eval", "mu", [1.5, 2]),
+    ("eval", "mu", [True, 2]),
+    ("eval", "mu", ["1", 2]),
+    ("eval", "mu", [1, 2, 3]),
+    ("eval", "mu", [1]),
+    ("eval", "mu", "1.5,2"),
+    ("scaling", "n_values", [8, 16.5, 32, 64]),
+])
+def test_config_file_integer_lists_are_not_truncated(capsys, tmp_path, cmd, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value, "theta": "0,0,0"} if cmd == "eval"
+                              else {key: value, "family": "axis", "p": 4.0}))
+    code, payload, err = run(capsys, cmd, "--config", str(cfg))
+    assert code == EXIT_USAGE and payload is None
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert key.replace("_", "-") in diag["message"]
+
+
+def test_config_file_mu_list_runs_like_the_flag(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu": [2, 1], "theta": "0.5,-0.25,-0.25"}))
+    code, from_file, _ = run(capsys, "eval", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert from_file["mu"] == [2, 1] and from_file["config"]["mu"] == [2, 1]
+    code, from_flag, _ = run(capsys, "eval", "--mu", "2,1", "--theta", "0.5,-0.25,-0.25")
+    assert {k: v for k, v in from_file.items() if k != "config"} == \
+        {k: v for k, v in from_flag.items() if k != "config"}
+
+
+def test_prop_i_non_convergence_names_the_first_integral(capsys, tmp_path):
+    # the first non-converged integral in (p, then triple) order; nothing written
+    out_csv = tmp_path / "p.csv"
+    code, payload, err = run(capsys, "prop-i", "--max-refinements", "1", "--p-values", "2,5.5",
+                             "--pool", "1,64,256", "--out-csv", str(out_csv))
+    assert code == EXIT_NONCONVERGENCE and payload is None
+    assert not out_csv.exists()
+    assert json.loads(err) == {
+        "error": "non-convergence",
+        "message": "I_numeric(p=5.5, 256.0, 1.0, 1.0): no convergence after 2 levels "
+                   "(last relative delta 2.788e-04)",
+    }
 
 
 def test_config_file_values_are_read_with_the_flag_type(capsys, tmp_path):

@@ -14,6 +14,7 @@ from su3char import (
     ResourceLimitError,
     I_bound,
     I_numeric,
+    I_numeric_table,
     QuadratureSpec,
     dim,
     family_weight,
@@ -337,11 +338,13 @@ def test_model_integrand_matches_six_power_reference():
     x = A0_SIDE * u + 0.5 * A0_SIDE * v
     y = 0.5 * A0_SIDE * v
     pool = (1.0, 4.0, 16.0, 64.0, 256.0)
-    for p in (2.0, 2.8, 3.0, 4.0, 5.5):
-        for a, b, c in itertools.product(pool, repeat=3):
-            got = _model_integrand(x, y, p, a, b, c)
-            want = _model_g(x, y, p, a, b, c) + _model_g(y, x, p, a, b, c)
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    p_values = (2.0, 2.8, 3.0, 4.0, 5.5)
+    triples = list(itertools.product(pool, repeat=3))
+    values = _model_integrand(p_values, triples)
+    got = values(x, y, range(len(triples) * len(p_values)))
+    for (a, b, c), p in itertools.product(triples, p_values):
+        want = _model_g(x, y, p, a, b, c) + _model_g(y, x, p, a, b, c)
+        np.testing.assert_allclose(next(got), want, rtol=1e-14, atol=0.0)
 
 
 def test_prop_i_default_levels_are_pinned():
@@ -359,6 +362,25 @@ def test_prop_i_default_levels_are_pinned():
             levels.append(res.levels)
     assert sum(levels) == 451
     assert Counter(levels) == {2: 112, 3: 36, 4: 19, 5: 5, 6: 3}
+
+
+def test_prop_i_table_matches_one_call_per_integral():
+    # the lockstep table of the default prop-i grid against 175 separate
+    # I_numeric calls: same value bits, levels, last delta and convergence
+    cfg = _DEFAULTS["prop-i"]
+    spec = _quad_spec(cfg)
+    pool = sorted(float(v) for v in cfg["pool"].split(","))
+    p_values = [float(v) for v in cfg["p_values"].split(",")]
+    triples = [(a, b, c) for c, b, a in itertools.combinations_with_replacement(pool, 3)]
+    table = I_numeric_table(p_values, triples, spec, full=True)
+    values = I_numeric_table(p_values, triples, spec)
+    for p, row, value_row in zip(p_values, table, values):
+        for (a, b, c), res, value in zip(triples, row, value_row):
+            alone = I_numeric(p, a, b, c, spec, full=True)
+            assert struct.pack("<d", res.value) == struct.pack("<d", alone.value)
+            assert (res.levels, res.last_delta, res.converged) == \
+                (alone.levels, alone.last_delta, alone.converged)
+            assert value == res.value
 
 
 def test_model_integral_monotone_in_each_argument():

@@ -1,5 +1,6 @@
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,12 @@ from su3char import (
     adaptive_triangle,
     periodic_trapezoid_2d,
 )
-from su3char.quadrature import _triangulation_sum, subdivide_triangle, triangle_rule
+from su3char.quadrature import (
+    _triangulation_sums,
+    subdivide_triangle,
+    triangle_batch,
+    triangle_rule,
+)
 
 UNIT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
@@ -81,9 +87,32 @@ def test_triangulation_sum_does_not_depend_on_triangle_order():
     tris = [UNIT]
     for _ in range(3):
         tris = [child for t in tris for child in subdivide_triangle(t)]
-    fwd = _triangulation_sum(f, tris, 16)
-    rev = _triangulation_sum(f, tris[::-1], 16)
+    values = lambda x, y, active: (f(x, y),)
+    [fwd] = _triangulation_sums(values, [0], tris, 16)
+    [rev] = _triangulation_sums(values, [0], tris[::-1], 16)
     assert struct.pack("<d", fwd) == struct.pack("<d", rev)
+
+
+def test_triangle_batch_matches_separate_calls_with_their_own_stops():
+    fs = [
+        lambda x, y: x * y + 1.0,                              # stops after 2 levels
+        lambda x, y: np.exp(-(x + y)),                         # 2
+        lambda x, y: np.sqrt(x + y + 1e-4) * np.sin(9.0 * x),  # 4
+        lambda x, y: np.abs(np.sin(40.0 / (x + y + 1e-3))),    # never converges
+    ]
+    calls = []
+
+    def values(x, y, active):
+        calls.append(list(active))
+        return (fs[k](x, y) for k in active)
+
+    batch = triangle_batch(values, len(fs), UNIT, base_rule=8, max_refinements=4, rel_tol=1e-7)
+    alone = [adaptive_triangle(f, UNIT, base_rule=8, max_refinements=4, rel_tol=1e-7) for f in fs]
+    assert [struct.pack("<d", r.value) for r in batch] == [struct.pack("<d", r.value) for r in alone]
+    assert batch == alone
+    assert [r.levels for r in batch] == [2, 2, 4, 5] and not batch[-1].converged
+    # stopped integrals drop out of the batch; nodes are built once per triangle
+    assert Counter(map(tuple, calls)) == {(0, 1, 2, 3): 1 + 4, (2, 3): 16 + 64, (3,): 256}
 
 
 def test_periodic_trapezoid_exact_for_trig_polynomials():
@@ -118,6 +147,10 @@ def test_periodic_trapezoid_rejects_bad_args():
         periodic_trapezoid_2d(f, 1.0, n0=4, rel_tol=0.0)
     with pytest.raises(ValueError):
         adaptive_triangle(f, UNIT, rel_tol=-1.0)
+    with pytest.raises(ValueError, match="one level"):
+        periodic_trapezoid_2d(f, 1.0, n0=4, max_doublings=-1)
+    with pytest.raises(ValueError, match="one level"):
+        adaptive_triangle(f, UNIT, max_refinements=-1)
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
