@@ -246,6 +246,7 @@ class GridPoints:
 
 
 def build_grid(spec: GridSpec, seed: int) -> GridPoints:
+    ni = spec.interior_points()  # strata larger than the total fail before allocating
     rng = np.random.default_rng(seed)
     t1_parts: List[np.ndarray] = []
     t2_parts: List[np.ndarray] = []
@@ -292,7 +293,6 @@ def build_grid(spec: GridSpec, seed: int) -> GridPoints:
     add(3.0 * xs, -3.0 * xs, "chamber_alpha0")
 
     # interior: uniform on the open alcove triangle
-    ni = spec.interior_points()
     u = rng.uniform(0.0, 1.0, ni)
     v = rng.uniform(0.0, 1.0, ni)
     flip = u + v > 1.0

@@ -2,11 +2,12 @@
 
 Subcommands: eval, verify-envelope, lp, scaling, prop-i, rank1, oracle-diff.
 Configuration is flags-first with an optional JSON config file (``--config``)
-whose values the flags override; each parameter is one row of ``_COMMANDS``,
-which gives its flag, its config-file key and its default.  The resolved semantic configuration --
-command plus numeric parameters and seed, but not output paths or the thread
-count -- is echoed into every artifact so a run can be reproduced from any
-of its outputs.
+whose values the flags override.  Each parameter is declared once, as one
+row of ``_COMMANDS``, and flag text, config-file JSON and defaults all pass
+through that row's converter.  The resolved semantic configuration --
+command plus the parsed numeric parameters and seed, but not output paths or
+the thread count -- is echoed into every artifact so a run can be
+reproduced from any of its outputs.
 
 Exit codes: 0 success, 2 usage/parse error, non-finite number, empty work
 set or unwritable output path (output directories are checked before any
@@ -28,13 +29,14 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .bounds import GridSpec, default_mu_set, rank1_bound_margin, sweep_constant
 from .cartan import DominantWeight, TorusPoint, dim
 from .character import (
+    SCHUR_DIM_LIMIT,
     CharValue,
     ResourceLimitError,
     SingularInputError,
@@ -77,19 +79,24 @@ class RunConfig:
     params: Dict[str, object]
 
 
-# rows that several commands share: (name, default, argparse keywords); the
-# name is both the config-file key and, with "_" as "-", the flag
-_MU = ("mu", None, dict(help="dominant weight 'a,b'"))
+# A parameter row is (name, default, declaration).  The name is both the
+# config-file key and, with "_" as "-", the flag.  The declaration gives the
+# value's "type" (str when absent; the entry type of a list row), "nargs"
+# for a list row (its entry count, or "+" for one or more), "choices",
+# "least" (a lower bound), "budget" (an entry count past which the run would
+# allocate too much: a resource error, exit 3), "required", and the flag's
+# "help", the only key argparse sees.  Rows that several commands share:
+_MU = ("mu", None, dict(type=int, nargs=2, required=True, help="dominant weight 'a,b'"))
 _QUAD = (
     ("base_rule", 64, dict(type=int)),
     ("max_refinements", 6, dict(type=int)),
     ("rel_tol", 1e-6, dict(type=float)),
 )
 _MAPPING = ("mapping", "periodic_square", dict(choices=_MAPPINGS))
-_OUT = ("out", None, dict(type=str, help="write the result JSON here as well"))
+_OUT = ("out", None, dict(help="write the result JSON here as well"))
 _OUT_FILES = (
-    ("out_csv", None, dict(type=str, help="write the per-row table as CSV here")),
-    ("out_json", None, dict(type=str, help="write the summary JSON here")),
+    ("out_csv", None, dict(help="write the per-row table as CSV here")),
+    ("out_json", None, dict(help="write the summary JSON here")),
 )
 
 # output paths, checked before any computation
@@ -110,59 +117,88 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None,
                         help="JSON file of parameter defaults (flags override)")
         for name, default, kw in rows:
-            if default is not None:
-                kw = {**kw, "help": f"{kw.get('help', '')} (default: {default})".lstrip()}
-            sp.add_argument("--" + name.replace("_", "-"), default=None, **kw)
+            shown = "" if default is None else f" (default: {default})"
+            sp.add_argument("--" + name.replace("_", "-"), default=None,
+                            help=(kw.get("help", "") + shown).lstrip())
     return ap
 
 
-def _file_value(name: str, value, default, kw: dict):
-    """A config-file value read as its row's flag would read it, so that the
-    run and the echo agree: refuses booleans and values that the flag's type
-    would change (2.7 for an int, "5" for a number) or its choices reject,
-    and null where the default is not null.  NaN stays NaN."""
-    if value is None and default is not None:
-        raise UsageError(f"config key {name}: null is not allowed (default {default!r})")
-    kind, converted = kw.get("type"), value
-    if kind is not None and value is not None:
-        try:
-            converted = None if isinstance(value, bool) else kind(value)
-        except (TypeError, ValueError, OverflowError):
-            converted = None
-        if converted is None or not (converted == value or value != value):
-            raise UsageError(f"config key {name}: {json.dumps(value)} is not of type {kind.__name__}")
-    if "choices" in kw and converted not in kw["choices"]:
-        raise UsageError(f"config key {name}: {value!r} is not one of {list(kw['choices'])}")
-    return converted
+def _entry(what: str, x, text: bool, kw: dict):
+    """One scalar, or one entry of a list row, read with the row's type and
+    checked against its choices and bounds.  Flag text is parsed; JSON must
+    already be of the type (40.0 reads as the int 40, while 2.7, true or
+    "5" would run as something other than their echo).  NaN passes the type
+    check to be refused as non-finite."""
+    kind = kw.get("type", str)
+    try:
+        y = None if isinstance(x, bool) else kind(x)
+    except (TypeError, ValueError, OverflowError):
+        y = None
+    if y is None or not (text or y == x or x != x):
+        raise UsageError(f"{what}: cannot read {json.dumps(x)} as {kind.__name__}")
+    if isinstance(y, float) and not math.isfinite(y):
+        raise UsageError(f"{what} must be finite, got {y!r}")
+    if "choices" in kw and y not in kw["choices"]:
+        raise UsageError(f"{what}: {json.dumps(x)} is not one of {list(kw['choices'])}")
+    if "least" in kw and y < kw["least"]:
+        raise UsageError(f"{what} must be at least {kw['least']}, got {y!r}")
+    if "budget" in kw and y > kw["budget"]:
+        raise ResourceLimitError(f"{what} = {y} exceeds the {kw['budget']}-entry budget")
+    return y
+
+
+def _convert(row, value, text: bool):
+    """A row's typed value from its flag text (``text``), its config-file
+    JSON or its default.  A list row takes a JSON list or 'a,b' text."""
+    name, default, kw = row
+    what = f"--{name.replace('_', '-')} ({name})"
+    if value is None:
+        if kw.get("required"):
+            raise UsageError(f"{what} is required")
+        if default is not None:
+            raise UsageError(f"{what}: null is not allowed (default {json.dumps(default)})")
+        return None
+    nargs = kw.get("nargs")
+    if nargs is None:
+        return _entry(what, value, text, kw)
+    if isinstance(value, str):
+        value, text = value.split(","), True
+    if not (isinstance(value, list) and value and nargs in ("+", len(value))):
+        want = "one or more" if nargs == "+" else nargs
+        raise UsageError(f"{what} needs {want} entries, got {json.dumps(value)}")
+    return [_entry(what, x, text, kw) for x in value]
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    cmd = args.command
-    params = dict(_DEFAULTS[cmd])
-    raw = vars(args)
-    if raw.get("config"):
+    """Each row's flag, else config-file value, else default, through the one
+    converter; given values go first, so a bad one is named before a missing
+    required one.  Output directories are checked before any work."""
+    cmd, raw = args.command, vars(args)
+    rows = _COMMANDS[cmd][2]
+    file_params = {}
+    if raw["config"]:
         try:
             with open(raw["config"], "r", encoding="utf-8") as fh:
                 file_params = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot read config file {raw['config']}: {e}")
-        unknown = set(file_params) - set(params)
+        if not isinstance(file_params, dict):
+            raise UsageError(f"config file {raw['config']} is not a JSON object")
+        unknown = set(file_params) - set(_DEFAULTS[cmd])
         if unknown:
-            raise UsageError(
-                f"unknown config keys for {cmd}: {sorted(unknown)}"
-            )
-        for name, default, kw in _COMMANDS[cmd][2]:
-            if name in file_params:
-                file_params[name] = _file_value(name, file_params[name], default, kw)
-        params.update(file_params)
-    for key in params:
-        flag_val = raw.get(key)
-        if flag_val is not None:
-            params[key] = flag_val
+            raise UsageError(f"unknown config keys for {cmd}: {sorted(unknown)}")
+    flags = {name: raw[name] for name, _, _ in rows if raw[name] is not None}
+    file_params = {k: v for k, v in file_params.items() if k not in flags}
+    unset = {k: d for k, d in _DEFAULTS[cmd].items() if k not in file_params and k not in flags}
+    params = {}
+    for given, text in ((file_params, False), (flags, True), (unset, False)):
+        for row in rows:
+            if row[0] in given:
+                params[row[0]] = _convert(row, given[row[0]], text)
     for key in _OUTPUTS:
         path = params.get(key)
         if path:
-            parent = os.path.dirname(os.path.abspath(str(path)))
+            parent = os.path.dirname(os.path.abspath(path))
             if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
                 raise UsageError(
                     f"--{key.replace('_', '-')} {path}: directory {parent} "
@@ -174,46 +210,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 def _echo(cfg: RunConfig) -> Dict[str, object]:
     body = {k: v for k, v in sorted(cfg.params.items()) if k not in _NOT_ECHOED}
     return {"command": cfg.command, **body}
-
-
-def _parse_mu(value) -> DominantWeight:
-    if value is None:
-        raise UsageError("--mu is required (format 'a,b')")
-    try:
-        a, b = _parse_int_list(value, "--mu")
-    except ValueError:
-        raise UsageError(f"cannot parse --mu {value!r}; expected 'a,b'")
-    return DominantWeight(a, b)
-
-
-def _parse_float(value, what: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"cannot parse {what} {value!r}")
-    if not math.isfinite(x):
-        raise UsageError(f"{what} must be finite, got {x!r}")
-    return x
-
-
-def _parse_float_list(value, what: str) -> List[float]:
-    if not isinstance(value, (list, tuple)):
-        value = str(value).split(",")
-    return [_parse_float(x, what) for x in value]
-
-
-def _parse_int_list(value, what: str) -> List[int]:
-    """Integers from 'a,b,...' or from a config-file list of JSON integers
-    (1.5, true or "1" would run as something other than their echo)."""
-    if isinstance(value, (list, tuple)):
-        if all(type(x) is int for x in value):
-            return list(value)
-    else:
-        try:
-            return [int(x) for x in str(value).split(",")]
-        except ValueError:
-            pass
-    raise UsageError(f"cannot parse {what} {value!r}")
 
 
 def _emit(cfg: RunConfig, summary: dict, rows=()) -> None:
@@ -235,17 +231,11 @@ def _emit(cfg: RunConfig, summary: dict, rows=()) -> None:
 
 def _cmd_eval(cfg: RunConfig) -> int:
     p = cfg.params
-    mu = _parse_mu(p["mu"])
+    mu = DominantWeight(*p["mu"])
     if p["theta"] is not None:
-        theta = _parse_float_list(p["theta"], "--theta")
-        if len(theta) != 3:
-            raise UsageError("--theta needs exactly three angles")
-        H = TorusPoint(tuple(theta))
+        H = TorusPoint(tuple(p["theta"]))
     elif p["alcove"] is not None:
-        t = _parse_float_list(p["alcove"], "--alcove")
-        if len(t) != 2:
-            raise UsageError("--alcove needs exactly two coordinates")
-        H = TorusPoint.from_alcove_coords(t[0], t[1])
+        H = TorusPoint.from_alcove_coords(*p["alcove"])
     else:
         raise UsageError("one of --theta or --alcove is required")
 
@@ -256,15 +246,13 @@ def _cmd_eval(cfg: RunConfig) -> int:
         cv = chi_weyl(mu.shifted(), H)
     elif method == "schur":
         cv = chi_schur(mu, H)
-    elif method == "descent":
+    else:  # descent
         j = p["wall"]
         if j is None:
             walls = H.wall_norms()
             j = min(range(3), key=lambda i: walls[i])
         ts = descent_terms(mu.shifted(), H, j)
         cv = CharValue(ts.assembled(), f"descent{ts.j}", ts.condition)
-    else:
-        raise UsageError(f"unknown method {method!r}")
 
     t1, t2 = H.alcove_coords
     payload = {
@@ -293,17 +281,8 @@ def _cmd_verify_envelope(cfg: RunConfig) -> int:
     )
     mus = default_mu_set(p["dense_max"], p["shell_max"])
     rep = sweep_constant(mus, spec, seed=p["seed"], threads=p["threads"])
-    summary = {
-        "c_emp": rep.c_emp,
-        "argmax": dataclasses.asdict(rep.argmax),
-        "shells": list(rep.shells),
-        "mu_count": rep.mu_count,
-        "grid_total": rep.grid_total,
-        "seed": rep.seed,
-        "ratio_at_zero_exact": rep.ratio_at_zero_exact,
-        "finite_ok": rep.finite_ok,
-        "convention": rep.convention,
-    }
+    summary = dataclasses.asdict(rep)
+    del summary["per_mu"]
     _emit(cfg, summary, rep.per_mu)
     if not (rep.finite_ok and rep.ratio_at_zero_exact):
         raise InvariantViolation(
@@ -324,46 +303,31 @@ def _quad_spec(p: Dict[str, object]) -> QuadratureSpec:
 
 def _cmd_lp(cfg: RunConfig) -> int:
     p = cfg.params
-    mu = _parse_mu(p["mu"])
-    if p["p"] is None:
-        raise UsageError("--p is required")
-    rep = haar_lp_norm(mu, _parse_float(p["p"], "--p"), _quad_spec(p))
+    rep = haar_lp_norm(DominantWeight(*p["mu"]), p["p"], _quad_spec(p))
     _emit(cfg, dataclasses.asdict(rep))
     return EXIT_OK if rep.converged else EXIT_NONCONVERGENCE
 
 
 def _cmd_scaling(cfg: RunConfig) -> int:
     p = cfg.params
-    if p["family"] is None or p["p"] is None:
-        raise UsageError("--family and --p are required")
-    n_values = _parse_int_list(p["n_values"], "--n-values")
     try:
         fit = scaling_fit(
-            p["family"], _parse_float(p["p"], "--p"), tuple(n_values),
-            _quad_spec(p), b0=p["b0"],
+            p["family"], p["p"], tuple(p["n_values"]), _quad_spec(p), b0=p["b0"],
         )
     except ConvergenceError as e:
         partial = getattr(e, "partial_table", ())
         if p["out_csv"] and partial:
             emit_report(partial, "csv", p["out_csv"], config=_echo(cfg))
         raise
-    summary = {
-        "family": fit.family,
-        "p": fit.p,
-        "slope": fit.slope,
-        "residual": fit.residual,
-        "slope_trimmed": fit.slope_trimmed,
-        "residual_trimmed": fit.residual_trimmed,
-        "n_values": n_values,
-    }
+    summary = {**dataclasses.asdict(fit), "n_values": p["n_values"]}
+    del summary["table"]
     _emit(cfg, summary, fit.table)
     return EXIT_OK
 
 
 def _cmd_prop_i(cfg: RunConfig) -> int:
     p = cfg.params
-    p_values = _parse_float_list(p["p_values"], "--p-values")
-    pool = sorted(_parse_float_list(p["pool"], "--pool"))
+    p_values, pool = p["p_values"], sorted(p["pool"])
     spec = _quad_spec(p)
     triples = [
         (z, y, x)
@@ -395,7 +359,7 @@ def _cmd_prop_i(cfg: RunConfig) -> int:
         # the boundary step is reported unmetered
         per_p.append({
             "p": pv,
-            "K": max(shell_max.values(), default=None),
+            "K": max(shell_max.values()),
             "shells": shells,
             "boundary_growth": growths[0] if growths else 0.0,
             "max_shell_growth": max(growths[1:], default=0.0),
@@ -412,10 +376,6 @@ def _cmd_prop_i(cfg: RunConfig) -> int:
 def _cmd_rank1(cfg: RunConfig) -> int:
     p = cfg.params
     n_max, grid = p["n_max"], p["grid"]
-    if n_max < 0:
-        raise UsageError(f"--n-max must be nonnegative, got {n_max}")
-    if grid < 1:
-        raise UsageError(f"--grid must be at least 1, got {grid}")
     thetas = math.pi * (np.arange(grid, dtype=np.float64) + 1.0) / (grid + 1.0)
     min_margin = math.inf
     arg_n = -1
@@ -444,19 +404,14 @@ def _cmd_rank1(cfg: RunConfig) -> int:
 
 def _cmd_oracle_diff(cfg: RunConfig) -> int:
     p = cfg.params
-    mu = _parse_mu(p["mu"])
+    mu = DominantWeight(*p["mu"])
     samples = p["samples"]
-    if samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {samples}")
     regime = p["regime"]
     rng = np.random.default_rng(p["seed"])
     d = dim(mu)
     tol = p["tol"]
     if tol is None:
         tol = (1e-8 if regime == "regular" else 1e-6) * d
-    tol = _parse_float(tol, "--tol")
-    if tol < 0.0:
-        raise UsageError(f"--tol must be nonnegative, got {tol!r}")
 
     rows = []
     max_diff = 0.0
@@ -516,8 +471,8 @@ def _cmd_oracle_diff(cfg: RunConfig) -> int:
 _COMMANDS = {
     "eval": (_cmd_eval, "evaluate one character value", (
         _MU,
-        ("theta", None, dict(help="torus angles 'x,y,z' (must sum to 0)")),
-        ("alcove", None, dict(help="alcove coordinates 't1,t2'")),
+        ("theta", None, dict(type=float, nargs=3, help="torus angles 'x,y,z' (must sum to 0)")),
+        ("alcove", None, dict(type=float, nargs=2, help="alcove coordinates 't1,t2'")),
         ("method", "auto", dict(choices=["auto", "weyl", "descent", "schur"])),
         ("wall", None, dict(type=int, help="wall index for --method descent")),
         _OUT,
@@ -525,41 +480,42 @@ _COMMANDS = {
     "verify-envelope": (_cmd_verify_envelope, "ratio sweep certifying the envelope bound", (
         ("dense_max", 20, dict(type=int)),
         ("shell_max", 40, dict(type=int)),
-        ("grid_total", 10_000, dict(type=int)),
-        ("wall_per_edge", 500, dict(type=int)),
-        ("chamber", 500, dict(type=int)),
-        ("corner_scales", 8, dict(type=int)),
-        ("corner_rays", 5, dict(type=int)),
+        ("grid_total", 10_000, dict(type=int, budget=SCHUR_DIM_LIMIT)),
+        ("wall_per_edge", 500, dict(type=int, least=0)),
+        ("chamber", 500, dict(type=int, least=0)),
+        ("corner_scales", 8, dict(type=int, least=0)),
+        ("corner_rays", 5, dict(type=int, least=0)),
         ("seed", 2718, dict(type=int)),
         ("threads", None, dict(type=int, help="sweep workers (default: SU3CHAR_THREADS, else 1)")),
         *_OUT_FILES,
     )),
     "lp": (_cmd_lp, "Lp norm of one character", (
-        _MU, ("p", None, dict(type=float)), *_QUAD, _MAPPING, _OUT,
+        _MU, ("p", None, dict(type=float, required=True)), *_QUAD, _MAPPING, _OUT,
     )),
     "scaling": (_cmd_scaling, "log-log exponent fit along a weight family", (
-        ("family", None, dict(choices=_FAMILIES)),
-        ("p", None, dict(type=float)),
-        ("n_values", "8,16,32,64,128,256,512", dict(help="comma-separated N list")),
+        ("family", None, dict(choices=_FAMILIES, required=True)),
+        ("p", None, dict(type=float, required=True)),
+        ("n_values", "8,16,32,64,128,256,512", dict(type=int, nargs="+", help="comma-separated N list")),
         ("b0", 2, dict(type=int)),
         *_QUAD, _MAPPING, *_OUT_FILES,
     )),
     "prop-i": (_cmd_prop_i, "model-integral one-sided bound check", (
-        ("p_values", "2,2.8,3,4,5.5", dict(help="comma-separated p list")),
-        ("pool", "1,4,16,64,256", dict(help="comma-separated magnitudes for (a,b,c) triples")),
+        ("p_values", "2,2.8,3,4,5.5", dict(type=float, nargs="+", help="comma-separated p list")),
+        ("pool", "1,4,16,64,256",
+         dict(type=float, nargs="+", help="comma-separated magnitudes for (a,b,c) triples")),
         *_QUAD, *_OUT_FILES,
     )),
     "rank1": (_cmd_rank1, "rank-one bound margin over an exhaustive grid", (
-        ("n_max", 200, dict(type=int)),
-        ("grid", 10_000, dict(type=int)),
+        ("n_max", 200, dict(type=int, least=0)),
+        ("grid", 10_000, dict(type=int, least=1, budget=SCHUR_DIM_LIMIT)),
         _OUT,
     )),
     "oracle-diff": (_cmd_oracle_diff, "cross-method agreement on random torus points", (
         _MU,
-        ("samples", 100, dict(type=int)),
+        ("samples", 100, dict(type=int, least=1)),
         ("seed", 1234, dict(type=int)),
         ("regime", "regular", dict(choices=["regular", "wall"])),
-        ("tol", None, dict(type=float)),
+        ("tol", None, dict(type=float, least=0.0)),
         *_OUT_FILES,
     )),
 }

@@ -312,12 +312,79 @@ def test_config_file_integer_lists_are_not_truncated(capsys, tmp_path, cmd, key,
 def test_config_file_mu_list_runs_like_the_flag(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu": [2, 1], "theta": "0.5,-0.25,-0.25"}))
-    code, from_file, _ = run(capsys, "eval", "--config", str(cfg))
+    code, from_file, _ = run(capsys, "eval", "--config", str(cfg),
+                             "--out", str(tmp_path / "file.json"))
     assert code == EXIT_OK
     assert from_file["mu"] == [2, 1] and from_file["config"]["mu"] == [2, 1]
-    code, from_flag, _ = run(capsys, "eval", "--mu", "2,1", "--theta", "0.5,-0.25,-0.25")
+    code, from_flag, _ = run(capsys, "eval", "--mu", "2,1", "--theta", "0.5,-0.25,-0.25",
+                             "--out", str(tmp_path / "flag.json"))
     assert {k: v for k, v in from_file.items() if k != "config"} == \
         {k: v for k, v in from_flag.items() if k != "config"}
+    # the echo is the parsed value, so the artifacts agree byte for byte
+    assert from_file == from_flag
+    assert (tmp_path / "file.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+
+
+@pytest.mark.parametrize("cmd, file_values, flags", [
+    ("eval", {"mu": [2, 1], "theta": [0.5, -0.25, -0.25]},
+     ["--mu", "2,1", "--theta", "0.5,-0.25,-0.25"]),
+    ("eval", {"mu": "5,2", "alcove": [0.3, 1e-7]}, ["--mu", "5,2", "--alcove", "0.3,1e-7"]),
+    ("prop-i", {"p_values": [2, 4.0], "pool": [4, 1], "base_rule": 32},
+     ["--p-values", "2,4", "--pool", "4,1", "--base-rule", "32"]),
+])
+def test_config_file_lists_write_the_flags_bytes(capsys, tmp_path, cmd, file_values, flags):
+    # JSON lists (ints included for float rows) and flag text parse to one value
+    outs = ["--out"] if cmd == "eval" else ["--out-csv", "--out-json"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_values))
+    written = {}
+    for source, argv in (("file", ["--config", str(cfg)]), ("flag", flags)):
+        paths = [str(tmp_path / f"{source}{i}") for i in range(len(outs))]
+        code = main([cmd, *argv, *[a for pair in zip(outs, paths) for a in pair]])
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_OK, err
+        written[source] = [stdout.encode()] + [open(q, "rb").read() for q in paths]
+    assert written["file"] == written["flag"]
+
+
+@pytest.mark.parametrize("cmd, key, value", [
+    ("prop-i", "p_values", [True, "4"]),
+    ("prop-i", "p_values", [2, "4"]),
+    ("prop-i", "p_values", [True, 4]),
+    ("prop-i", "pool", [1, "4"]),
+    ("prop-i", "pool", [1, False]),
+    ("prop-i", "pool", [1, math.nan]),
+    ("prop-i", "p_values", []),
+    ("prop-i", "pool", []),
+    ("prop-i", "pool", 4),
+    ("eval", "theta", [True, 0, 0]),
+    ("eval", "theta", ["0", 0, 0]),
+    ("eval", "theta", [0.5, -0.5]),
+    ("eval", "alcove", ["0.3", 1]),
+    ("eval", "alcove", [False, 1]),
+])
+def test_config_file_float_lists_hold_finite_numbers(capsys, monkeypatch, tmp_path, cmd, key,
+                                                     value):
+    calls = []
+    for work in ("I_numeric_table", "chi_stable"):
+        monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value, "mu": [2, 1]} if cmd == "eval" else {key: value}))
+    code, payload, err = run(capsys, cmd, "--config", str(cfg))
+    assert code == EXIT_USAGE and payload is None
+    assert calls == []
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert f"--{key.replace('_', '-')} ({key})" in diag["message"]
+
+
+@pytest.mark.parametrize("text", ["5", "[]", '"mu"'])
+def test_config_file_must_hold_an_object(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "rank1", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert "JSON object" in json.loads(err)["message"]
 
 
 def test_prop_i_non_convergence_names_the_first_integral(capsys, tmp_path):
@@ -391,7 +458,7 @@ def test_scaling_small_run(capsys, tmp_path):
     assert 0.15 < payload["slope"] < 0.35
     config, rows = read_report_csv(csv_p)
     assert [r["N"] for r in rows] == [4, 8, 16, 32]
-    assert config["n_values"] == "4,8,16,32"
+    assert config["n_values"] == [4, 8, 16, 32]
 
 
 def test_prop_i_small_run(capsys, tmp_path):
@@ -461,6 +528,38 @@ def test_lp_grid_stage_budget_trips_before_allocating(capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["rank1", "--grid", "10000001"], "--grid (grid) = 10000001"),
+    (["verify-envelope", "--grid-total", "10000001"], "--grid-total (grid_total) = 10000001"),
+])
+def test_grid_budgets_trip_before_allocating(capsys, argv, size):
+    # one past the 10^7-entry budget: 80 MB per float64 array had it run
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_RESOURCE
+    diag = json.loads(err)
+    assert diag["error"] == "resource-limit"
+    assert size in diag["message"] and "budget" in diag["message"]
+    assert peak < 1 << 20
+
+
+def test_grid_strata_over_the_total_fail_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "verify-envelope", "--grid-total", "100",
+                           "--wall-per-edge", "1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert "too small" in json.loads(err)["message"]
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--mu", "2,1", "--alcove", "1.0,2.0"],
     ["lp", "--mu", "2,1", "--p", "4"],
@@ -481,6 +580,14 @@ def test_out_file_echoes_the_config(capsys, tmp_path, argv):
     (["rank1", "--n-max", "-1"], "--n-max"),
     (["rank1", "--grid", "0"], "--grid"),
     (["oracle-diff", "--mu", "1,1", "--samples", "2", "--tol", "-1"], "--tol"),
+    (["lp", "--mu", "1,0", "--p", "abc"], "--p (p)"),
+    (["rank1", "--grid", "x"], "--grid (grid)"),
+    (["rank1", "--n-max", "2.5"], "--n-max (n_max)"),
+    (["oracle-diff", "--mu", "3,1", "--regime", "walls"], "--regime (regime)"),
+    (["eval", "--mu", "1,0", "--alcove", "1,2,3"], "--alcove (alcove)"),
+    (["eval", "--theta", "0,0,0"], "--mu (mu) is required"),
+    (["scaling", "--p", "4"], "--family (family) is required"),
+    (["verify-envelope", "--corner-rays", "-1"], "--corner-rays (corner_rays)"),
 ])
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, names):
     code, _, err = run(capsys, *argv)
@@ -500,6 +607,11 @@ def _row_values(row, tmp_path):
     name, default, kw = row
     if name in ("out", "out_csv", "out_json"):
         return str(tmp_path / "from_file"), str(tmp_path / "from_flag"), str(tmp_path / "from_flag")
+    if kw.get("nargs"):
+        # a list row: as many entries as it takes, two where it takes one or more
+        n = 2 if kw["nargs"] == "+" else kw["nargs"]
+        from_file, flag_text, from_flag = _row_values((name, None, {**kw, "nargs": None}), tmp_path)
+        return [from_file] * n, ",".join([flag_text] * n), [from_flag] * n
     if "choices" in kw:
         from_file = next(c for c in kw["choices"] if c != default)
         from_flag = next(c for c in kw["choices"] if c != from_file)
@@ -512,9 +624,18 @@ def _row_values(row, tmp_path):
     return "from_file", "from_flag", "from_flag"
 
 
+def _required_flags(cmd, skip=None):
+    """Flag arguments that fill the required rows of cmd other than skip."""
+    argv = []
+    for row in cli._COMMANDS[cmd][2]:
+        if row[2].get("required") and row[0] != skip:
+            argv += ["--" + row[0].replace("_", "-"), _row_values(row, None)[1]]
+    return argv
+
+
 @pytest.mark.parametrize("cmd, row", TABLE_ROWS, ids=[f"{c}:{r[0]}" for c, r in TABLE_ROWS])
 def test_every_table_row_is_a_config_key_and_a_flag(capsys, tmp_path, cmd, row):
-    name, default, _ = row
+    name, default, kw = row
     flag = "--" + name.replace("_", "-")
     from_file, flag_text, from_flag = _row_values(row, tmp_path)
     cfg_path = tmp_path / "cfg.json"
@@ -522,9 +643,15 @@ def test_every_table_row_is_a_config_key_and_a_flag(capsys, tmp_path, cmd, row):
     parser = cli._build_parser()
 
     def resolved(*argv):
-        return cli._resolve(parser.parse_args([cmd, *argv])).params[name]
+        return cli._resolve(parser.parse_args([cmd, *_required_flags(cmd, name), *argv])).params[name]
 
-    assert resolved() == default
+    if kw.get("nargs") and default is not None:
+        default = [kw["type"](x) for x in default.split(",")]  # written as flag text
+    if kw.get("required"):
+        with pytest.raises(cli.UsageError, match=f"{flag} \\({name}\\) is required"):
+            resolved()
+    else:
+        assert resolved() == default
     assert resolved("--config", str(cfg_path)) == from_file
     assert resolved("--config", str(cfg_path), flag, flag_text) == from_flag
     with pytest.raises(SystemExit):
@@ -534,6 +661,6 @@ def test_every_table_row_is_a_config_key_and_a_flag(capsys, tmp_path, cmd, row):
 
 @pytest.mark.parametrize("cmd", list(cli._COMMANDS))
 def test_echo_is_the_table_rows_minus_runtime_knobs(cmd):
-    cfg = cli._resolve(cli._build_parser().parse_args([cmd]))
+    cfg = cli._resolve(cli._build_parser().parse_args([cmd, *_required_flags(cmd)]))
     names = {name for name, _, _ in cli._COMMANDS[cmd][2]}
     assert set(cli._echo(cfg)) == {"command"} | names - {"threads", "out", "out_csv", "out_json"}
