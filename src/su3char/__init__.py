@@ -16,15 +16,12 @@ from .cartan import (
     RHO,
     WEYL_GROUP,
     DominantWeight,
-    FoldResult,
     MuStats,
     RegularTriple,
     Root,
     TorusPoint,
     WeylElement,
     dim,
-    fold_to_alcove,
-    in_alcove,
     mu_stats,
     pairing_root_torus,
     pairing_weight_root,

@@ -214,6 +214,10 @@ def rank1_bound_margin(n: int, theta):
 # stratified alcove grids and the constant sweep
 # ---------------------------------------------------------------------------
 
+# Distance of the wall strata from the alcove corners, in t units.
+EDGE_MARGIN = 0.05
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Stratified alcove grid; interior count is total minus the strata."""
@@ -223,7 +227,11 @@ class GridSpec:
     chamber_wall_points: int = 500    # theta = (x,-2x,x): <alpha0,H> == 0.0
     corner_scales: int = 8            # approach distances 2pi*10^{-k}
     corner_rays: int = 5
-    edge_margin: float = 0.05
+
+    def __post_init__(self):
+        for name in ("wall_points_per_edge", "chamber_wall_points", "corner_scales", "corner_rays"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"GridSpec.{name} must be >= 0, got {getattr(self, name)}")
 
     def interior_points(self) -> int:
         n = (
@@ -277,7 +285,7 @@ def build_grid(spec: GridSpec, seed: int) -> GridPoints:
 
     # exact simple-root wall hits: t1 == 0.0 and t2 == 0.0 in floating point
     n = spec.wall_points_per_edge
-    span = np.linspace(spec.edge_margin, TWO_PI - spec.edge_margin, n)
+    span = np.linspace(EDGE_MARGIN, TWO_PI - EDGE_MARGIN, n)
     add(np.zeros(n), span, "wall_t1")
     add(span, np.zeros(n), "wall_t2")
     # far edge t1 + t2 = 2pi (affine alpha0 wall, hit to rounding)
@@ -338,6 +346,9 @@ class SweepReport:
 # points (wall sines, routes, rank-one and phase rows, inverse walls) is
 # built once per block and shared by every weight.
 SWEEP_BLOCK = 1024
+
+# Most sweep workers; every block is submitted to the pool at once.
+MAX_THREADS = 64
 
 # Entries (weights x points) per tile of the sweep: the weights are evaluated
 # in chunks of CHUNK_WEIGHTS, each route once per chunk on a [weights x points]
@@ -411,12 +422,16 @@ def sweep_constant(
     depend on the thread count, and a weight's record does not depend on
     the other weights swept with it.
     """
+    what = "threads"
     if threads is None:
-        raw = os.environ.get("SU3CHAR_THREADS", "1")
+        what = "SU3CHAR_THREADS"
+        raw = os.environ.get(what, "1")
         try:
             threads = int(raw)
         except ValueError:
-            raise ValueError(f"SU3CHAR_THREADS must be an integer, got {raw!r}") from None
+            raise ValueError(f"{what} must be an integer, got {raw!r}") from None
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"{what} must be between 1 and {MAX_THREADS}, got {threads}")
     spec = grid_spec or GridSpec()
     mus = [m if isinstance(m, DominantWeight) else DominantWeight(*m) for m in mu_range]
     if not mus:

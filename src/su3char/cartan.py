@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 __all__ = [
     "TorusPoint",
@@ -34,7 +34,6 @@ __all__ = [
     "RegularTriple",
     "WeylElement",
     "MuStats",
-    "FoldResult",
     "ALPHA1",
     "ALPHA2",
     "ALPHA0",
@@ -52,15 +51,11 @@ __all__ = [
     "wall_coset",
     "dim",
     "mu_stats",
-    "fold_to_alcove",
-    "in_alcove",
     "theta_from_alcove",
 ]
 
-TWO_PI = 2.0 * math.pi
-
-# Trace-zero gauge tolerance for torus points (absolute, scaled by magnitude
-# for large inputs so fold targets can be validated too).
+# Trace-zero gauge tolerance for torus points (absolute, scaled by the
+# largest angle for large inputs).
 SUM_TOL = 1e-12
 
 
@@ -71,24 +66,13 @@ class TorusPoint:
     theta: Tuple[float, float, float]
 
     def __post_init__(self):
+        # a finite sum implies finite angles, so this also refuses NaN and inf
         s = self.theta[0] + self.theta[1] + self.theta[2]
         scale = max(1.0, max(abs(x) for x in self.theta))
-        if abs(s) > SUM_TOL * scale:
+        if not (math.isfinite(s) and abs(s) <= SUM_TOL * scale):
             raise ValueError(
-                f"torus angles must sum to zero (got sum {s!r}); "
-                "recenter or use fold_to_alcove for raw triples"
+                f"torus angles must be finite and sum to zero (got {self.theta!r})"
             )
-
-    @classmethod
-    def from_theta(cls, t1: float, t2: float, t3: float) -> "TorusPoint":
-        """Validate and recenter an angle triple (removes the eps-level drift)."""
-        s = (t1 + t2 + t3) / 3.0
-        scale = max(1.0, abs(t1), abs(t2), abs(t3))
-        if abs(t1 + t2 + t3) > SUM_TOL * scale:
-            raise ValueError(f"angles sum to {t1 + t2 + t3!r}, not a torus point")
-        if s != 0.0:
-            t1, t2, t3 = t1 - s, t2 - s, t3 - s
-        return cls((t1, t2, t3))
 
     @classmethod
     def from_alcove_coords(cls, t1: float, t2: float) -> "TorusPoint":
@@ -107,9 +91,6 @@ class TorusPoint:
             wall_norm(self, ALPHA1),
             wall_norm(self, ALPHA2),
         )
-
-    def min_wall(self) -> float:
-        return min(self.wall_norms())
 
 
 def theta_from_alcove(t1, t2):
@@ -332,75 +313,3 @@ class MuStats:
 def mu_stats(mu: DominantWeight) -> MuStats:
     p = sorted((mu.a + 1, mu.b + 1, mu.a + mu.b + 2), reverse=True)
     return MuStats(mu_bar=p[0], mu_min=p[2], sorted_pairings=tuple(p))
-
-
-# ---------------------------------------------------------------------------
-# Alcove membership and folding
-# ---------------------------------------------------------------------------
-
-def in_alcove(H: TorusPoint, tol: float = 0.0) -> bool:
-    t1, t2 = H.alcove_coords
-    return t1 >= -tol and t2 >= -tol and (t1 + t2) <= TWO_PI + tol
-
-
-@dataclass(frozen=True)
-class FoldResult:
-    """Fold log: point = perm applied to input, then + 2*pi*shift."""
-
-    point: TorusPoint
-    perm: WeylElement
-    shift: Tuple[int, int, int]  # integer coroot vector, sums to zero
-    iterations: int
-
-
-def fold_to_alcove(theta: Iterable[float]) -> FoldResult:
-    """Map a raw trace-zero angle triple into the fundamental alcove.
-
-    Sort the angles (a Weyl move), then translate by 2*pi integer coroot
-    vectors of the form (-1, 0, 1) until the spread theta1 - theta3 is at
-    most 2*pi, re-sorting after each translation.  Both move types fix the
-    character exactly: sorting is conjugation by a permutation matrix and
-    exp(2*pi*i*diag(v)) = Id for integer trace-zero v.
-    """
-    th = [float(x) for x in theta]
-    s = sum(th)
-    scale = max(1.0, max(abs(x) for x in th))
-    if abs(s) > 1e-9 * scale:
-        raise ValueError(f"raw angles must sum to ~0 (got {s!r})")
-    th = [x - s / 3.0 for x in th]
-
-    max_iter = int(10 * (1 + max(abs(x) for x in th) / TWO_PI))
-    # tracks cumulative transform: current = perm(input) + 2*pi*shift
-    perm = IDENTITY
-    shift = [0, 0, 0]
-    iterations = 0
-    for _ in range(max_iter + 1):
-        iterations += 1
-        # sort descending; record the slot permutation (stable for ties)
-        order = sorted(range(3), key=lambda i: -th[i])
-        if order != [0, 1, 2]:
-            # element sending slot order[r] -> slot r+1
-            p = [0, 0, 0]
-            for r, i in enumerate(order):
-                p[i] = r + 1
-            step = WeylElement(tuple(p))
-            th = list(step.apply(th))
-            shift = list(step.apply(shift))
-            perm = step * perm
-        if th[0] - th[2] <= TWO_PI:
-            # the eps-scale sum left over from a huge input would trip the
-            # TorusPoint gauge check; recentering shifts pairings by ~1e-16
-            m = (th[0] + th[1] + th[2]) / 3.0
-            return FoldResult(
-                point=TorusPoint((th[0] - m, th[1] - m, th[2] - m)),
-                perm=perm,
-                shift=tuple(shift),
-                iterations=iterations,
-            )
-        th[0] -= TWO_PI
-        th[2] += TWO_PI
-        shift[0] -= 1
-        shift[2] += 1
-    raise RuntimeError(
-        f"alcove fold did not terminate after {max_iter} iterations"
-    )

@@ -17,7 +17,7 @@ one-line JSON diagnostics on stderr.
 
 ``SU3CHAR_THREADS`` sets the default worker count for sweeps
 (``verify-envelope --threads`` overrides it); results are byte-identical for
-any thread count.
+any thread count 1-64.
 """
 
 from __future__ import annotations
@@ -474,7 +474,7 @@ _COMMANDS = {
         ("theta", None, dict(type=float, nargs=3, help="torus angles 'x,y,z' (must sum to 0)")),
         ("alcove", None, dict(type=float, nargs=2, help="alcove coordinates 't1,t2'")),
         ("method", "auto", dict(choices=["auto", "weyl", "descent", "schur"])),
-        ("wall", None, dict(type=int, help="wall index for --method descent")),
+        ("wall", None, dict(type=int, choices=[0, 1, 2], help="wall index for --method descent")),
         _OUT,
     )),
     "verify-envelope": (_cmd_verify_envelope, "ratio sweep certifying the envelope bound", (

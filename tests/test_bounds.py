@@ -223,6 +223,17 @@ def test_grid_spec_rejects_overfull_strata():
         GridSpec(total=10).interior_points()
 
 
+@pytest.mark.parametrize("field, kw", [
+    # corner_scales = -1 once padded the interior: 115 points for total = 100
+    ("corner_scales", dict(total=100, wall_points_per_edge=0, chamber_wall_points=0,
+                           corner_scales=-1, corner_rays=5)),
+    ("corner_rays", dict(corner_rays=-3)),
+])
+def test_grid_spec_refuses_negative_strata(field, kw):
+    with pytest.raises(ValueError, match=f"GridSpec.{field} must be >= 0"):
+        GridSpec(**kw)
+
+
 def test_default_mu_set_shape():
     mus = default_mu_set(4, 8)
     shells = {}

@@ -20,8 +20,6 @@ from su3char import (
     TorusPoint,
     WeylElement,
     dim,
-    fold_to_alcove,
-    in_alcove,
     mu_stats,
     pairing_root_torus,
     pairing_weight_root,
@@ -241,25 +239,10 @@ def test_theta_from_alcove_is_trace_zero():
     assert abs(sum(th)) <= 1e-15
 
 
-def test_fold_fixes_points_already_inside():
-    H = (math.pi / 3, 0.0, -math.pi / 3)
-    res = fold_to_alcove(H)
-    assert res.point.theta == H
-    assert res.perm == IDENTITY
-    assert res.shift == (0, 0, 0)
-
-
-def test_fold_sorts_and_translates():
-    res = fold_to_alcove((-math.pi / 3, 0.0, math.pi / 3))
-    assert res.point.theta == pytest.approx((math.pi / 3, 0.0, -math.pi / 3))
-    res = fold_to_alcove((7 * math.pi / 3, 0.0, -7 * math.pi / 3))
-    assert res.point.theta == pytest.approx((math.pi / 3, 0.0, -math.pi / 3))
-    assert in_alcove(res.point, tol=1e-9)
-
-
-def test_fold_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        fold_to_alcove((1.0, 1.0, 1.0))
+def test_torus_point_refuses_non_finite_angles():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TorusPoint((bad, 0.0, 0.0))
 
 
 @given(
@@ -267,15 +250,9 @@ def test_fold_rejects_bad_sum():
     st.floats(-40.0, 40.0),
     st.builds(DominantWeight, st.integers(0, 6), st.integers(0, 6)),
 )
-def test_fold_lands_in_alcove_and_preserves_characters(x, y, mu):
-    raw = (x, y, -(x + y))
-    res = fold_to_alcove(raw)
-    assert in_alcove(res.point, tol=1e-9)
-    # the fold is made of character-preserving moves; check against the
-    # pattern-sum oracle, which needs no regularity
-    before = chi_schur(mu, fold_to_alcove(raw).point).value
-    shifted = [raw[i] - sum(raw) / 3.0 for i in range(3)]
-    after = chi_schur(mu, res.point).value
-    assert before == after  # same folded point: sanity on determinism
-    direct = chi_schur(mu, TorusPoint.from_theta(*shifted)).value
-    assert abs(direct - after) <= 1e-8 * dim(mu)
+def test_characters_are_invariant_under_coroot_translation(x, y, mu):
+    # exp(2*pi*i*diag(v)) = Id for an integer trace-zero v; the pattern sum
+    # needs no regularity
+    H = TorusPoint((x, y, -(x + y)))
+    moved = TorusPoint((x - 2.0 * math.pi, y, -(x + y) + 2.0 * math.pi))
+    assert abs(chi_schur(mu, moved).value - chi_schur(mu, H).value) <= 1e-8 * dim(mu)

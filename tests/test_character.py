@@ -37,7 +37,7 @@ def torus_points(draw, min_wall=0.0):
     t2 = draw(st.floats(0.0, 1.0)) * (TWO_PI - t1)
     H = TorusPoint.from_alcove_coords(t1, t2)
     if min_wall > 0.0:
-        assume(H.min_wall() >= min_wall)
+        assume(min(H.wall_norms()) >= min_wall)
     return H
 
 

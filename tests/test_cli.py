@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from su3char import cli, read_report_csv
+from su3char import bounds, cli, read_report_csv
 from su3char.cli import (
     EXIT_INVARIANT,
     EXIT_NONCONVERGENCE,
@@ -142,6 +142,43 @@ def test_stdout_json_is_strict(capsys):
     assert payload["condition"] == "inf"
 
 
+@pytest.mark.parametrize("method", ["auto", "weyl"])
+def test_eval_non_finite_torus_point_is_a_usage_error(capsys, method):
+    # t1 = t2 = 1e308 overflows the angle triple to NaN
+    code, payload, err = run(capsys, "eval", "--mu", "1,0", "--alcove", "1e308,1e308",
+                             "--method", method)
+    assert code == EXIT_USAGE and payload is None
+    assert len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert "finite" in diag["message"]
+
+
+@pytest.mark.parametrize("flags, env, name", [
+    (["--threads", "0"], None, "threads"),
+    (["--threads", "-3"], None, "threads"),
+    (["--threads", "65"], None, "threads"),
+    ([], "0", "SU3CHAR_THREADS"),
+])
+def test_thread_count_outside_1_to_64_is_refused_before_the_work(capsys, monkeypatch, flags,
+                                                                  env, name):
+    def no_work(*a, **k):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(bounds, "build_grid", no_work)
+    monkeypatch.setattr(bounds, "ThreadPoolExecutor", no_work)
+    if env is None:
+        monkeypatch.delenv("SU3CHAR_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SU3CHAR_THREADS", env)
+    code, payload, err = run(capsys, "verify-envelope", *flags)
+    assert code == EXIT_USAGE and payload is None
+    assert len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert f"{name} must be between 1 and 64" in diag["message"]
+
+
 def test_bad_thread_count_names_the_variable(capsys, monkeypatch):
     monkeypatch.setenv("SU3CHAR_THREADS", "abc")
     code, _, err = run(capsys, "verify-envelope", "--dense-max", "1", "--shell-max", "2")
@@ -233,6 +270,7 @@ def test_config_file_unknown_key_rejected(capsys, tmp_path):
     ("oracle-diff", "regime", "walls"),
     ("lp", "mapping", "square"),
     ("eval", "method", None),
+    ("eval", "wall", 7),
 ])
 def test_config_file_values_obey_the_flag_choices(capsys, tmp_path, cmd, key, value):
     cfg = tmp_path / "cfg.json"
@@ -588,6 +626,7 @@ def test_out_file_echoes_the_config(capsys, tmp_path, argv):
     (["eval", "--theta", "0,0,0"], "--mu (mu) is required"),
     (["scaling", "--p", "4"], "--family (family) is required"),
     (["verify-envelope", "--corner-rays", "-1"], "--corner-rays (corner_rays)"),
+    (["eval", "--mu", "1,0", "--alcove", "0.3,1", "--wall", "7"], "--wall (wall)"),
 ])
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, names):
     code, _, err = run(capsys, *argv)
@@ -615,7 +654,7 @@ def _row_values(row, tmp_path):
     if "choices" in kw:
         from_file = next(c for c in kw["choices"] if c != default)
         from_flag = next(c for c in kw["choices"] if c != from_file)
-        return from_file, from_flag, from_flag
+        return from_file, str(from_flag), from_flag
     kind = kw.get("type", str)
     if kind is int:
         return 3, "5", 5
