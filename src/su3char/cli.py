@@ -49,6 +49,8 @@ from .character import (
 from .lpnorms import (
     _FAMILIES,
     _MAPPINGS,
+    MAX_BASE_RULE,
+    MAX_REFINEMENTS,
     ConvergenceError,
     I_bound,
     I_numeric_table,
@@ -83,13 +85,13 @@ class RunConfig:
 # config-file key and, with "_" as "-", the flag.  The declaration gives the
 # value's "type" (str when absent; the entry type of a list row), "nargs"
 # for a list row (its entry count, or "+" for one or more), "choices",
-# "least" (a lower bound), "budget" (an entry count past which the run would
-# allocate too much: a resource error, exit 3), "required", and the flag's
-# "help", the only key argparse sees.  Rows that several commands share:
+# "least" and "most" (bounds), "budget" (an entry count past which the run
+# would allocate too much: a resource error, exit 3), "required", and the
+# flag's "help", the only key argparse sees.  Rows that several commands share:
 _MU = ("mu", None, dict(type=int, nargs=2, required=True, help="dominant weight 'a,b'"))
 _QUAD = (
-    ("base_rule", 64, dict(type=int)),
-    ("max_refinements", 6, dict(type=int)),
+    ("base_rule", 64, dict(type=int, least=2, most=MAX_BASE_RULE)),
+    ("max_refinements", 6, dict(type=int, least=0, most=MAX_REFINEMENTS)),
     ("rel_tol", 1e-6, dict(type=float)),
 )
 _MAPPING = ("mapping", "periodic_square", dict(choices=_MAPPINGS))
@@ -142,6 +144,8 @@ def _entry(what: str, x, text: bool, kw: dict):
         raise UsageError(f"{what}: {json.dumps(x)} is not one of {list(kw['choices'])}")
     if "least" in kw and y < kw["least"]:
         raise UsageError(f"{what} must be at least {kw['least']}, got {y!r}")
+    if "most" in kw and y > kw["most"]:
+        raise UsageError(f"{what} must be at most {kw['most']}, got {y!r}")
     if "budget" in kw and y > kw["budget"]:
         raise ResourceLimitError(f"{what} = {y} exceeds the {kw['budget']}-entry budget")
     return y

@@ -19,17 +19,18 @@ integrand's bandwidth.
 The periodic-square rule needs no character evaluator.  By the Weyl
 character formula chi_mu is a trigonometric polynomial with nonnegative
 integer coefficients, the weight multiplicities M[w1, w3]
-(:func:`multiplicities`, the closed-form Gelfand-Tsetlin pattern count,
-exact in int64).  Up to a unit-modulus phase,
-chi = sum M[w1, w3] exp(i(w1 t1 - w3 t2)); on the n x n grid this is a 2-D
-DFT of M folded modulo n (aliasing folds the coefficients exactly).  Each
-grid level takes an rfft along w3 -- M is real, so chi(-t) = conj chi(t),
-and with w(-t) = w(t) only the columns j2 in [0, n/2] are needed, interior
-ones counted twice -- then a length-n inverse FFT along w1 over blocks of
-at most ``BLOCK_NODES`` nodes, forming (|chi|/dim)^p * w and Z from the
-same tiles with w taken from a sine table.  Scaling by dim keeps every
-power <= 1, so no p overflows.  Peak memory is one block plus the
-(a+b+1) x (n/2+1) complex stage, whatever n is.
+(:func:`multiplicities`, exact in int64): up to a unit-modulus phase,
+chi = sum M[w1, w3] exp(i(w1 t1 - w3 t2)).  Level k's grid, n = K n0 nodes
+per axis with K = 2^k and n0 5-smooth, is the union of K^2 shifted n0-grids
+t = 2pi (K q + r)/n, the "r-grids" (decimation in frequency).  On one,
+chi is an n0 x n0 2-D DFT of M times the phases exp(2pi i (w1 r1 - w3 r2)/n),
+folded modulo n0, and (|chi|/dim)^p * w and Z are summed over blocks of at
+most ``BLOCK_NODES`` nodes.  W x {+-1} maps r-grids onto r-grids without
+changing the integrand, so a level is a sum over the orbits of residues r
+of |orbit| times one r-grid's sums; the even residues are the previous
+level's grids, so each level computes only its new orbits (1, 1, 2, 6, 20,
+72 r-grids for K = 1..32).  Memory is fixed by n0 whatever the level, and
+scaling by dim keeps every power <= 1, so no p overflows.
 
 A Duffy-mapped triangle rule over A, which evaluates chi node by node
 through ``chi_on_grid``, is kept as the independent cross-check mapping.
@@ -45,7 +46,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +83,8 @@ A0_SIDE = 4.0 * math.pi / 3.0
 _P_TOL = 1e-9  # width of the exact-exponent boundary cases p = 8/3, 3, 5
 
 _MAPPINGS = ("periodic_square", "duffy")
+MAX_BASE_RULE = 512  # leggauss(n) builds an n x n companion matrix
+MAX_REFINEMENTS = 8  # 4^k triangles on the Duffy path, 4^k residues on the period square
 
 
 @dataclass(frozen=True)
@@ -93,10 +97,11 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf):
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-        if self.base_rule < 2:
-            raise ValueError("base_rule must be at least 2")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be nonnegative")
+        if not 2 <= self.base_rule <= MAX_BASE_RULE:
+            raise ValueError(f"base_rule must be in 2..{MAX_BASE_RULE}, got {self.base_rule!r}")
+        if not 0 <= self.max_refinements <= MAX_REFINEMENTS:
+            raise ValueError(f"max_refinements must be in 0..{MAX_REFINEMENTS}, "
+                             f"got {self.max_refinements!r}")
         if self.mapping not in _MAPPINGS:
             raise ValueError(f"mapping must be one of {_MAPPINGS}")
 
@@ -153,64 +158,106 @@ def _fold(m: np.ndarray, n: int) -> np.ndarray:
     return padded.reshape(k // n, n, k // n, n).sum(axis=(0, 2))
 
 
-def _fft_level(m: np.ndarray, d: int, p: float, n: int) -> Tuple[float, float]:
-    """(h^2 sum (|chi|/d)^p w, h^2 sum w) over the n x n period-square grid.
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n (a fast FFT length): the least m 2^i >= n
+    over odd parts m = 3^j 5^k."""
+    odd = (3 ** j * 5 ** k for j in range(n.bit_length()) for k in range(n.bit_length()))
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
 
-    Refuses, before allocating, a complex stage of more than SCHUR_DIM_LIMIT
-    entries (rows of M after folding times the n/2 + 1 rfft columns).
-    """
-    stage = min(m.shape[0], n) * (n // 2 + 1)
-    if stage > SCHUR_DIM_LIMIT:
-        raise ResourceLimitError(
-            f"grid level n = {n} needs a {min(m.shape[0], n)} x {n // 2 + 1} complex "
-            f"stage ({stage} entries, {16 * stage / 1e6:.0f} MB), over the "
-            f"{SCHUR_DIM_LIMIT}-entry budget"
-        )
-    # g[j2, w1] = sum_w3 M[w1, w3] exp(-2 pi i w3 j2 / n) / d, j2 <= n/2
-    g = np.ascontiguousarray(np.fft.rfft(_fold(m, n) / d, n=n, axis=1).T)
-    # sin^2(t/2) at t = 2 pi j / n, periodic in j with period n.  The
-    # argument is folded to pi*min(j, n-j)/n: near pi, the rounding of the
-    # argument would be a large relative error of sin, biased by the sign of
-    # float(pi) - pi, right at the walls where |chi|^p concentrates.
-    j = np.arange(n)
-    s2 = np.sin(np.pi * np.minimum(j, n - j) / n) ** 2
-    s2 = np.concatenate((s2, s2))
-    shifted = np.lib.stride_tricks.sliding_window_view(s2, n)  # [j2, j1] -> s2[j1 + j2]
-    j2 = np.arange(g.shape[0])
-    # column j2 and column n - j2 hold the same values; count each pair once
-    col = np.where((j2 == 0) | (2 * j2 == n), 1.0, 2.0) * s2[j2]
-    rows = max(1, BLOCK_NODES // n)
+
+@lru_cache(maxsize=None)
+def _orbits(K: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The orbits of W x {+-1} on residue pairs (t1, t2) mod K, each sorted,
+    in order of representative (its first entry).  W permutes the angle
+    triple (t1, t2, -t1 - t2); -1 conjugates."""
+    return tuple(sorted({
+        tuple(sorted({(s * x % K, s * y % K) for x, y, _ in itertools.permutations((a, b, -a - b))
+                      for s in (1, -1)}))
+        for a, b in itertools.product(range(K), repeat=2)
+    }))
+
+
+def _sin2(j: np.ndarray, n: int) -> np.ndarray:
+    """sin^2(pi j / n), the argument folded to pi*min(j, n-j)/n: near pi its
+    rounding, biased by float(pi) - pi, would be a large relative error of
+    sin right at the walls where |chi|^p concentrates."""
+    j = j % n
+    return np.sin(np.pi * np.minimum(j, n - j) / n) ** 2
+
+
+def _rgrid_sums(m: np.ndarray, d: int, p: float, n0: int, K: int,
+                r: Tuple[int, int]) -> Tuple[float, float]:
+    """(sum (|chi|/d)^p w, sum w) over the r-grid t = 2pi (K q + r)/(K n0)."""
+    n, (r1, r2) = K * n0, r
+    k = np.arange(len(m))
+    x = _fold(m / d * np.exp(2j * np.pi * (k * r1 % n / n))[:, None]
+              * np.exp(-2j * np.pi * (k * r2 % n / n)), n0)
+    # g[q2, w1]; at r = 0, M is real and w even, so columns q2 and n0 - q2
+    # agree: only the rfft's columns q2 <= n0/2 are formed, pairs counted once
+    real = not (r1 or r2)
+    g = np.ascontiguousarray((np.fft.rfft(x.real, n=n0, axis=1) if real
+                              else np.fft.fft(x, n=n0, axis=1)).T)
+    del x
+    q = np.arange(n0)
+    twice = np.where(real & (q[:len(g)] != 0) & (2 * q[:len(g)] != n0), 2.0, 1.0)
+    s1 = _sin2(K * q + r1, n)
+    s2 = _sin2(K * q[:len(g)] + r2, n) * twice
+    s3 = _sin2(K * np.arange(2 * n0 - 1) + r1 + r2, n)  # at q1 + q2
+    rows = max(1, BLOCK_NODES // n0)
     nums, dens = [], []
-    for lo in range(0, g.shape[0], rows):
-        hi = min(lo + rows, g.shape[0])
-        # |chi|/d at [j2, j1]; the complex block is freed once abs returns
-        v = np.abs(np.fft.ifft(g[lo:hi], n=n, axis=1, norm="forward"))
+    for lo in range(0, len(g), rows):
+        q2 = np.arange(lo, min(lo + rows, len(g)))
+        # |chi|/d at [q2, q1]; the complex block is freed once abs returns
+        v = np.abs(np.fft.ifft(g[lo:lo + rows], n=n0, axis=1, norm="forward"))
         v **= p
-        w = shifted[lo:hi] * s2[:n]
-        w *= col[lo:hi, None]
+        w = s3[q2[:, None] + q] * s1
+        w *= s2[q2, None]
         v *= w
-        # per-block pairwise sums are fixed by n; fsum across blocks
+        # per-block pairwise sums are fixed by n0; fsum across blocks
         nums.append(float(np.sum(v)))
         dens.append(float(np.sum(w)))
         del v, w  # before the next block is allocated
-    h2 = (TWO_PI / n) ** 2
-    return math.fsum(nums) * h2, math.fsum(dens) * h2
+    return math.fsum(nums), math.fsum(dens)
 
 
-def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec):
-    """(result for N_p / dim^p, Z at the final level) on the period square."""
+def _grid_levels(m: np.ndarray, d: int, p: float, n0: int) -> Iterator[Tuple[float, float]]:
+    """(h^2 sum (|chi|/d)^p w, h^2 sum w) over the (K n0)-grid for K = 1, 2,
+    4, ...: running sums of |orbit| times r-grid sums, adding at each level
+    the orbits off the even residues."""
+    nums: List[float] = []
+    dens: List[float] = []
+    K = 1
+    while True:
+        for orbit in _orbits(K):
+            if K == 1 or orbit[0][0] % 2 or orbit[0][1] % 2:
+                num, den = _rgrid_sums(m, d, p, n0, K, orbit[0])
+                nums.append(len(orbit) * num)
+                dens.append(len(orbit) * den)
+        h2 = (TWO_PI / (K * n0)) ** 2
+        yield math.fsum(nums) * h2, math.fsum(dens) * h2
+        K *= 2
+
+
+def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec) -> List[QuadratureResult]:
+    """N_p / dim^p and Z on the period square, one batch of two integrals.
+    Refuses, before level 0, an r-grid stage of more than SCHUR_DIM_LIMIT
+    complex entries (rows of M after folding times n0)."""
     m = multiplicities(mu)
-    d = dim(mu)
-    n0 = max(48, int(math.ceil(p * _bandwidth(mu))) + 8)
-    z = []
+    # p * bandwidth capped at the budget, which any n0 past it exceeds anyway
+    n0 = _fast_len(max(48, math.ceil(min(p * _bandwidth(mu), SCHUR_DIM_LIMIT)) + 8))
+    rows = min(len(m), n0)
+    if rows * n0 > SCHUR_DIM_LIMIT:
+        raise ResourceLimitError(
+            f"r-grids of n0 = {n0} need a {rows} x {n0} complex stage ({rows * n0} "
+            f"entries, {16e-6 * rows * n0:.0f} MB), over the {SCHUR_DIM_LIMIT}-entry budget"
+        )
+    levels = _grid_levels(m, dim(mu), p, n0)
 
-    def level_sum(level: int, _) -> List[float]:
-        num, den = _fft_level(m, d, p, n0 << level)
-        z.append(den)
-        return [num]
+    def level_sums(level: int, active: List[int]) -> List[float]:
+        sums = next(levels)
+        return [sums[k] for k in active]
 
-    res = _refine(level_sum, 1, spec.max_refinements, spec.rel_tol)[0]
-    return res, z[-1]
+    return _refine(level_sums, 2, spec.max_refinements, spec.rel_tol)
 
 
 def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpReport:
@@ -221,8 +268,7 @@ def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpRepor
     spec = spec or QuadratureSpec()
 
     if spec.mapping == "periodic_square":
-        num, z = _periodic_square(mu, p, spec)
-        converged = num.converged
+        num, den = _periodic_square(mu, p, spec)
     else:
         f = _norm_integrand(mu, p)
 
@@ -233,17 +279,15 @@ def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpRepor
         alcove = ((0.0, 0.0), (TWO_PI, 0.0), (0.0, TWO_PI))
         num, den = triangle_batch(values, 2, alcove, spec.base_rule,
                                   spec.max_refinements, spec.rel_tol)
-        z = den.value
-        converged = num.converged and den.converged
 
     # both integrands carry (|chi|/dim)^p, which is <= 1 for any p
-    norm = dim(mu) * (num.value / z) ** (1.0 / p)
+    norm = dim(mu) * (num.value / den.value) ** (1.0 / p)
     return LpReport(
         mu_a=mu.a,
         mu_b=mu.b,
         p=p,
         norm=norm,
-        normalizer_z=z,
+        normalizer_z=den.value,
         predicted_singular=predicted_singular_bound(mu, p),
         predicted_regular=predicted_regular_bound(mu, p) if p >= 2.0 else None,
         predicted_dimension=(
@@ -251,7 +295,7 @@ def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpRepor
         ),
         levels=num.levels,
         last_delta=num.last_delta,
-        converged=converged,
+        converged=num.converged and den.converged,
     )
 
 

@@ -12,6 +12,7 @@ preamble line in CSV and a top-level ``"config"`` key in JSON.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -60,12 +61,26 @@ def _fmt_scalar(v) -> str:
     return s
 
 
+_FORMATS = {bool: {True: "true", False: "false"}.__getitem__, float: "%.17g".__mod__, int: str}
+
+
+def _formatter(values: list):
+    """One formatter for a column whose values share a type, else
+    _fmt_scalar cell by cell (which writes the same text)."""
+    kinds = set(map(type, values))
+    return (_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None) or _fmt_scalar
+
+
 def _record_fields(rec) -> List[Tuple[str, object]]:
     if dataclasses.is_dataclass(rec) and not isinstance(rec, type):
         return [(f.name, getattr(rec, f.name)) for f in dataclasses.fields(rec)]
     if isinstance(rec, dict):
         return list(rec.items())
     raise TypeError(f"records must be dataclasses or dicts, got {type(rec)!r}")
+
+
+def _field_names(rec) -> List[str]:
+    return list(rec) if isinstance(rec, dict) else [name for name, _ in _record_fields(rec)]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -82,18 +97,19 @@ def emit_report(records: Iterable, format: str, path: str, config=None) -> None:
     records = list(records)
     if not records:
         raise ValueError(f"no records to emit; refusing to create {path}")
-    fields = [name for name, _ in _record_fields(records[0])]
+    fields = _field_names(records[0])
 
     if format == "csv":
         lines = []
         if config is not None:
             lines.append("# config=" + strict_json(config, sort_keys=True, separators=(",", ":")))
         lines.append(",".join(fields))
-        for rec in records:
-            items = _record_fields(rec)
-            if [name for name, _ in items] != fields:
-                raise ValueError("all records must share one field set")
-            lines.append(",".join(_fmt_scalar(v) for _, v in items))
+        if any(map(fields.__ne__, map(_field_names, records))):
+            raise ValueError("all records must share one field set")
+        columns = [[rec[name] if isinstance(rec, dict) else getattr(rec, name) for rec in records]
+                   for name in fields]
+        # each column's formatter chosen once; cells formatted row by row
+        lines += map(",".join, zip(*map(map, map(_formatter, columns), columns)))
         _write_text(path, "\n".join(lines) + "\n")
     elif format == "json":
         payload = {
@@ -129,11 +145,23 @@ def _parse_cell(s: str):
     return s
 
 
+def _parse_column(cells: List[str]) -> list:
+    """A column's values: ints when every cell reads as one, else floats when
+    every one does, else cell by cell (_parse_cell)."""
+    for parse in (int, float):
+        try:
+            return list(map(parse, cells))
+        except ValueError:
+            pass
+    return list(map(_parse_cell, cells))
+
+
 def read_report_csv(path: str):
     """Parse an emitted CSV back into (config, rows-as-dicts).
 
     Ints, floats (17-significant-digit, exact round-trip), booleans, and
-    empty cells are restored to Python values.
+    empty cells are restored to Python values, by column: a column of
+    numbers with any non-integer reads as floats throughout.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -147,10 +175,11 @@ def read_report_csv(path: str):
             config = json.loads(lines[i][len("# config="):])
         i += 1
     header = lines[i].split(",")
-    rows = []
-    for line in lines[i + 1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"malformed CSV row in {path}: {line!r}")
-        rows.append({k: _parse_cell(c) for k, c in zip(header, cells)})
-    return config, rows
+    body = lines[i + 1:]
+    commas = map(str.count, body, itertools.repeat(","))
+    for line in itertools.compress(body, map((len(header) - 1).__ne__, commas)):
+        raise ValueError(f"malformed CSV row in {path}: {line!r}")
+    # one flat list of cell strings, read column by column
+    cells = ",".join(body).split(",") if body else []
+    columns = [_parse_column(cells[j::len(header)]) for j in range(len(header))]
+    return config, list(map(dict, map(zip, itertools.repeat(header), zip(*columns))))

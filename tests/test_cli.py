@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -551,19 +552,56 @@ def test_non_finite_numbers_are_refused_before_the_work(capsys, monkeypatch, arg
     assert flag in diag["message"]
 
 
-def test_lp_grid_stage_budget_trips_before_allocating(capsys):
-    # p = 5000 asks for n = 333 342 at level 0: a 101 x 166 672 complex stage
+def _refused_stage(capsys, *argv):
     tracemalloc.start()
     try:
-        code, _, err = run(capsys, "lp", "--mu", "100,0", "--p", "5000")
+        code, _, err = run(capsys, *argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == EXIT_RESOURCE
     diag = json.loads(err)
     assert diag["error"] == "resource-limit"
-    assert "n = 333342" in diag["message"] and "MB" in diag["message"]
+    assert "MB" in diag["message"]
     assert peak < 1 << 20
+    return diag["message"]
+
+
+def test_lp_grid_stage_budget_trips_before_allocating(capsys):
+    # p = 5000 asks for n0 = 337 500 (5-smooth): a 101 x 337 500 complex stage
+    assert "n0 = 337500" in _refused_stage(capsys, "lp", "--mu", "100,0", "--p", "5000")
+
+
+def test_lp_overflowing_grid_size_is_a_resource_error(capsys):
+    # p * bandwidth overflows to inf; capped at the budget, not a traceback
+    assert "n0 = 10077696" in _refused_stage(capsys, "lp", "--mu", "5,0", "--p", "1e308")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["lp", "--mu", "2,1", "--p", "3", "--mapping", "duffy", "--base-rule", "50000"],
+     "--base-rule"),
+    (["prop-i", "--max-refinements", "40"], "--max-refinements"),
+])
+def test_quadrature_rules_and_levels_are_bounded_before_any_work(capsys, argv, flag):
+    # leggauss(50000) would build a 20 GB companion matrix; 40 refinements
+    # would hold 4^40 triangles
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, _, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 0.1
+    assert code == EXIT_USAGE
+    assert f"{flag} ({flag[2:].replace('-', '_')}) must be at most" in json.loads(err)["message"]
+    assert peak < 1 << 20
+
+
+def test_lp_diagonal_256_at_the_critical_exponent_converges(capsys):
+    # the old full-grid levels refused a 257 x 22 113 stage at n = 44 224
+    code, payload, _ = run(capsys, "lp", "--mu", "256,256", "--p", "2.6666666666666665")
+    assert code == EXIT_OK and payload["converged"]
 
 
 @pytest.mark.parametrize("argv, size", [

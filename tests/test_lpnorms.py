@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -30,11 +31,16 @@ from su3char.character import _schur_weight_arrays
 from su3char.cli import _DEFAULTS, _quad_spec
 from su3char.lpnorms import (
     A0_SIDE,
+    MAX_BASE_RULE,
+    MAX_REFINEMENTS,
     _bandwidth,
-    _fft_level,
+    _fast_len,
+    _grid_levels,
     _model_integrand,
     _norm_integrand,
     _ols_loglog,
+    _orbits,
+    _rgrid_sums,
     _weight,
 )
 from su3char.quadrature import _trapezoid_sum
@@ -149,10 +155,25 @@ def test_quadrature_spec_refuses_non_finite_tolerance(rel_tol):
         QuadratureSpec(rel_tol=rel_tol)
 
 
+@pytest.mark.parametrize("kw", [dict(base_rule=1), dict(base_rule=MAX_BASE_RULE + 1),
+                                dict(max_refinements=-1),
+                                dict(max_refinements=MAX_REFINEMENTS + 1)])
+def test_quadrature_spec_refuses_rules_and_levels_out_of_range(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        QuadratureSpec(**kw)
+
+
 def test_fft_stage_budget_trips_at_level_zero():
+    # p * bandwidth + 8 = 333 342, rounded up to the 5-smooth n0 = 337 500
     mu = DominantWeight(100, 0)
-    with pytest.raises(ResourceLimitError, match="n = 333342"):
-        haar_lp_norm(mu, 5000.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="n0 = 337500"):
+            haar_lp_norm(mu, 5000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fourth_moment_of_defining_family_counts_invariants():
@@ -208,14 +229,55 @@ def test_multiplicities_equal_the_pattern_weight_histogram():
 
 
 def test_fft_level_matches_node_by_node_trapezoid_sum():
-    # the multiplicity/FFT level against chi_on_grid at every node, on odd and
-    # even grids, including grids coarser than the weight support (folded M)
-    for (a, b), p, n in [((2, 1), 2.5, 48), ((5, 3), 3.0, 16), ((5, 3), 3.0, 7), ((9, 0), 1.5, 9)]:
+    # the r-grid levels K = 1, 2, 4 against chi_on_grid at every node of the
+    # (K n0)-grid, on odd and even n0, including n0 coarser than the weight
+    # support (folded M)
+    for (a, b), p, n0 in [((2, 1), 2.5, 48), ((5, 3), 3.0, 16), ((5, 3), 3.0, 7), ((9, 0), 1.5, 9)]:
         mu = DominantWeight(a, b)
-        num, den = _fft_level(multiplicities(mu), dim(mu), p, n)
-        want = _trapezoid_sum(_norm_integrand(mu, p), TWO_PI, n)
-        assert num == pytest.approx(want, rel=1e-12), (a, b, n)
-        assert den == pytest.approx(_trapezoid_sum(_weight, TWO_PI, n), rel=1e-14)
+        levels = _grid_levels(multiplicities(mu), dim(mu), p, n0)
+        for K in (1, 2, 4):
+            num, den = next(levels)
+            want = _trapezoid_sum(_norm_integrand(mu, p), TWO_PI, K * n0)
+            assert num == pytest.approx(want, rel=1e-12), (a, b, n0, K)
+            assert den == pytest.approx(_trapezoid_sum(_weight, TWO_PI, K * n0), rel=1e-14)
+
+
+def test_residue_orbits_partition_the_residues():
+    counts = []
+    for K in (1, 2, 4, 8, 16, 32):
+        orbits = _orbits(K)
+        assert sum(map(len, orbits)) == K * K
+        members = sorted(r for orbit in orbits for r in orbit)
+        assert members == list(itertools.product(range(K), repeat=2))
+        counts.append(len(orbits))
+    assert counts == [1, 2, 4, 10, 30, 102]
+
+
+@pytest.mark.parametrize("a, b, K", [(5, 3, 4), (7, 2, 8), (16, 16, 4)])
+def test_every_residue_of_an_orbit_has_its_representatives_sums(a, b, K):
+    # W x {+-1} maps r-grids onto r-grids without changing |chi|^p w: checked
+    # here for every residue, not assumed
+    mu = DominantWeight(a, b)
+    m, d = multiplicities(mu), dim(mu)
+    for orbit in _orbits(K):
+        num, den = _rgrid_sums(m, d, 2.5, 24, K, orbit[0])
+        for r in orbit[1:]:
+            other = _rgrid_sums(m, d, 2.5, 24, K, r)
+            assert other[0] == pytest.approx(num, rel=1e-14, abs=0.0), r
+            assert other[1] == pytest.approx(den, rel=1e-14, abs=0.0), r
+
+
+def test_fast_len_is_the_next_5_smooth_integer():
+    def smooth(n):
+        for f in (2, 3, 5):
+            while n % f == 0:
+                n //= f
+        return n == 1
+
+    want = [n for n in range(1, 3000) if smooth(n)]
+    for n in range(1, 2900):
+        assert _fast_len(n) == next(m for m in want if m >= n)
+    assert _fast_len(333342) == 337500
 
 
 def test_report_fields_and_gating():
