@@ -83,16 +83,15 @@ class EnvelopeValue:
 
 def envelope_min(mu: DominantWeight, H: TorusPoint) -> EnvelopeValue:
     lam = mu.shifted()
-    walls = {alpha: wall_norm(H, alpha) for alpha in EXTENDED_ROOTS}
+    walls = [wall_norm(H, alpha) for alpha in EXTENDED_ROOTS]
     terms = []
     prods = []
     for s in WEYL_GROUP:
         ell = s.apply(lam.ell)
         t = 1.0
         p = 1.0
-        for alpha in EXTENDED_ROOTS:
+        for alpha, y in zip(EXTENDED_ROOTS, walls):
             x = float(abs(ell[alpha.j - 1] - ell[alpha.k - 1]))
-            y = walls[alpha]
             t *= x if y < 1e-300 else min(x, 1.0 / y)
             p *= x / (1.0 + x * y)
         terms.append(t)

@@ -482,8 +482,8 @@ _COMMANDS = {
         _OUT,
     )),
     "verify-envelope": (_cmd_verify_envelope, "ratio sweep certifying the envelope bound", (
-        ("dense_max", 20, dict(type=int)),
-        ("shell_max", 40, dict(type=int)),
+        ("dense_max", 20, dict(type=int, least=0)),
+        ("shell_max", 40, dict(type=int, least=0)),
         ("grid_total", 10_000, dict(type=int, budget=SCHUR_DIM_LIMIT)),
         ("wall_per_edge", 500, dict(type=int, least=0)),
         ("chamber", 500, dict(type=int, least=0)),

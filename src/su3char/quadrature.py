@@ -4,8 +4,9 @@ Two rule families, both returning :class:`QuadratureResult`:
 
 * triangles: tensor Gauss-Legendre pulled onto a triangle through the Duffy
   substitution u = xi*(1-eta), v = xi*eta (nodes cluster at the first
-  vertex), refined by uniform midpoint subdivision until two successive
-  levels agree to a relative tolerance;
+  vertex), refined by midpoint subdivision until two successive levels
+  agree to a relative tolerance; each level subdivides only the triangles
+  whose last subdivision still moved the total (local refinement);
 * the periodic square: equal-weight trapezoid sums with grid doubling,
   spectrally accurate for smooth periodic integrands and *exact* for
   trigonometric polynomials once the grid outruns the bandwidth.
@@ -22,6 +23,8 @@ the rule alone (base_rule^2 nodes per triangle; a row block of an n x n
 grid fixed by n), so each block's pairwise tree is fixed, then
 ``math.fsum`` (exactly rounded) across blocks.  Totals therefore do not
 depend on the order of the blocks, on who calls, or on the thread count.
+Which triangles an integral refines depends on its own sums alone, so
+local refinement keeps this.
 """
 
 from __future__ import annotations
@@ -116,17 +119,6 @@ def subdivide_triangle(verts: Triangle) -> List[Triangle]:
     return [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
 
 
-def _triangulation_sums(values, active: List[int], tris: Sequence[Triangle], n: int):
-    """Totals of the active integrals over the triangulation, in order."""
-    parts: List[List[float]] = [[] for _ in active]
-    for t in tris:
-        x, y, w = triangle_rule(t, n)
-        for part, vals in zip(parts, values(x, y, active)):
-            # the n*n shape fixes np.sum's pairwise tree; fsum across triangles
-            part.append(float(np.sum(w * np.asarray(vals, dtype=np.float64))))
-    return [math.fsum(part) for part in parts]
-
-
 def _refine(level_sums: Callable[[int, List[int]], Sequence[float]], count: int,
             max_refinements: int, rel_tol: float) -> List[QuadratureResult]:
     """Evaluate level_sums(level, active), the totals of the integrals still
@@ -150,20 +142,53 @@ def _refine(level_sums: Callable[[int, List[int]], Sequence[float]], count: int,
     return results
 
 
+# A triangle is closed for an integral once its four children moved the
+# parent's value by at most this share of rel_tol * |total|, in proportion
+# to its area.
+CLOSE_SHARE = 0.1
+
+
 def triangle_batch(values: Callable[[np.ndarray, np.ndarray, List[int]], Iterable[np.ndarray]],
                    count: int, verts: Triangle, base_rule: int = 64, max_refinements: int = 6,
                    rel_tol: float = 1e-6) -> List[QuadratureResult]:
-    """Integrate count integrands over a triangle on shared nodes, uniformly
-    subdividing until each one's successive triangulation totals agree within
-    rel_tol (relative).  values(x, y, active) yields the active integrands at
-    one triangle's nodes, in order, so work they share is done once."""
-    tris: List[Triangle] = [tuple((float(px), float(py)) for px, py in verts)]
+    """Integrate count integrands over a triangle on shared nodes, refining
+    each one's open triangles until its successive totals agree within
+    rel_tol (relative).  At level L, a parent whose four children moved its
+    value by at most CLOSE_SHARE * rel_tol * |total| * 4^(1-L) is closed for
+    that integral: the children's sums stay in its total and only the other
+    children are subdivided.  values(x, y, ks) yields the integrands ks
+    still open on one triangle at its nodes, in order, so work they share is
+    done once per triangle."""
+    frozen: List[List[float]] = [[] for _ in range(count)]  # sums of closed triangles
+    # open triangles, each with its open integrals' sums on it (none at the root)
+    cells = [(tuple((float(px), float(py)) for px, py in verts), dict.fromkeys(range(count)))]
 
     def level_sums(level: int, active: List[int]) -> List[float]:
-        nonlocal tris
-        if level:
-            tris = [child for t in tris for child in subdivide_triangle(t)]
-        return _triangulation_sums(values, active, tris, base_rule)
+        nonlocal cells
+        live, parts, families = set(active), {k: list(frozen[k]) for k in active}, []
+        for tri, parent in cells:
+            ks = [k for k in parent if k in live]
+            if not ks:
+                continue
+            kids = []
+            for child in subdivide_triangle(tri) if level else [tri]:
+                x, y, w = triangle_rule(child, base_rule)
+                # the n*n shape fixes np.sum's pairwise tree; fsum across triangles
+                sums = {k: float(np.sum(w * np.asarray(v, dtype=np.float64)))
+                        for k, v in zip(ks, values(x, y, ks))}
+                for k, part in sums.items():
+                    parts[k].append(part)
+                kids.append((child, sums))
+            families.append((parent, ks, kids))
+        totals = {k: math.fsum(parts[k]) for k in active}
+        share, cells = CLOSE_SHARE * rel_tol * 0.25 ** (level - 1), []
+        for parent, ks, kids in families:
+            shut = {k for k in ks if level and abs(math.fsum(sums[k] for _, sums in kids)
+                                                   - parent[k]) <= share * abs(totals[k])}
+            for k in shut:
+                frozen[k].extend(sums[k] for _, sums in kids)
+            cells += [(child, {k: sums[k] for k in ks if k not in shut}) for child, sums in kids]
+        return [totals[k] for k in active]
 
     return _refine(level_sums, count, max_refinements, rel_tol)
 

@@ -105,6 +105,20 @@ def test_missing_output_directory_is_refused_before_the_work(capsys, monkeypatch
     assert "missing" in diag["message"]
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["--dense-max", "-3", "--shell-max", "2"], "--dense-max (dense_max)"),
+    (["--shell-max", "-1"], "--shell-max (shell_max)"),
+])
+def test_negative_weight_shells_are_refused_before_the_sweep(capsys, monkeypatch, argv, names):
+    calls = []
+    monkeypatch.setattr(cli, "sweep_constant", lambda *a, **k: calls.append(a))
+    code, _, err = run(capsys, "verify-envelope", *argv)
+    assert code == EXIT_USAGE and calls == []
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert names in diag["message"] and "at least 0" in diag["message"]
+
+
 def test_late_write_failure_is_a_usage_error(capsys, monkeypatch, tmp_path):
     def fail(payload, path, config=None):
         raise cli.ReportWriteError(f"cannot write report to {path}: disk full")

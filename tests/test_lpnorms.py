@@ -27,6 +27,7 @@ from su3char import (
     predicted_singular_bound,
     scaling_fit,
 )
+from su3char import lpnorms
 from su3char.character import _schur_weight_arrays
 from su3char.cli import _DEFAULTS, _quad_spec
 from su3char.lpnorms import (
@@ -424,6 +425,40 @@ def test_prop_i_default_levels_are_pinned():
             levels.append(res.levels)
     assert sum(levels) == 451
     assert Counter(levels) == {2: 112, 3: 36, 4: 19, 5: 5, 6: 3}
+
+
+# the three prop-i integrals that need all six levels, frozen from the
+# uniformly refined Duffy rule (every triangle subdivided at every level)
+UNIFORM_LEVEL6 = {
+    (4.0, 256.0, 256.0, 256.0): 7.00027944658886e-23,
+    (5.5, 256.0, 256.0, 256.0): 9.91704935048516e-25,
+    (5.5, 256.0, 256.0, 64.0): 4.656538389603164e-23,
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNIFORM_LEVEL6))
+def test_locally_refined_level6_integrals_match_the_uniform_rule(key):
+    res = I_numeric(*key, _quad_spec(_DEFAULTS["prop-i"]), full=True)
+    assert res.converged and res.levels == 6
+    assert res.value == pytest.approx(UNIFORM_LEVEL6[key], rel=1e-8)
+
+
+def test_prop_i_table_evaluates_at_most_3000_triangles(monkeypatch):
+    # (triangle, integral) pairs over the default table; 8 731 when every
+    # open integral refined every triangle of its level
+    cfg = _DEFAULTS["prop-i"]
+    pool = sorted(float(v) for v in cfg["pool"].split(","))
+    p_values = [float(v) for v in cfg["p_values"].split(",")]
+    triples = [(a, b, c) for c, b, a in itertools.combinations_with_replacement(pool, 3)]
+    pairs = []
+
+    def counted(p_values, triples):
+        values = _model_integrand(p_values, triples)
+        return lambda x, y, ks: (pairs.append(len(ks)), values(x, y, ks))[1]
+
+    monkeypatch.setattr(lpnorms, "_model_integrand", counted)
+    I_numeric_table(p_values, triples, _quad_spec(cfg))
+    assert sum(pairs) <= 3000
 
 
 def test_prop_i_table_matches_one_call_per_integral():

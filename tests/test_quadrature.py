@@ -14,7 +14,6 @@ from su3char import (
     periodic_trapezoid_2d,
 )
 from su3char.quadrature import (
-    _triangulation_sums,
     subdivide_triangle,
     triangle_batch,
     triangle_rule,
@@ -82,14 +81,23 @@ def test_adaptive_triangle_is_deterministic():
     assert r1 == r2
 
 
+def _triangulation_sum(f, tris, n):
+    """triangle_batch's reduction: np.sum over each triangle's n*n nodes,
+    math.fsum across triangles."""
+    parts = []
+    for t in tris:
+        x, y, w = triangle_rule(t, n)
+        parts.append(float(np.sum(w * f(x, y))))
+    return math.fsum(parts)
+
+
 def test_triangulation_sum_does_not_depend_on_triangle_order():
     f = lambda x, y: np.exp(np.sin(7.0 * x) * y) / (1e-3 + x + y)
     tris = [UNIT]
     for _ in range(3):
         tris = [child for t in tris for child in subdivide_triangle(t)]
-    values = lambda x, y, active: (f(x, y),)
-    [fwd] = _triangulation_sums(values, [0], tris, 16)
-    [rev] = _triangulation_sums(values, [0], tris[::-1], 16)
+    fwd = _triangulation_sum(f, tris, 16)
+    rev = _triangulation_sum(f, tris[::-1], 16)
     assert struct.pack("<d", fwd) == struct.pack("<d", rev)
 
 
@@ -111,8 +119,40 @@ def test_triangle_batch_matches_separate_calls_with_their_own_stops():
     assert [struct.pack("<d", r.value) for r in batch] == [struct.pack("<d", r.value) for r in alone]
     assert batch == alone
     assert [r.levels for r in batch] == [2, 2, 4, 5] and not batch[-1].converged
-    # stopped integrals drop out of the batch; nodes are built once per triangle
-    assert Counter(map(tuple, calls)) == {(0, 1, 2, 3): 1 + 4, (2, 3): 16 + 64, (3,): 256}
+    # stopped integrals drop out of the batch; nodes are built once per
+    # triangle; from level 2 on, integral 2 keeps only 4 of its 16 parents
+    # open (16 children), while the rough integral 3 closes none
+    assert Counter(map(tuple, calls)) == {(0, 1, 2, 3): 1 + 4, (2, 3): 16 + 16, (3,): 48 + 256}
+
+
+def test_closed_triangles_keep_their_share_of_the_total():
+    # a layer of width 1e-2 along y = 0: the refined total matches the
+    # uniform rule of the same depth, on far fewer triangles
+    f = lambda x, y: np.exp(-100.0 * y) * (1.0 + x)
+    tris = [UNIT]
+    for _ in range(4):
+        tris = [child for t in tris for child in subdivide_triangle(t)]
+    uniform = _triangulation_sum(f, tris, 8)
+    calls = []
+
+    def values(x, y, active):
+        calls.append(len(active))
+        return (f(x, y),)
+
+    [res] = triangle_batch(values, 1, UNIT, base_rule=8, max_refinements=4, rel_tol=1e-9)
+    assert res.levels == 5
+    assert res.value == pytest.approx(uniform, rel=1e-9)
+    assert len(calls) < 1 + 4 + 16 + 64 + 256
+
+
+def test_rough_integrand_within_budget_is_not_converged():
+    # closing triangles must not pass off an unresolved integrand as converged
+    [res] = triangle_batch(lambda x, y, _: (np.abs(np.sin(40.0 / (x + y + 1e-3))),), 1, UNIT,
+                           base_rule=4, max_refinements=3, rel_tol=1e-9)
+    assert res.levels == 4 and not res.converged
+    assert math.isfinite(res.last_delta) and res.last_delta > 1e-9
+    with pytest.raises(ConvergenceError, match="no convergence after 4 levels"):
+        res.require_converged("rough test")
 
 
 def test_periodic_trapezoid_exact_for_trig_polynomials():
