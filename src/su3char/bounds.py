@@ -6,7 +6,10 @@ The central object is the six-term envelope
         prod over the three extended roots alpha of
             min( |<s(mu+rho), alpha>| , wall_norm(H, alpha)^{-1} )
 
-which dominates |chi(mu, H)| up to a universal constant.  ``sweep_constant``
+which dominates |chi(mu, H)| up to a universal constant.  Which pairing
+|<s(mu+rho), alpha>| each factor takes is one table, ``_ENVELOPE_KINDS``
+(read off cartan's ``WEYL_TABLE``), shared by the scalar ``envelope_min``
+and the grid envelope of the sweep.  ``sweep_constant``
 hunts for the worst ratio |chi| / envelope over mu ranges and stratified
 alcove grids (interior, exact wall hits, corner approaches) and reports the
 empirical constant together with shell tables for growth analysis.
@@ -33,12 +36,11 @@ import numpy as np
 
 from .cartan import (
     EXTENDED_ROOTS,
+    WEYL_TABLE,
     DominantWeight,
     TorusPoint,
-    WEYL_GROUP,
     dim,
     mu_stats,
-    wall_norm,
 )
 from .character import (
     GRID_METHOD_NAMES,
@@ -81,40 +83,39 @@ class EnvelopeValue:
     per_weyl_terms: Tuple[float, float, float, float, float, float]
 
 
-def envelope_min(mu: DominantWeight, H: TorusPoint) -> EnvelopeValue:
-    lam = mu.shifted()
-    walls = [wall_norm(H, alpha) for alpha in EXTENDED_ROOTS]
-    terms = []
-    prods = []
-    for s in WEYL_GROUP:
-        ell = s.apply(lam.ell)
-        t = 1.0
-        p = 1.0
-        for alpha, y in zip(EXTENDED_ROOTS, walls):
-            x = float(abs(ell[alpha.j - 1] - ell[alpha.k - 1]))
-            t *= x if y < 1e-300 else min(x, 1.0 / y)
-            p *= x / (1.0 + x * y)
-        terms.append(t)
-        prods.append(p)
-    return EnvelopeValue(
-        min_form=math.fsum(terms),
-        product_form=math.fsum(prods),
-        per_weyl_terms=tuple(terms),
-    )
-
-
-# Per Weyl image s and extended root (= wall): which _GridChunk.pairings
-# entry is |<s.lambda, alpha>|; the same for every mu, as l1 > l2 > l3.
+# Per Weyl image s and extended root (= wall): which of the pairings
+# (l1-l2, l1-l3, l2-l3) = (a+1, a+b+2, b+1) is |<s.lambda, alpha>|; the
+# same for every mu, as l1 > l2 > l3.  Both envelopes read it.
 _ENVELOPE_KINDS = tuple(
     tuple(p[alpha.j - 1] + p[alpha.k - 1] - 1 for alpha in EXTENDED_ROOTS)
-    for s in WEYL_GROUP for p in [s.apply((0, 1, 2))]
+    for _, p in WEYL_TABLE
 )
+
+
+def envelope_min(mu: DominantWeight, H: TorusPoint) -> EnvelopeValue:
+    """The module docstring's sum at one point.  Its nine factors
+    min(x, 1/wall), and x/(1 + x*wall) for the product form, are computed
+    once; each Weyl term multiplies its three in wall order, picked by
+    _ENVELOPE_KINDS as in the grid envelope."""
+    pairings = (float(mu.a + 1), float(mu.a + mu.b + 2), float(mu.b + 1))
+    walls = H.wall_norms()  # in EXTENDED_ROOTS order
+    mins = [[x if y < 1e-300 else min(x, 1.0 / y) for x in pairings] for y in walls]
+    prods = [[x / (1.0 + x * y) for x in pairings] for y in walls]
+    terms, prod_terms = (
+        [f[0][q0] * f[1][q1] * f[2][q2] for q0, q1, q2 in _ENVELOPE_KINDS] for f in (mins, prods)
+    )
+    return EnvelopeValue(
+        min_form=math.fsum(terms),
+        product_form=math.fsum(prod_terms),
+        per_weyl_terms=tuple(terms),
+    )
 
 
 def _envelope_tile(geom: _GridGeometry, chunk: _GridChunk) -> np.ndarray:
     """min_form for every weight of the chunk at the points of geom,
     [weights x points].  The nine factors min(x, 1/wall) (three pairings x
-    three walls) are computed once per weight; each Weyl term's product and
+    three walls) are computed once per weight; each Weyl term picks its
+    three by _ENVELOPE_KINDS, as envelope_min does, and the products and
     the sum over terms keep envelope_min's order."""
     inv = geom.inverse_walls
     # f[weight, wall, pairing, point]

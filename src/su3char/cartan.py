@@ -19,6 +19,10 @@ Conventions used by the whole package (everything downstream assumes them):
   ``wall_norm(H, alpha) = |sin((theta_j - theta_k)/2)|``.
 * Alcove coordinates are ``t1 = theta1 - theta2``, ``t2 = theta2 - theta3``;
   the fundamental alcove is ``A = {t1 >= 0, t2 >= 0, t1 + t2 <= 2*pi}``.
+* ``WEYL_TABLE`` and ``WALL_COSET_TABLES`` are the one place W acts on
+  triples for the evaluators and envelopes: per element a sign and a slot
+  permutation ``p`` with ``s.apply(x) == tuple(x[i] for i in p)``, built
+  once at import from ``WEYL_GROUP`` and ``wall_coset(j)``.
 """
 
 from __future__ import annotations
@@ -38,8 +42,11 @@ __all__ = [
     "ALPHA2",
     "ALPHA0",
     "EXTENDED_ROOTS",
+    "WALL_POSITIVE_ROOT",
     "POSITIVE_ROOTS",
     "WEYL_GROUP",
+    "WEYL_TABLE",
+    "WALL_COSET_TABLES",
     "IDENTITY",
     "RHO",
     "pairing_root_torus",
@@ -86,11 +93,7 @@ class TorusPoint:
 
     def wall_norms(self) -> Tuple[float, float, float]:
         """wall_norm against (alpha0, alpha1, alpha2), in that order."""
-        return (
-            wall_norm(self, ALPHA0),
-            wall_norm(self, ALPHA1),
-            wall_norm(self, ALPHA2),
-        )
+        return tuple(wall_norm(self, alpha) for alpha in EXTENDED_ROOTS)
 
 
 def theta_from_alcove(t1, t2):
@@ -136,6 +139,12 @@ EXTENDED_ROOTS: Tuple[Root, Root, Root] = (ALPHA0, ALPHA1, ALPHA2)
 # Positive system: {alpha1, alpha2, -alpha0}.  -alpha0 = (1,3) is the highest
 # root; its wall_norm agrees with alpha0's (the norm is sign-blind).
 POSITIVE_ROOTS: Tuple[Root, Root, Root] = (ALPHA1, ALPHA2, ALPHA0.negated())
+
+# Positive-root representative of each extended wall.  Wall 0 is alpha0's
+# wall but the positive system contains -alpha0 = (1,3); using the positive
+# representative in both the rank-one factor and the prefactor keeps the
+# assembled descent sum equal to chi~ with no stray sign.
+WALL_POSITIVE_ROOT: Tuple[Root, Root, Root] = (ALPHA0.negated(), ALPHA1, ALPHA2)
 
 
 def pairing_root_torus(H: TorusPoint, alpha: Root) -> float:
@@ -290,6 +299,17 @@ def wall_coset(j: int) -> Tuple[WeylElement, WeylElement, WeylElement]:
     s_j = reflection(EXTENDED_ROOTS[j])
     s_next = reflection(EXTENDED_ROOTS[(j + 1) % 3])
     return (IDENTITY, s_next, s_next * s_j)
+
+
+def _index_table(elements) -> Tuple[Tuple[int, Tuple[int, int, int]], ...]:
+    """(sign, p) per element, in order: s.apply(x) == tuple(x[i] for i in p)."""
+    return tuple((s.sign, s.apply((0, 1, 2))) for s in elements)
+
+
+# W and each wall's coset transversal as index tables, in WEYL_GROUP and
+# wall_coset(j) order.
+WEYL_TABLE = _index_table(WEYL_GROUP)
+WALL_COSET_TABLES = tuple(_index_table(wall_coset(j)) for j in (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -40,20 +40,16 @@ from typing import Tuple
 import numpy as np
 
 from .cartan import (
-    ALPHA1,
-    ALPHA2,
-    DominantWeight,
     POSITIVE_ROOTS,
+    WALL_COSET_TABLES,
+    WALL_POSITIVE_ROOT,
+    WEYL_TABLE,
+    DominantWeight,
     RegularTriple,
-    Root,
     TorusPoint,
-    WEYL_GROUP,
-    WeylElement,
     dim,
     pairing_root_torus,
     theta_from_alcove,
-    wall_coset,
-    wall_norm,
 )
 
 __all__ = [
@@ -87,12 +83,6 @@ WALL_FLOOR = 1e-14
 
 # chi_schur's pattern budget and multiplicities' array-entry budget.
 SCHUR_DIM_LIMIT = 10**7
-
-# Positive-root representative of each extended wall.  Wall 0 is alpha0's
-# wall but the positive system contains -alpha0 = (1,3); using the positive
-# representative in both the rank-one factor and the prefactor keeps the
-# assembled descent sum equal to chi~ with no stray sign.
-WALL_POSITIVE_ROOT: Tuple[Root, Root, Root] = (Root(1, 3), ALPHA1, ALPHA2)
 
 
 class SingularInputError(ValueError):
@@ -183,21 +173,20 @@ class _Rank1Rows:
 
 def chi_weyl(lam: RegularTriple, H: TorusPoint) -> CharValue:
     """Alternating phase sum over W divided by the positive-root sine product."""
-    walls = [wall_norm(H, beta) for beta in POSITIVE_ROOTS]
-    wmin = min(walls)
+    sines = [math.sin(0.5 * pairing_root_torus(H, beta)) for beta in POSITIVE_ROOTS]
+    wmin = min(abs(x) for x in sines)
     if wmin <= WALL_FLOOR:
         raise SingularInputError(
             f"H is on a wall (min wall_norm {wmin:.3e}); use chi_stable"
         )
-    th = H.theta
+    th, ell = H.theta, lam.ell
     num = 0j
-    for s in WEYL_GROUP:
-        e = s.apply(lam.ell)
-        angle = e[0] * th[0] + e[1] * th[1] + e[2] * th[2]
-        num += s.sign * complex(math.cos(angle), math.sin(angle))
+    for sign, p in WEYL_TABLE:
+        angle = ell[p[0]] * th[0] + ell[p[1]] * th[1] + ell[p[2]] * th[2]
+        num += sign * complex(math.cos(angle), math.sin(angle))
     den = 1.0 + 0j
-    for beta in POSITIVE_ROOTS:
-        den *= 2j * math.sin(0.5 * pairing_root_torus(H, beta))
+    for x in sines:
+        den *= 2j * x
     return CharValue(value=num / den, method="weyl", condition=1.0 / wmin)
 
 
@@ -293,7 +282,6 @@ def multiplicities(mu) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DescentTerm:
-    element: WeylElement
     det: int
     m: int             # pairing of the coset-moved weight with the wall root
     phase: complex     # exp(i * <s.lambda, H - H^j>)
@@ -315,6 +303,10 @@ class DescentTermSet:
             acc += t.det * t.phase * t.rank1
         return self.prefactor * acc
 
+    def char_value(self) -> CharValue:
+        """The assembled sum as the descent route's CharValue."""
+        return CharValue(self.assembled(), f"descent{self.j}", self.condition)
+
 
 def descent_terms(lam: RegularTriple, H: TorusPoint, j: int) -> DescentTermSet:
     """Regroup the Weyl sum over the coset transversal of wall j.
@@ -329,38 +321,27 @@ def descent_terms(lam: RegularTriple, H: TorusPoint, j: int) -> DescentTermSet:
         raise ValueError(f"wall index must be 0, 1 or 2, got {j}")
     beta_j = WALL_POSITIVE_ROOT[j]
     others = [WALL_POSITIVE_ROOT[k] for k in (0, 1, 2) if k != j]
-    other_walls = [wall_norm(H, beta) for beta in others]
-    if min(other_walls) <= WALL_FLOOR:
-        k_bad = others[other_walls.index(min(other_walls))]
+    other_sines = [math.sin(0.5 * pairing_root_torus(H, beta)) for beta in others]
+    other_walls = [abs(x) for x in other_sines]
+    wmin = min(other_walls)
+    if wmin <= WALL_FLOOR:
+        k_bad = others[other_walls.index(wmin)]
         raise WallTooSmallError(
             f"complementary wall ({k_bad.j},{k_bad.k}) is singular "
-            f"(wall_norm {min(other_walls):.3e}); descend to a different wall"
+            f"(wall_norm {wmin:.3e}); descend to a different wall"
         )
     prefactor = 1.0 + 0j
-    for beta in others:
-        prefactor /= 2j * math.sin(0.5 * pairing_root_torus(H, beta))
+    for x in other_sines:
+        prefactor /= 2j * x
     u = 0.5 * pairing_root_torus(H, beta_j)
-    th = H.theta
+    th, ell = H.theta, lam.ell
     terms = []
-    for s in wall_coset(j):
-        e = s.apply(lam.ell)
-        m = e[beta_j.j - 1] - e[beta_j.k - 1]
-        angle = e[0] * th[0] + e[1] * th[1] + e[2] * th[2] - m * u
-        terms.append(
-            DescentTerm(
-                element=s,
-                det=s.sign,
-                m=m,
-                phase=complex(math.cos(angle), math.sin(angle)),
-                rank1=chi_rank1(m, u),
-            )
-        )
-    return DescentTermSet(
-        j=j,
-        prefactor=prefactor,
-        terms=tuple(terms),
-        condition=1.0 / min(other_walls),
-    )
+    for sign, p in WALL_COSET_TABLES[j]:
+        m = ell[p[beta_j.j - 1]] - ell[p[beta_j.k - 1]]
+        angle = ell[p[0]] * th[0] + ell[p[1]] * th[1] + ell[p[2]] * th[2] - m * u
+        phase = complex(math.cos(angle), math.sin(angle))
+        terms.append(DescentTerm(det=sign, m=m, phase=phase, rank1=chi_rank1(m, u)))
+    return DescentTermSet(j=j, prefactor=prefactor, terms=tuple(terms), condition=1.0 / wmin)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +358,9 @@ def chi_stable(mu: DominantWeight, H: TorusPoint) -> CharValue:
     walls = H.wall_norms()  # indexed by wall 0, 1, 2
     order = sorted(range(3), key=lambda i: walls[i])
     if walls[order[0]] >= EPS_WALL:
-        lam = mu.shifted()
-        cv = chi_weyl(lam, H)
-        return cv
+        return chi_weyl(mu.shifted(), H)
     if walls[order[1]] >= EPS_WALL:
-        j = order[0]
-        ts = descent_terms(mu.shifted(), H, j)
-        return CharValue(
-            value=ts.assembled(), method=f"descent{j}", condition=ts.condition
-        )
+        return descent_terms(mu.shifted(), H, order[0]).char_value()
     return chi_schur(mu, H)
 
 
@@ -398,13 +373,6 @@ GRID_METHOD_NAMES = ("weyl", "descent0", "descent1", "descent2", "schur")
 # Entries per phase tile (points x (a+b+1)) of the multiplicity contraction;
 # blocking the points by it bounds peak memory.
 GRID_BLOCK = 1 << 18
-
-
-# (sign, c1, c3) per Weyl image e = s.lambda, in WEYL_GROUP order: e1 and e3
-# are components c1 and c3 of lambda = (a+b+2, b+1, 0); c = 2 is its zero.
-_WEYL_SLOTS = tuple(
-    (s.sign, p[0], p[2]) for s in WEYL_GROUP for p in [s.apply((0, 1, 2))]
-)
 
 
 class _GridChunk:
@@ -427,11 +395,10 @@ class _GridChunk:
         self.lam = np.array(ells, dtype=np.int64)
         terms = []
         for ell in ells:
-            for j in (0, 1, 2):
-                beta = WALL_POSITIVE_ROOT[j]
-                for s in wall_coset(j):
-                    e = s.apply(ell)
-                    terms.append((s.sign, *e, e[beta.j - 1] - e[beta.k - 1]))
+            for beta, coset in zip(WALL_POSITIVE_ROOT, WALL_COSET_TABLES):
+                for sign, p in coset:
+                    e = [ell[i] for i in p]
+                    terms.append((sign, *e, e[beta.j - 1] - e[beta.k - 1]))
         self.descent = np.array(terms, dtype=np.float64).reshape(len(ells), 3, 3, 5)
         self.pairings = np.array([(l1 - l2, l1, l2) for l1, l2, _ in ells], dtype=np.float64)
 
@@ -483,7 +450,9 @@ class _WeylPoints:
         p2 = [self._phase(1, chunk.lam[:, c].tolist()) for c in (0, 1)]
         num = np.zeros(p1[0].shape, dtype=np.complex128)
         tmp = np.empty_like(num)
-        for sign, c1, c3 in _WEYL_SLOTS:
+        # e1 and e3 of e = s.lambda are components c1 and c3 of
+        # lambda = (a+b+2, b+1, 0); c = 2 is its zero
+        for sign, (c1, _, c3) in WEYL_TABLE:
             if c3 == 2:
                 term = p1[c1]
             elif c1 == 2:

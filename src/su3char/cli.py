@@ -37,7 +37,6 @@ from .bounds import GridSpec, default_mu_set, rank1_bound_margin, sweep_constant
 from .cartan import DominantWeight, TorusPoint, dim
 from .character import (
     SCHUR_DIM_LIMIT,
-    CharValue,
     ResourceLimitError,
     SingularInputError,
     WallTooSmallError,
@@ -255,8 +254,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         if j is None:
             walls = H.wall_norms()
             j = min(range(3), key=lambda i: walls[i])
-        ts = descent_terms(mu.shifted(), H, j)
-        cv = CharValue(ts.assembled(), f"descent{ts.j}", ts.condition)
+        cv = descent_terms(mu.shifted(), H, j).char_value()
 
     t1, t2 = H.alcove_coords
     payload = {
@@ -441,8 +439,7 @@ def _cmd_oracle_diff(cfg: RunConfig) -> int:
                 t1, t2 = mid, 2.0 * math.pi - mid - eps
             H = TorusPoint.from_alcove_coords(t1, t2)
             ref = chi_schur(mu, H)
-            ts = descent_terms(mu.shifted(), H, j)
-            cand = CharValue(ts.assembled(), f"descent{j}", ts.condition)
+            cand = descent_terms(mu.shifted(), H, j).char_value()
         diff = abs(cand.value - ref.value)
         max_diff = max(max_diff, diff)
         rows.append({

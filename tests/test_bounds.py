@@ -3,10 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from su3char import (
+    EXTENDED_ROOTS,
     WEYL_GROUP,
     DominantWeight,
     GridSpec,
@@ -18,11 +19,14 @@ from su3char import (
     default_mu_set,
     dim,
     envelope_min,
+    pairing_weight_root,
     pointwise_singular_bound,
     rank1_bound_margin,
     ratio,
     sweep_constant,
+    wall_norm,
     weyl_act_torus,
+    weyl_act_weight,
 )
 from su3char.bounds import CHUNK_WEIGHTS, SWEEP_BLOCK, _envelope_min_grid
 from su3char.character import GRID_METHOD_NAMES
@@ -84,6 +88,44 @@ def test_envelope_positive_and_product_form_within_factor_eight(mu, H):
     assert env.min_form > 0.0
     assert env.product_form <= env.min_form * (1 + 1e-12)
     assert env.product_form >= env.min_form / 8.0 * (1 - 1e-12)
+
+
+def _envelope_reference(mu, H):
+    """The module docstring's sum, each Weyl image and pairing worked out
+    per element, with the factors multiplied in the same order as
+    envelope_min: (min_form, product_form, per_weyl_terms)."""
+    lam = mu.shifted()
+    walls = [wall_norm(H, alpha) for alpha in EXTENDED_ROOTS]
+    terms, prods = [], []
+    for s in WEYL_GROUP:
+        image = weyl_act_weight(s, lam)
+        t = p = 1.0
+        for alpha, y in zip(EXTENDED_ROOTS, walls):
+            x = float(abs(pairing_weight_root(image, alpha)))
+            t *= x if y < 1e-300 else min(x, 1.0 / y)
+            p *= x / (1.0 + x * y)
+        terms.append(t)
+        prods.append(p)
+    return math.fsum(terms), math.fsum(prods), tuple(terms)
+
+
+# exact wall hits, a wall norm below the 1e-300 cut, and interior points
+wall_or_interior_t = st.one_of(st.sampled_from([0.0, 1e-310]), st.floats(0.0, TWO_PI))
+
+
+@given(
+    st.builds(DominantWeight, st.integers(0, 500), st.integers(0, 500)),
+    wall_or_interior_t,
+    wall_or_interior_t,
+)
+@example(DominantWeight(3, 1), 0.0, 0.0)  # H = 0
+@example(DominantWeight(7, 2), 0.0, 1.3)  # t1 = 0
+@example(DominantWeight(2, 9), 2.1, 0.0)  # t2 = 0
+@example(DominantWeight(5, 5), 2.0, TWO_PI - 2.0)  # the far wall, to rounding
+def test_envelope_matches_the_per_element_sum_bit_for_bit(mu, t1, t2):
+    H = TorusPoint.from_alcove_coords(t1, min(t2, TWO_PI - t1))
+    env = envelope_min(mu, H)
+    assert (env.min_form, env.product_form, env.per_weyl_terms) == _envelope_reference(mu, H)
 
 
 @given(weights)

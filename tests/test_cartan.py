@@ -30,6 +30,7 @@ from su3char import (
     weyl_act_torus,
     weyl_act_weight,
 )
+from su3char.cartan import WALL_COSET_TABLES, WALL_POSITIVE_ROOT, WEYL_TABLE
 from su3char.character import chi_schur
 
 TWO_PI = 2.0 * math.pi
@@ -203,6 +204,24 @@ def test_wall_cosets_factorize_the_group():
         assert elements == set(WEYL_GROUP)
     with pytest.raises(ValueError):
         wall_coset(3)
+
+
+def test_index_tables_match_the_group():
+    # distinct values, so a wrong slot cannot go unseen
+    x = (11, 23, 37)
+    pairs = [(WEYL_TABLE, WEYL_GROUP)]
+    pairs += [(WALL_COSET_TABLES[j], wall_coset(j)) for j in (0, 1, 2)]
+    for table, elements in pairs:
+        assert len(table) == len(elements)
+        for (sign, p), s in zip(table, elements):
+            assert sign == s.sign
+            assert tuple(x[i] for i in p) == s.apply(x)
+
+
+def test_wall_positive_roots_are_positive_and_on_their_walls():
+    for j, beta in enumerate(WALL_POSITIVE_ROOT):
+        assert beta in POSITIVE_ROOTS
+        assert beta in (EXTENDED_ROOTS[j], EXTENDED_ROOTS[j].negated())
 
 
 @given(st.sampled_from(range(6)), small_weights)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from su3char import (
     WEYL_GROUP,
+    CharValue,
     DominantWeight,
     ResourceLimitError,
     SingularInputError,
@@ -207,6 +208,7 @@ def test_descent_term_invariants(mu, H):
             assert t.det in (-1, 1)
             assert abs(abs(t.phase) - 1.0) <= 1e-12
             assert isinstance(t.m, int)
+        assert ts.char_value() == CharValue(ts.assembled(), f"descent{j}", ts.condition)
 
 
 # ---------------------------------------------------------------------------
