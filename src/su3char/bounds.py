@@ -14,14 +14,14 @@ hunts for the worst ratio |chi| / envelope over mu ranges and stratified
 alcove grids (interior, exact wall hits, corner approaches) and reports the
 empirical constant together with shell tables for growth analysis.
 
-The sweep loops over fixed blocks of SWEEP_BLOCK grid points on the outside
-and over chunks of CHUNK_WEIGHTS weights on the inside: each block builds
-the character module's mu-independent grid geometry once (wall sines,
-routes, rank-one and phase rows, inverse walls), and each route and the
-envelope run once per chunk on a [weights x points] tile.  The weights are
-chunked in order of Weyl degree a+2b+3, so weights of one degree share the
-Weyl route's common phase.  A weight's values do not depend on its chunk.
-Threads map over blocks; per-weight maxima merge in block order.
+The sweep loops over blocks of SWEEP_BLOCK grid points, sorted stably by
+route, on the outside and over chunks of CHUNK_WEIGHTS weights, in order of
+Weyl degree a+2b+3, on the inside: each block builds the character module's
+mu-independent grid geometry once (wall sines, routes, rank-one and phase
+rows, inverse walls), and each route and the envelope run once per chunk on
+a [weights x points] tile.  A weight's values do not depend on its chunk.
+Threads map over blocks; per-weight maxima merge on (ratio, grid index),
+the lower index first on a tie.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .cartan import (
 )
 from .character import (
     GRID_METHOD_NAMES,
+    SCHUR_DIM_LIMIT,
+    ResourceLimitError,
     _GridChunk,
     _GridGeometry,
     _Rank1Rows,
@@ -63,6 +65,7 @@ __all__ = [
     "rank1_bound_margin",
     "build_grid",
     "default_mu_set",
+    "mu_shells",
     "sweep_constant",
 ]
 
@@ -316,7 +319,11 @@ def build_grid(spec: GridSpec, seed: int) -> GridPoints:
 
 def default_mu_set(dense_shell_max: int = 20, shell_max: int = 40) -> List[DominantWeight]:
     """All (a,b) with a+b <= dense_shell_max; above that, ~6 per shell."""
-    mus: List[DominantWeight] = []
+    return list(mu_shells(dense_shell_max, shell_max))
+
+
+def mu_shells(dense_shell_max: int = 20, shell_max: int = 40):
+    """default_mu_set's weights, one at a time."""
     for s in range(0, shell_max + 1):
         if s <= dense_shell_max:
             a_values = range(0, s + 1)
@@ -324,8 +331,7 @@ def default_mu_set(dense_shell_max: int = 20, shell_max: int = 40) -> List[Domin
             step = max(1, math.ceil(s / 5))
             a_values = sorted(set(list(range(0, s + 1, step)) + [s]))
         for a in a_values:
-            mus.append(DominantWeight(a, s - a))
-    return mus
+            yield DominantWeight(a, s - a)
 
 
 @dataclass(frozen=True)
@@ -350,6 +356,10 @@ SWEEP_BLOCK = 1024
 # Most sweep workers; every block is submitted to the pool at once.
 MAX_THREADS = 64
 
+# Most weights per sweep.  A sweep holds about 7 kB a weight: tracemalloc
+# peaks of 4.2 MB at the 351 default weights, 29 MB at 3 711 (default grid).
+MAX_WEIGHTS = 1 << 12
+
 # Entries (weights x points) per tile of the sweep: the weights are evaluated
 # in chunks of CHUNK_WEIGHTS, each route once per chunk on a [weights x points]
 # tile.  Memory, not time, sets the size.
@@ -366,12 +376,12 @@ def _chunks(mus: List[DominantWeight]):
     return [(pos, _GridChunk([mus[p] for p in pos])) for pos in cuts]
 
 
-def _sweep_block(t1: np.ndarray, t2: np.ndarray, chunks, count: int):
-    """For each of the count weights: the (ratio, index, |chi|, envelope,
-    method code) of the block's largest ratio, and the ratio at the block's
-    first point."""
-    geom = _GridGeometry(t1, t2)
-    methods, _ = geom.routes
+def _sweep_block(grid: GridPoints, idx: np.ndarray, chunks, count: int):
+    """For each of the count weights: the (ratio, grid index, |chi|,
+    envelope, method code) of the largest ratio at the grid points idx (in
+    grid order), and the ratio at the first of them."""
+    geom = _GridGeometry(grid.t1[idx], grid.t2[idx])
+    methods = geom.methods
     best = [None] * count
     first = [None] * count
     for pos, chunk in chunks:
@@ -380,28 +390,26 @@ def _sweep_block(t1: np.ndarray, t2: np.ndarray, chunks, count: int):
         ratios = absv / env
         top = np.argmax(ratios, axis=1)  # per row: the first NaN if any, else the first maximum
         for w, (p, i) in enumerate(zip(pos, top.tolist())):
-            best[p] = (float(ratios[w, i]), i, float(absv[w, i]), float(env[w, i]), int(methods[i]))
+            best[p] = (float(ratios[w, i]), int(idx[i]), float(absv[w, i]), float(env[w, i]),
+                       int(methods[i]))
             first[p] = float(ratios[w, 0])
     return best, first
 
 
-def _beats(new: float, old: float) -> bool:
-    """np.argmax's order: a NaN beats any number, and ties keep the older."""
-    return new > old or (math.isnan(new) and not math.isnan(old))
+def _argmax_key(record) -> tuple:
+    """np.argmax's order on (ratio, grid index, ...) records as a key: a NaN
+    first, then the larger ratio, then the lower index."""
+    r, i = record[:2]
+    return (r != r, 0.0 if r != r else r, -i)
 
 
 def _merge_blocks(blocks, results):
-    """Per-weight (ratio, grid index, |chi|, envelope, method code) maxima
-    over the block results, merged in block order as they arrive, and the
-    first block's ratios at its first point."""
+    """Per weight, the larger record on _argmax_key over the block results,
+    merged as they arrive, and the ratios at grid point 0 from its block."""
     top = first = None
     for blk, (best, block_first) in zip(blocks, results):
-        if first is None:
-            top = [None] * len(best)
-            first = block_first
-        for k, (r, i, *rest) in enumerate(best):
-            if top[k] is None or _beats(r, top[k][0]):
-                top[k] = (r, blk.start + i, *rest)
+        top = best if top is None else [max(r, s, key=_argmax_key) for r, s in zip(top, best)]
+        first = block_first if blk[0] == 0 else first
     return top, first
 
 
@@ -413,14 +421,17 @@ def sweep_constant(
 ) -> SweepReport:
     """Max |chi|/envelope over a mu set x stratified alcove grid.
 
-    The grid is cut into blocks of SWEEP_BLOCK points; each block builds its
+    The grid points are sorted stably by route and cut into blocks of
+    SWEEP_BLOCK points, each in grid order; each block builds its
     mu-independent geometry once and evaluates the weights on it in chunks
     (see the module docstring), and the per-chunk constants are built once.
     Threads map over blocks.  Every value is computed from its point and
-    weight alone, and the per-mu maxima merge in block order with a strict
-    '>', so ties resolve to the first grid index, the report does not
-    depend on the thread count, and a weight's record does not depend on
-    the other weights swept with it.
+    weight alone, and each weight's maximum is taken over the blocks on
+    (ratio, grid index) in np.argmax's order, so ties resolve to the first
+    grid index, the report does not depend on the thread count, and a
+    weight's record does not depend on the other weights swept with it.
+    Refuses (ResourceLimitError), as mu_range is read, past MAX_WEIGHTS
+    weights, CHUNK_WEIGHTS x (a+b+1) or grid points above SCHUR_DIM_LIMIT.
     """
     what = "threads"
     if threads is None:
@@ -433,19 +444,28 @@ def sweep_constant(
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"{what} must be between 1 and {MAX_THREADS}, got {threads}")
     spec = grid_spec or GridSpec()
-    mus = [m if isinstance(m, DominantWeight) else DominantWeight(*m) for m in mu_range]
+    if spec.total > SCHUR_DIM_LIMIT:
+        raise ResourceLimitError(f"grid total {spec.total} > {SCHUR_DIM_LIMIT}-point budget")
+    mus = []
+    for m in mu_range:  # checked as read, so a list past the budget is never built
+        mus.append(mu := m if isinstance(m, DominantWeight) else DominantWeight(*m))
+        if len(mus) > MAX_WEIGHTS or CHUNK_WEIGHTS * (mu.a + mu.b + 1) > SCHUR_DIM_LIMIT:
+            raise ResourceLimitError(f"weight {len(mus)}, ({mu.a},{mu.b}), is past the sweep's "
+                                     f"budget: {MAX_WEIGHTS} weights, {CHUNK_WEIGHTS}(a+b+1) <= "
+                                     f"{SCHUR_DIM_LIMIT}")
     if not mus:
         raise ValueError("sweep_constant needs at least one weight")
     grid = build_grid(spec, seed)
     # the exact H = 0 corner is the first point by construction, so it is
-    # the first point of the first block
+    # the first point of its block
     assert grid.t1[0] == 0.0 and grid.t2[0] == 0.0
 
     chunks = _chunks(mus)
-    blocks = [slice(lo, lo + SWEEP_BLOCK) for lo in range(0, grid.t1.size, SWEEP_BLOCK)]
+    order = np.argsort(_GridGeometry(grid.t1, grid.t2).methods, kind="stable")
+    blocks = [np.sort(order[lo:lo + SWEEP_BLOCK]) for lo in range(0, order.size, SWEEP_BLOCK)]
 
-    def run(blk: slice):
-        return _sweep_block(grid.t1[blk], grid.t2[blk], chunks, len(mus))
+    def run(blk: np.ndarray):
+        return _sweep_block(grid, blk, chunks, len(mus))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -28,7 +28,7 @@ Conventions used by the whole package (everything downstream assumes them):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 __all__ = [
@@ -71,6 +71,8 @@ class TorusPoint:
     """Torus element in the trace-zero angle gauge."""
 
     theta: Tuple[float, float, float]
+    # sin(<beta, H>/2) per wall, beta in WALL_POSITIVE_ROOT, computed once
+    wall_sines: Tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a finite sum implies finite angles, so this also refuses NaN and inf
@@ -80,6 +82,10 @@ class TorusPoint:
             raise ValueError(
                 f"torus angles must be finite and sum to zero (got {self.theta!r})"
             )
+        th = self.theta  # the pairings with WALL_POSITIVE_ROOT = ((1,3), (1,2), (2,3))
+        object.__setattr__(self, "wall_sines", (
+            math.sin(0.5 * (th[0] - th[2])), math.sin(0.5 * (th[0] - th[1])),
+            math.sin(0.5 * (th[1] - th[2]))))
 
     @classmethod
     def from_alcove_coords(cls, t1: float, t2: float) -> "TorusPoint":
@@ -93,7 +99,8 @@ class TorusPoint:
 
     def wall_norms(self) -> Tuple[float, float, float]:
         """wall_norm against (alpha0, alpha1, alpha2), in that order."""
-        return tuple(wall_norm(self, alpha) for alpha in EXTENDED_ROOTS)
+        s0, s1, s2 = self.wall_sines
+        return (abs(s0), abs(s1), abs(s2))
 
 
 def theta_from_alcove(t1, t2):

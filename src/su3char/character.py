@@ -15,14 +15,15 @@
                 H = 0.
 ``chi_stable``  dispatcher picking among the three by wall distances.
 
-``chi_on_grid`` vectorizes the dispatch; near two or more walls it groups
-the pattern phases by weight (:func:`multiplicities`), O((a+b)^2) per point.
-Everything it needs that depends only on the points (wall sines, routes,
-descent prefactors, rank-one and Weyl phase rows) lives in one private
-geometry object, shared by every weight evaluated on the same points; each
-route runs once per chunk of weights on a [weights x points] tile, and
-chi_on_grid is a chunk of one weight.  A value never depends on the other
-points or weights of its call (see :func:`_cmul`).
+``chi_on_grid`` vectorizes the dispatch.  The Weyl and descent routes read
+their phases from per-point rows exp(ik x), one per integer k; near two or
+more walls it sums the patterns in closed form, O(a+b) per point.
+Everything that depends only on the points (wall sines, routes, descent
+prefactors, rank-one and phase rows) lives in one private geometry object,
+shared by every weight evaluated on the same points; each route runs once
+per chunk of weights on a [weights x points] tile, and chi_on_grid is a
+chunk of one weight.  A value never depends on the other points or weights
+of its call (see :func:`_cmul`).
 
 All evaluators agree on chi~(lambda, H) = chi(mu, H) for lambda = mu + rho;
 the lambda-level entry points (chi_weyl, descent_terms) exist so the Weyl
@@ -40,7 +41,6 @@ from typing import Tuple
 import numpy as np
 
 from .cartan import (
-    POSITIVE_ROOTS,
     WALL_COSET_TABLES,
     WALL_POSITIVE_ROOT,
     WEYL_TABLE,
@@ -81,7 +81,8 @@ RANK1_SIN_SWITCH = 1e-8
 # Exact-zero guard for denominators (an exact wall hit).
 WALL_FLOOR = 1e-14
 
-# chi_schur's pattern budget and multiplicities' array-entry budget.
+# chi_schur's pattern budget, multiplicities' array-entry budget and the
+# multi-wall grid route's, weights x (a+b+1) table entries a point.
 SCHUR_DIM_LIMIT = 10**7
 
 
@@ -173,7 +174,7 @@ class _Rank1Rows:
 
 def chi_weyl(lam: RegularTriple, H: TorusPoint) -> CharValue:
     """Alternating phase sum over W divided by the positive-root sine product."""
-    sines = [math.sin(0.5 * pairing_root_torus(H, beta)) for beta in POSITIVE_ROOTS]
+    sines = H.wall_sines[1:] + H.wall_sines[:1]  # in POSITIVE_ROOTS order
     wmin = min(abs(x) for x in sines)
     if wmin <= WALL_FLOOR:
         raise SingularInputError(
@@ -321,7 +322,7 @@ def descent_terms(lam: RegularTriple, H: TorusPoint, j: int) -> DescentTermSet:
         raise ValueError(f"wall index must be 0, 1 or 2, got {j}")
     beta_j = WALL_POSITIVE_ROOT[j]
     others = [WALL_POSITIVE_ROOT[k] for k in (0, 1, 2) if k != j]
-    other_sines = [math.sin(0.5 * pairing_root_torus(H, beta)) for beta in others]
+    other_sines = [H.wall_sines[k] for k in (0, 1, 2) if k != j]
     other_walls = [abs(x) for x in other_sines]
     wmin = min(other_walls)
     if wmin <= WALL_FLOOR:
@@ -370,8 +371,8 @@ def chi_stable(mu: DominantWeight, H: TorusPoint) -> CharValue:
 
 GRID_METHOD_NAMES = ("weyl", "descent0", "descent1", "descent2", "schur")
 
-# Entries per phase tile (points x (a+b+1)) of the multiplicity contraction;
-# blocking the points by it bounds peak memory.
+# Entries per weight of the multi-wall tables (points x (a+b+1)); blocking
+# the points by it bounds peak memory.
 GRID_BLOCK = 1 << 18
 
 
@@ -379,10 +380,11 @@ class _GridChunk:
     """What the grid routes need of a chunk of weights.
 
     Every lambda = mu + rho is (a+b+2, b+1, 0): ``lam`` per weight.  Weights
-    of one degree a+2b+3 share the Weyl route's common phase; ``runs`` lists
-    (degree, rows) per run of equal degree.  ``descent[:, j]`` holds the
-    coset terms at wall j as rows (det, e1, e2, e3, m), ``pairings`` the
-    magnitudes (l1-l2, l1-l3, l2-l3) = (a+1, a+b+2, b+1).
+    of one degree a+2b+3 share the common phase of the Weyl and multi-wall
+    routes; ``runs`` lists (degree, rows) per run of equal degree.
+    ``descent[:, j]`` holds det * m per coset term at wall j (see
+    :meth:`_WallPoints.tile`), ``pairings`` the magnitudes
+    (l1-l2, l1-l3, l2-l3) = (a+1, a+b+2, b+1).
     """
 
     def __init__(self, mus):
@@ -393,13 +395,10 @@ class _GridChunk:
         self.runs = [(degrees[lo], slice(lo, hi))
                      for lo, hi in zip(starts, starts[1:] + [len(ells)])]
         self.lam = np.array(ells, dtype=np.int64)
-        terms = []
-        for ell in ells:
-            for beta, coset in zip(WALL_POSITIVE_ROOT, WALL_COSET_TABLES):
-                for sign, p in coset:
-                    e = [ell[i] for i in p]
-                    terms.append((sign, *e, e[beta.j - 1] - e[beta.k - 1]))
-        self.descent = np.array(terms, dtype=np.float64).reshape(len(ells), 3, 3, 5)
+        self.descent = np.array([[[sign * (ell[p[beta.j - 1]] - ell[p[beta.k - 1]])
+                                   for sign, p in coset]
+                                  for beta, coset in zip(WALL_POSITIVE_ROOT, WALL_COSET_TABLES)]
+                                 for ell in ells], dtype=np.int64)
         self.pairings = np.array([(l1 - l2, l1, l2) for l1, l2, _ in ells], dtype=np.float64)
 
 
@@ -419,26 +418,30 @@ def _cmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(x, y, out=out)
 
 
+class _PhaseRows(dict):
+    """exp(i k x) at fixed angles x per integer k, computed when first read."""
+
+    def __init__(self, x: np.ndarray):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, k: int) -> np.ndarray:
+        row = self[k] = np.exp(1j * (k * self.x))
+        return row
+
+    def stack(self, ks) -> np.ndarray:  # [len(ks) x points]
+        return np.stack([self[k] for k in ks])
+
+
 class _WeylPoints:
     """The Weyl-route points with their denominators and the phase rows
-    P1[k] = exp(ik t1) and P2[k] = exp(-ik t2), each row computed when
-    first read."""
+    P1[k] = exp(ik t1) and P2[k] = exp(-ik t2)."""
 
     def __init__(self, idx, t1, t2, sines):
         self.idx = idx
         self.den = (2j * sines[1][idx]) * (2j * sines[2][idx]) * (2j * sines[0][idx])
+        self.p1, self.p2 = _PhaseRows(t1[idx]), _PhaseRows(-t2[idx])
         self.d = (t2[idx] - t1[idx]) / 3.0
-        self._angles = (t1[idx], -t2[idx])
-        self._rows = ({}, {})
-
-    def _phase(self, which: int, ks) -> np.ndarray:
-        """Rows P1[k] (which 0) or P2[k] (which 1) for each k of ks,
-        [len(ks) x points]."""
-        rows, angles = self._rows[which], self._angles[which]
-        for k in ks:
-            if k not in rows:
-                rows[k] = np.exp(1j * (k * angles))
-        return np.stack([rows[k] for k in ks])
 
     def tile(self, chunk: _GridChunk) -> np.ndarray:
         """Weyl quotient at the Weyl-route points, [weights x points]."""
@@ -446,8 +449,8 @@ class _WeylPoints:
         # exp(i degree (t2 - t1)/3) sum_s sgn(s) P1[e1] P2[e3], and e1 or e3
         # is 0 in four of the six terms.  The common phase is one row per
         # run of weights of equal degree.
-        p1 = [self._phase(0, chunk.lam[:, c].tolist()) for c in (0, 1)]
-        p2 = [self._phase(1, chunk.lam[:, c].tolist()) for c in (0, 1)]
+        p1 = [self.p1.stack(chunk.lam[:, c].tolist()) for c in (0, 1)]
+        p2 = [self.p2.stack(chunk.lam[:, c].tolist()) for c in (0, 1)]
         num = np.zeros(p1[0].shape, dtype=np.complex128)
         tmp = np.empty_like(num)
         # e1 and e3 of e = s.lambda are components c1 and c3 of
@@ -474,84 +477,93 @@ class _WeylPoints:
 
 
 class _WallPoints:
-    """The descent-route points of wall j and their mu-independent factors,
-    with the rank-one rows at u = <beta_j, H>/2 (:class:`_Rank1Rows`)."""
+    """The descent-route points of wall j and their mu-independent factors:
+    the prefactor, the rank-one rows at u = <beta_j, H>/2 (:class:`_Rank1Rows`)
+    and the phase rows at theta_c/2, c the slot off the wall."""
 
     def __init__(self, j: int, idx, th, pairing, sines):
         self.j = j
         self.idx = idx
-        self.th = tuple(c[idx] for c in th)
         k1, k2 = (k for k in (0, 1, 2) if k != j)
         self.prefactor = 1.0 / ((2j * sines[k1][idx]) * (2j * sines[k2][idx]))
-        self.u = 0.5 * pairing[idx]
-        self.rank1 = _Rank1Rows(self.u, sines[j][idx])
+        # rank1(m, u) = (-1)^(n(m-1)) rank1(m, v), v = u - n pi: m v rounds relative to v
+        n = np.round(0.5 * pairing[idx] / np.pi)
+        v = 0.5 * pairing[idx] - n * np.pi
+        self.rank1, self.flip = _Rank1Rows(v, np.sin(v)), n % 2 == 1
+        beta = WALL_POSITIVE_ROOT[j]
+        self.c = 5 - beta.j - beta.k  # the slot off the wall
+        self.phase = _PhaseRows(0.5 * th[self.c][idx])
 
     def tile(self, chunk: _GridChunk) -> np.ndarray:
-        """Descent at wall j, [weights x points], the coset terms stacked.
+        """Descent at wall j, [weights x points].
 
-        Term t is det * rank1(m) * exp(i(e.theta - m u)); the terms are added
-        in coset order and the sum is multiplied by the prefactor, as in
-        DescentTermSet.assembled.
+        Coset term e = s.lambda is det * rank1(m) * exp(i(e.theta - m u)).
+        With p, q the slots on the wall, e.theta - m u = (e_p + e_q)
+        (theta_p + theta_q)/2 + e_c theta_c = (3 e_c - l1 - l2) x, as theta
+        sums to 0; x = theta_c/2, lambda = (l1, l2, 0).  With the rows W1 =
+        exp(i l1 x), W2 = exp(i l2 x) and D = W1 conj(W2) the phase is D W1,
+        conj(D) W2 or conj(W1 W2) for e_c = l1, l2 or 0.  The terms are
+        added in coset order and the sum is multiplied by the prefactor, as
+        in DescentTermSet.assembled.
         """
-        terms = chunk.descent[:, self.j, :, :, None]  # [weight, term, field, 1]
-        shape = (len(chunk.mus), 3, self.idx.size)
-        th1, th2, th3 = self.th
-        angle = (terms[:, :, 1] * th1 + terms[:, :, 2] * th2 + terms[:, :, 3] * th3
-                 - terms[:, :, 4] * self.u)
-        phase = np.exp(1j * angle)
-        ms = chunk.descent[:, self.j, :, 4].astype(np.int64).ravel().tolist()
-        rows = np.stack([self.rank1(m) for m in ms]).reshape(shape)
-        rows *= terms[:, :, 0]
-        acc = np.zeros(shape[::2], dtype=np.complex128)
-        part = np.empty_like(acc)
-        for t in range(3):
-            acc += _cmul(rows[:, t], phase[:, t], part)
-        return _cmul(self.prefactor, acc, part)
+        w1, w2 = (self.phase.stack(chunk.lam[:, c].tolist()) for c in (0, 1))
+        d = _cmul(w1, np.conjugate(w2), np.empty_like(w1))
+        phases = [_cmul(d, w1, np.empty_like(d)), _cmul(np.conjugate(d), w2, np.empty_like(d))]
+        phases.append(np.conjugate(_cmul(w1, w2, d), out=d))
+        acc = np.zeros_like(d)
+        for (_, p), m in zip(WALL_COSET_TABLES[self.j], chunk.descent[:, self.j].T):
+            rank1 = np.stack([self.rank1(x) for x in np.abs(m).tolist()])
+            rank1[(m < 0)[:, None] ^ ((m % 2 == 0)[:, None] & self.flip)] *= -1.0
+            acc += _cmul(rank1, phases[p[self.c]], w1)
+        return _cmul(self.prefactor, acc, w1)
 
 
 class _MultiWallPoints:
-    """The points near two or more walls, with their angle differences
-    th1-th2 and th3-th2."""
+    """The points near two or more walls, with theta2 and the angle
+    differences th1-th2 and th3-th2."""
 
     def __init__(self, idx, th):
         self.idx = idx
         self.th2 = th[1][idx]
-        self.d1 = th[0][idx] - self.th2
-        self.d3 = th[2][idx] - self.th2
+        self.d1, self.d3 = th[0][idx] - self.th2, th[2][idx] - self.th2
 
     def tile(self, chunk: _GridChunk) -> np.ndarray:
-        """chi on the multi-wall points, [weights x points]: the pattern phase
-        sum grouped by weight.
+        """chi on the multi-wall points, [weights x points]: the pattern
+        phase sum in closed form, O(a+b) per weight and point.
 
-        The phase of weight (w1, w2, w3) is c*th2 + w1*(th1-th2) + w3*(th3-th2)
-        with c = a+2b, so chi = exp(i c th2) * sum E1[w1] M[w1, w3] E3[w3]
-        with E1[k] = exp(ik(th1-th2)), E3[k] = exp(ik(th3-th2)), k = 0..a+b.
-        The tables are built per tile of GRID_BLOCK entries at the chunk's
-        largest a+b+1 and serve every weight of the chunk.  Both sums run
-        in increasing index order by elementwise array operations, so a
-        point's value does not depend on the other points (an einsum
-        contraction would pick its summation order from the shape); a
-        product by the real M is exact in any numpy loop.  At H = 0 every
-        phase is exactly 1 and the value is exactly dim(mu).
+        Pattern (m12, m22, m11) has the phase c th2 + m11 (th1-th2) +
+        (a+b-m12 + b-m22) (th3-th2), c = a+2b; m12 in [b, a+b] and m22 in
+        [0, b] are independent and m11 runs over [m22, m12].  With E1[k] =
+        exp(ik(th1-th2)), E3[k] = exp(ik(th3-th2)), the prefix sums P[k] =
+        E1[0] + ... + E1[k-1] and Q[k] = E3[0] + ... + E3[k], the m11 sum is
+        P[m12+1] - P[m22] and chi = exp(i c th2) (S_A Q[b] - Q[a] S_D) with
+        S_A = sum_{j<=a} E3[j] P[a+b+1-j] and S_D = sum_{j<=b} E3[j] P[b-j].
+        The tables serve the whole chunk, per tile of GRID_BLOCK entries a
+        weight.  Every sum is a cumulative sum in increasing index order,
+        so a value does not depend on the other points or weights; at H = 0
+        every phase is 1, every sum an exact integer and chi exactly dim.
         """
-        out = np.empty((len(chunk.mus), self.idx.size), dtype=np.complex128)
-        k = np.arange(max(mu.a + mu.b for mu in chunk.mus) + 1, dtype=np.float64)
-        step = max(1, GRID_BLOCK // k.size)
+        w, b = len(chunk.mus), chunk.lam[:, 1] - 1
+        a = chunk.lam[:, 0] - b - 2
+        n = int((a + b).max()) + 1
+        if w * n > SCHUR_DIM_LIMIT:
+            raise ResourceLimitError(f"the multi-wall tables, {w} x {n} entries a point, "
+                                     f"exceed the {SCHUR_DIM_LIMIT}-entry budget")
+        k = np.arange(n, dtype=np.float64)
+        out = np.empty((w, self.idx.size), dtype=np.complex128)
+        step = max(1, GRID_BLOCK // (w * k.size))
         for lo in range(0, self.idx.size, step):
             pts = slice(lo, lo + step)
             e1, e3 = (np.exp(1j * np.multiply.outer(k, d[pts])) for d in (self.d1, self.d3))
-            for w, mu in enumerate(chunk.mus):
-                m = multiplicities(mu).astype(np.float64)[:, :, None]  # [i, j, point]
-                n = m.shape[0]
-                # y[i, p] = sum_j M[i, j] E3[j, p], then sum_i E1[i, p] y[i, p]
-                y = np.multiply(e3[0], m[:, 0])
-                tmp = np.empty_like(y)
-                for j in range(1, n):
-                    y += np.multiply(e3[j], m[:, j], out=tmp)
-                acc = _cmul(e1[0], y[0], np.empty(y.shape[1], dtype=np.complex128))
-                for i in range(1, n):
-                    acc += _cmul(e1[i], y[i], tmp[0])
-                out[w, pts] = acc
+            p = np.concatenate((np.zeros_like(e1[:1]), np.cumsum(e1, axis=0)))
+            q, s = np.cumsum(e3, axis=0), []
+            for n, last in ((a + b + 1, a), (b, b)):  # S_A, S_D
+                j = np.arange(last.max() + 1)
+                terms = np.empty((w, j.size, e3.shape[1]), dtype=np.complex128)
+                _cmul(e3[j], p[np.maximum(n[:, None] - j, 0)], terms)
+                s.append(np.cumsum(terms, axis=1)[np.arange(w), last])
+            sa, sd = s
+            out[:, pts] = _cmul(sa, q[b], np.empty_like(sa)) - _cmul(q[a], sd, np.empty_like(sd))
         for degree, rows in chunk.runs:
             phase = np.exp(1j * ((degree - 3) * self.th2))
             out[rows] = _cmul(phase, out[rows], np.empty_like(out[rows]))
@@ -563,8 +575,8 @@ class _GridGeometry:
 
     Built once from (t1, t2) and shared by every chunk of weights evaluated
     there.  The wall sines are computed at once; the inverse walls (for the
-    envelope) and the routes (for chi) on first use, so a caller that needs
-    only one of them pays for nothing else.
+    envelope), the route codes and the routes (for chi) on first use, so a
+    caller that needs only one of them pays for nothing else.
     """
 
     def __init__(self, t1, t2):
@@ -583,32 +595,35 @@ class _GridGeometry:
             return np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), np.inf)
 
     @cached_property
-    def routes(self):
-        """(methods, routes): each point's uint8 code into GRID_METHOD_NAMES,
-        by the number of walls below EPS_WALL, and the non-empty routes --
-        Weyl (:class:`_WeylPoints`), descent at each wall
-        (:class:`_WallPoints`), multi-wall (:class:`_MultiWallPoints`) --
-        each with its points ``idx`` and ``tile(chunk)``."""
-        th = theta_from_alcove(self.t1, self.t2)
+    def methods(self) -> np.ndarray:
+        """Each point's uint8 code into GRID_METHOD_NAMES, by the number of
+        walls below EPS_WALL."""
         near = np.count_nonzero(self.walls < EPS_WALL, axis=0)
         jmin = np.argmin(self.walls, axis=0)
-        methods = np.where(near == 1, 1 + jmin, 4 * (near > 1)).astype(np.uint8)
-        idx = [np.nonzero(methods == code)[0] for code in range(5)]
+        return np.where(near == 1, 1 + jmin, 4 * (near > 1)).astype(np.uint8)
+
+    @cached_property
+    def routes(self):
+        """The non-empty routes -- :class:`_WeylPoints`, :class:`_WallPoints`
+        per wall, :class:`_MultiWallPoints` -- with points ``idx`` and
+        ``tile(chunk)``."""
+        th = theta_from_alcove(self.t1, self.t2)
+        idx = [np.nonzero(self.methods == code)[0] for code in range(5)]
         routes = [_WeylPoints(idx[0], self.t1, self.t2, self.sines)]
         routes += [_WallPoints(j, idx[1 + j], th, self.pairings[j], self.sines)
                    for j in (0, 1, 2)]
         routes.append(_MultiWallPoints(idx[4], th))
-        return methods, [r for r in routes if r.idx.size]
+        return [r for r in routes if r.idx.size]
 
     def chi(self, chunk: _GridChunk) -> np.ndarray:
         """chi(mu, .) for every weight of the chunk at every point,
         [weights x points], by each point's route."""
-        methods, routes = self.routes
+        routes = self.routes
         if len(routes) == 1 and isinstance(routes[0], _WeylPoints):
             # no scatter where every point is Weyl; other tiles of one
             # weight at one point are 1-vectors (see _cmul)
             return routes[0].tile(chunk)
-        values = np.empty((len(chunk.mus), methods.size), dtype=np.complex128)
+        values = np.empty((len(chunk.mus), self.t1.size), dtype=np.complex128)
         for r in routes:
             values[:, r.idx] = r.tile(chunk)
         return values
@@ -619,15 +634,14 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
 
     Returns (values, methods): complex128 values and a uint8 method code per
     point, indexing GRID_METHOD_NAMES.  Mirrors chi_stable's dispatch by the
-    number of walls below EPS_WALL: none, Weyl quotient (numerator from
-    phase rows, see :class:`_WeylPoints`); one, descent at that wall; two
-    or more, the multiplicity contraction ("schur", the pattern sum grouped
-    by weight: O((a+b)^2) per point, exact dim at H = 0, refused with
-    ResourceLimitError when the multiplicity array exceeds its budget).
-    It is a chunk of one weight through the same kernels as the envelope
-    sweep.  Every point's value is computed from that point alone, so its
-    bits do not depend on the other points of the call, nor on the call's
-    size.
+    number of walls below EPS_WALL: none, Weyl quotient; one, descent at
+    that wall; two or more, the pattern sum in closed form ("schur", O(a+b)
+    per point, exact dim at H = 0, ResourceLimitError past SCHUR_DIM_LIMIT
+    table entries a point).  The Weyl and descent routes read their phases
+    from per-point rows (:class:`_PhaseRows`).  It is a chunk of one
+    weight through the same kernels as the envelope sweep.  Every
+    point's value is computed from that point alone, so its bits do not
+    depend on the other points of the call, nor on the call's size.
     """
     geom = _GridGeometry(t1, t2)
-    return geom.chi(_GridChunk([mu]))[0], geom.routes[0]
+    return geom.chi(_GridChunk([mu]))[0], geom.methods

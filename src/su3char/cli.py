@@ -33,7 +33,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .bounds import GridSpec, default_mu_set, rank1_bound_margin, sweep_constant
+from .bounds import GridSpec, mu_shells, rank1_bound_margin, sweep_constant
 from .cartan import DominantWeight, TorusPoint, dim
 from .character import (
     SCHUR_DIM_LIMIT,
@@ -281,7 +281,8 @@ def _cmd_verify_envelope(cfg: RunConfig) -> int:
         corner_scales=p["corner_scales"],
         corner_rays=p["corner_rays"],
     )
-    mus = default_mu_set(p["dense_max"], p["shell_max"])
+    # default_mu_set's weights, read lazily: sweep_constant refuses too many
+    mus = mu_shells(p["dense_max"], p["shell_max"])
     rep = sweep_constant(mus, spec, seed=p["seed"], threads=p["threads"])
     summary = dataclasses.asdict(rep)
     del summary["per_mu"]

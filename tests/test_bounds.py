@@ -15,6 +15,7 @@ from su3char import (
     build_grid,
     c_of_H,
     chi_on_grid,
+    chi_schur,
     chi_stable,
     default_mu_set,
     dim,
@@ -28,8 +29,9 @@ from su3char import (
     weyl_act_torus,
     weyl_act_weight,
 )
-from su3char.bounds import CHUNK_WEIGHTS, SWEEP_BLOCK, _envelope_min_grid
-from su3char.character import GRID_METHOD_NAMES
+from su3char import bounds
+from su3char.bounds import CHUNK_WEIGHTS, SWEEP_BLOCK, _argmax_key, _envelope_min_grid
+from su3char.character import GRID_METHOD_NAMES, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
 ZERO = TorusPoint((0.0, 0.0, 0.0))
@@ -351,3 +353,91 @@ def test_multi_block_sweep_is_thread_invariant_and_matches_the_full_grid():
         i = int(np.argmax(ratios))
         assert (rec.t1, rec.t2, rec.ratio) == (grid.t1[i], grid.t2[i], ratios[i])
         assert rec.method == GRID_METHOD_NAMES[methods[i]]
+
+
+def test_grid_descent_points_match_the_pattern_oracle():
+    # every descent point of the default grid: exact wall hits, the chamber
+    # wall, corner rays and the interior points within EPS_WALL of a wall
+    grid = build_grid(GridSpec(), seed=7)
+    for a, b in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 3), (5, 2), (8, 3), (4, 9), (12, 0),
+                 (0, 20), (12, 12)]:
+        mu = DominantWeight(a, b)
+        vals, methods = chi_on_grid(mu, grid.t1, grid.t2)
+        idx = np.nonzero((methods >= 1) & (methods <= 3))[0]
+        assert idx.size > 2000
+        for i in idx:
+            H = TorusPoint.from_alcove_coords(float(grid.t1[i]), float(grid.t2[i]))
+            assert abs(vals[i] - chi_schur(mu, H).value) <= 1e-9 * dim(mu), (mu, i)
+
+
+def test_sweep_records_on_mirror_twins_are_the_full_grid_argmax():
+    # (3,0) and (0,3) peak at seed 7 on points whose alcove-symmetric twins
+    # (the same three wall distances) have the same ratio in exact
+    # arithmetic and lie on other descent routes, so in other route-major
+    # blocks; the record is still np.argmax over the full grid
+    spec = GridSpec()
+    grid = build_grid(spec, seed=7)
+    walls = np.sort(np.abs(np.sin(0.5 * np.array([grid.t1 + grid.t2, grid.t1, grid.t2]))), axis=0)
+    mus = [DominantWeight(3, 0), DominantWeight(0, 3)]
+    for mu, rec in zip(mus, sweep_constant(mus, spec, seed=7).per_mu):
+        vals, methods = chi_on_grid(mu, grid.t1, grid.t2)
+        ratios = np.abs(vals) / _envelope_min_grid(mu, grid.t1, grid.t2)
+        i = int(np.argmax(ratios))
+        twins = np.nonzero((np.abs(walls - walls[:, [i]]).max(axis=0) < 1e-12)
+                           & (np.abs(ratios - ratios[i]) <= 1e-12 * ratios[i]))[0]
+        assert len(set(methods[twins].tolist())) == 3
+        assert (rec.t1, rec.t2, rec.ratio) == (grid.t1[i], grid.t2[i], ratios[i])
+        assert rec.method == GRID_METHOD_NAMES[methods[i]]
+
+
+def test_argmax_key_is_np_argmax_order_over_any_blocks():
+    nan = math.nan
+    key = _argmax_key
+    assert key((nan, 7)) > key((nan, 9)) > key((1.0, 0)) > key((0.5, 0))
+    assert key((0.5, 3)) > key((0.5, 4)) and key((0.5, 4)) > key((0.25, 0))
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        ratios = rng.choice([0.1, 0.2, 0.3, nan], size=40, p=[0.4, 0.3, 0.25, 0.05])
+        blocks = np.split(rng.permutation(40), [7, 20, 33])
+        best = []
+        for blk in blocks:
+            blk = np.sort(blk)  # each block in grid order
+            i = int(np.argmax(ratios[blk]))
+            best.append((float(ratios[blk[i]]), int(blk[i])))
+        r, i = max(best, key=key)
+        assert i == int(np.argmax(ratios))
+        # the sweep's merge: one record per block, in any block order
+        top, _ = bounds._merge_blocks(blocks[::-1], [([rec], None) for rec in best[::-1]])
+        assert top[0][1] == i
+
+
+def test_sweep_budget_is_refused_before_the_grid_is_built(monkeypatch):
+    monkeypatch.setattr(bounds, "build_grid", lambda *a: pytest.fail("grid built"))
+    weights = bounds.mu_shells(100_000, 100_000)  # read lazily, refused at MAX_WEIGHTS + 1
+    with pytest.raises(ResourceLimitError, match=f"weight {bounds.MAX_WEIGHTS + 1}, .*budget"):
+        sweep_constant(weights, GridSpec())
+    with pytest.raises(ResourceLimitError, match="budget"):
+        sweep_constant([(0, 0)] * (bounds.MAX_WEIGHTS + 1), GridSpec())
+    # CHUNK_WEIGHTS x (a+b+1) multi-wall table entries a point, past 10^7
+    with pytest.raises(ResourceLimitError, match=r"\(1250000,0\), is past the sweep's budget"):
+        sweep_constant([(0, 0), (1_250_000, 0)], GridSpec())
+    with pytest.raises(ResourceLimitError, match="point budget"):
+        sweep_constant(default_mu_set(), GridSpec(total=10**7 + 1))
+
+
+@pytest.mark.parametrize("mus, spec", [
+    (default_mu_set(), GridSpec(total=10**7)),        # the defaults on the largest grid
+    (default_mu_set(20, 600), GridSpec()),            # 3 711 weights
+    ([(0, 0)] * bounds.MAX_WEIGHTS, GridSpec()),
+    ([(1_249_999, 0)] * CHUNK_WEIGHTS, GridSpec()),
+])
+def test_sweep_budget_passes_to_its_edges(monkeypatch, mus, spec):
+    class Built(Exception):
+        pass
+
+    def build(*a):
+        raise Built
+
+    monkeypatch.setattr(bounds, "build_grid", build)
+    with pytest.raises(Built):
+        sweep_constant(mus, spec)

@@ -219,9 +219,12 @@ def test_index_tables_match_the_group():
 
 
 def test_wall_positive_roots_are_positive_and_on_their_walls():
+    H = TorusPoint.from_alcove_coords(1.3, 2.9)
     for j, beta in enumerate(WALL_POSITIVE_ROOT):
         assert beta in POSITIVE_ROOTS
         assert beta in (EXTENDED_ROOTS[j], EXTENDED_ROOTS[j].negated())
+        # each point's wall sines are taken once, against these roots
+        assert H.wall_sines[j] == math.sin(0.5 * pairing_root_torus(H, beta))
 
 
 @given(st.sampled_from(range(6)), small_weights)

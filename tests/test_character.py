@@ -22,6 +22,7 @@ from su3char import (
     chi_weyl,
     descent_terms,
     dim,
+    multiplicities,
     weyl_act_torus,
     weyl_act_weight,
 )
@@ -334,7 +335,32 @@ def test_multiplicity_budget_trips_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="multiplicity-array budget"):
-            chi_on_grid(mu, np.array([0.0, 1.0]), np.array([0.0, 1.2]))
+            multiplicities(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_grid_multi_wall_route_past_the_multiplicity_budget():
+    # the grid's pattern sum needs no multiplicity array: O(a+b) per point
+    mu = DominantWeight(4000, 4000)
+    d = dim(mu)
+    vals, methods = chi_on_grid(mu, np.array([0.0, 1.5e-3]), np.array([0.0, 1.5e-3]))
+    assert [GRID_METHOD_NAMES[m] for m in methods] == ["schur", "schur"]
+    assert vals[0] == complex(d)
+    ref = chi_weyl(mu.shifted(), TorusPoint.from_alcove_coords(1.5e-3, 1.5e-3))
+    assert abs(vals[1] - ref.value) <= 1e-13 * d
+
+
+def test_grid_multi_wall_tables_trip_before_allocating():
+    # one weight's tables hold a+b+1 entries a point: past 10^7 is refused
+    t = np.array([0.0])
+    assert chi_on_grid(DominantWeight(10**7 - 1, 0), t, t)[0][0] == dim(DominantWeight(10**7 - 1, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="multi-wall tables"):
+            chi_on_grid(DominantWeight(10**7, 0), t, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -650,6 +650,39 @@ def test_grid_strata_over_the_total_fail_before_allocating(capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("flags", [["--dense-max", "100000", "--shell-max", "100000"],
+                                   ["--shell-max", "100000000"]])
+def test_sweep_cost_trips_before_the_weight_list_is_built(capsys, monkeypatch, flags):
+    # past MAX_WEIGHTS weights: refused by sweep_constant as it reads them
+    monkeypatch.setattr(bounds, "build_grid", lambda *a: pytest.fail("grid built"))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "verify-envelope", *flags)
+    assert time.perf_counter() - t0 < 0.1  # untraced: tracemalloc slows it about 7x
+    assert code == EXIT_RESOURCE
+    diag = json.loads(err)
+    assert diag["error"] == "resource-limit" and "budget" in diag["message"]
+    tracemalloc.start()
+    try:
+        assert run(capsys, "verify-envelope", *flags)[0] == EXIT_RESOURCE
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sweep_budget_takes_the_default_weights_on_a_large_grid(monkeypatch):
+    # 351 weights x 50 000 points passes the sweep's budget and reaches the grid
+    class Built(Exception):
+        pass
+
+    def build(spec, seed):
+        raise Built(spec.total)
+
+    monkeypatch.setattr(bounds, "build_grid", build)
+    with pytest.raises(Built, match="50000"):
+        main(["verify-envelope", "--grid-total", "50000"])
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--mu", "2,1", "--alcove", "1.0,2.0"],
     ["lp", "--mu", "2,1", "--p", "4"],
