@@ -56,7 +56,6 @@ from .bounds import (
     SweepReport,
     build_grid,
     c_of_H,
-    default_mu_set,
     envelope_min,
     pointwise_singular_bound,
     rank1_bound_margin,

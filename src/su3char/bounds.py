@@ -64,7 +64,6 @@ __all__ = [
     "ratio",
     "rank1_bound_margin",
     "build_grid",
-    "default_mu_set",
     "mu_shells",
     "sweep_constant",
 ]
@@ -317,13 +316,8 @@ def build_grid(spec: GridSpec, seed: int) -> GridPoints:
     )
 
 
-def default_mu_set(dense_shell_max: int = 20, shell_max: int = 40) -> List[DominantWeight]:
-    """All (a,b) with a+b <= dense_shell_max; above that, ~6 per shell."""
-    return list(mu_shells(dense_shell_max, shell_max))
-
-
 def mu_shells(dense_shell_max: int = 20, shell_max: int = 40):
-    """default_mu_set's weights, one at a time."""
+    """All (a,b) with a+b <= dense_shell_max; above that, ~6 per shell."""
     for s in range(0, shell_max + 1):
         if s <= dense_shell_max:
             a_values = range(0, s + 1)
@@ -421,6 +415,8 @@ def sweep_constant(
 ) -> SweepReport:
     """Max |chi|/envelope over a mu set x stratified alcove grid.
 
+    (a,b) and its dual (b,a) share one record, swept once as (max(a,b),
+    min(a,b)): |chi| and the envelope, a permanent, agree (see _GridChunk).
     The grid points are sorted stably by route and cut into blocks of
     SWEEP_BLOCK points, each in grid order; each block builds its
     mu-independent geometry once and evaluates the weights on it in chunks
@@ -446,9 +442,10 @@ def sweep_constant(
     spec = grid_spec or GridSpec()
     if spec.total > SCHUR_DIM_LIMIT:
         raise ResourceLimitError(f"grid total {spec.total} > {SCHUR_DIM_LIMIT}-point budget")
-    mus = []
+    mus, slot, duals = [], {}, []  # slot: the distinct (max(a,b), min(a,b)), in order
     for m in mu_range:  # checked as read, so a list past the budget is never built
         mus.append(mu := m if isinstance(m, DominantWeight) else DominantWeight(*m))
+        duals.append(slot.setdefault(DominantWeight(max(mu.a, mu.b), min(mu.a, mu.b)), len(slot)))
         if len(mus) > MAX_WEIGHTS or CHUNK_WEIGHTS * (mu.a + mu.b + 1) > SCHUR_DIM_LIMIT:
             raise ResourceLimitError(f"weight {len(mus)}, ({mu.a},{mu.b}), is past the sweep's "
                                      f"budget: {MAX_WEIGHTS} weights, {CHUNK_WEIGHTS}(a+b+1) <= "
@@ -460,12 +457,12 @@ def sweep_constant(
     # the first point of its block
     assert grid.t1[0] == 0.0 and grid.t2[0] == 0.0
 
-    chunks = _chunks(mus)
+    chunks = _chunks(list(slot))
     order = np.argsort(_GridGeometry(grid.t1, grid.t2).methods, kind="stable")
     blocks = [np.sort(order[lo:lo + SWEEP_BLOCK]) for lo in range(0, order.size, SWEEP_BLOCK)]
 
     def run(blk: np.ndarray):
-        return _sweep_block(grid, blk, chunks, len(mus))
+        return _sweep_block(grid, blk, chunks, len(slot))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -476,7 +473,7 @@ def sweep_constant(
     per_mu = tuple(
         RatioRecord(mu_a=mu.a, mu_b=mu.b, t1=float(grid.t1[i]), t2=float(grid.t2[i]),
                     abs_chi=absv, envelope=env, ratio=r, method=GRID_METHOD_NAMES[method])
-        for mu, (r, i, absv, env, method) in zip(mus, top)
+        for mu, (r, i, absv, env, method) in zip(mus, (top[d] for d in duals))
     )
     zero_ok = all(r == 1.0 / 12.0 for r in first)
     # a NaN or inf anywhere in a weight's ratios is that weight's maximum

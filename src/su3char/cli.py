@@ -281,7 +281,7 @@ def _cmd_verify_envelope(cfg: RunConfig) -> int:
         corner_scales=p["corner_scales"],
         corner_rays=p["corner_rays"],
     )
-    # default_mu_set's weights, read lazily: sweep_constant refuses too many
+    # read lazily: sweep_constant refuses too many weights before the list is built
     mus = mu_shells(p["dense_max"], p["shell_max"])
     rep = sweep_constant(mus, spec, seed=p["seed"], threads=p["threads"])
     summary = dataclasses.asdict(rep)

@@ -1,4 +1,9 @@
+import math
+
 import hypothesis
+import numpy as np
+
+from su3char import TorusPoint
 
 hypothesis.settings.register_profile(
     "su3char",
@@ -20,3 +25,36 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+def random_alcove_point(rng, min_wall: float = 0.0) -> TorusPoint:
+    while True:
+        t1 = rng.uniform(0.0, 2.0 * math.pi)
+        t2 = rng.uniform(0.0, 2.0 * math.pi - t1)
+        H = TorusPoint.from_alcove_coords(t1, t2)
+        if min(H.wall_norms()) >= min_wall:
+            return H
+
+
+def acceptance3_points():
+    """Acceptance 3's 100 regular points (walls >= 0.1) and 100 near-wall
+    points (one wall in [2e-9, 2e-6], cycling over the walls, the others
+    >= 0.1)."""
+    rng = np.random.default_rng(314159)
+    regular = [random_alcove_point(rng, min_wall=0.1) for _ in range(100)]
+    near_wall = []
+    while len(near_wall) < 100:
+        j = len(near_wall) % 3
+        eps = rng.uniform(2e-9, 2e-6)
+        mid = rng.uniform(0.3, 2.0 * math.pi - 0.6)
+        if j == 1:
+            t1, t2 = eps, mid
+        elif j == 2:
+            t1, t2 = mid, eps
+        else:
+            t1, t2 = mid, 2.0 * math.pi - mid - eps
+        H = TorusPoint.from_alcove_coords(t1, t2)
+        walls = sorted(H.wall_norms())
+        if walls[0] <= 1e-6 and walls[1] >= 0.1:
+            near_wall.append(H)
+    return regular, near_wall

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, acceptance3_points, random_alcove_point
 from su3char import (
     DominantWeight,
     QuadratureSpec,
@@ -39,7 +39,6 @@ from su3char import (
 )
 from su3char.character import _schur_weight_arrays
 
-TWO_PI = 2.0 * math.pi
 CLI = [sys.executable, "-m", "su3char.cli"]
 
 
@@ -55,15 +54,6 @@ def run_cli(args, threads: int):
             f"CLI {' '.join(args)} exited {proc.returncode}: {proc.stderr}"
         )
     return json.loads(proc.stdout)
-
-
-def random_alcove_point(rng, min_wall: float = 0.0) -> TorusPoint:
-    while True:
-        t1 = rng.uniform(0.0, TWO_PI)
-        t2 = rng.uniform(0.0, TWO_PI - t1)
-        H = TorusPoint.from_alcove_coords(t1, t2)
-        if min(H.wall_norms()) >= min_wall:
-            return H
 
 
 # -- 1 ----------------------------------------------------------------------
@@ -111,23 +101,7 @@ def test_2_dimension_identity():
 
 def test_3_oracle_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(314159)
-    regular = [random_alcove_point(rng, min_wall=0.1) for _ in range(100)]
-    near_wall = []
-    while len(near_wall) < 100:
-        j = len(near_wall) % 3
-        eps = rng.uniform(2e-9, 2e-6)
-        mid = rng.uniform(0.3, TWO_PI - 0.6)
-        if j == 1:
-            t1, t2 = eps, mid
-        elif j == 2:
-            t1, t2 = mid, eps
-        else:
-            t1, t2 = mid, TWO_PI - mid - eps
-        H = TorusPoint.from_alcove_coords(t1, t2)
-        walls = sorted(H.wall_norms())
-        if walls[0] <= 1e-6 and walls[1] >= 0.1:
-            near_wall.append(H)
+    regular, near_wall = acceptance3_points()
 
     worst_reg = 0.0   # max |weyl - schur| / dim
     worst_wall = 0.0  # max |descent_j - schur| / dim over all three j

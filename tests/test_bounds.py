@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -17,7 +18,6 @@ from su3char import (
     chi_on_grid,
     chi_schur,
     chi_stable,
-    default_mu_set,
     dim,
     envelope_min,
     pairing_weight_root,
@@ -30,8 +30,8 @@ from su3char import (
     weyl_act_weight,
 )
 from su3char import bounds
-from su3char.bounds import CHUNK_WEIGHTS, SWEEP_BLOCK, _argmax_key, _envelope_min_grid
-from su3char.character import GRID_METHOD_NAMES, ResourceLimitError
+from su3char.bounds import CHUNK_WEIGHTS, SWEEP_BLOCK, _argmax_key, _envelope_min_grid, mu_shells
+from su3char.character import GRID_METHOD_NAMES, ResourceLimitError, _GridGeometry
 
 TWO_PI = 2.0 * math.pi
 ZERO = TorusPoint((0.0, 0.0, 0.0))
@@ -279,7 +279,7 @@ def test_grid_spec_refuses_negative_strata(field, kw):
 
 
 def test_default_mu_set_shape():
-    mus = default_mu_set(4, 8)
+    mus = list(mu_shells(4, 8))
     shells = {}
     for mu in mus:
         shells.setdefault(mu.a + mu.b, []).append(mu)
@@ -295,7 +295,7 @@ def test_default_mu_set_shape():
 def test_sweep_small_is_deterministic_and_sane():
     spec = GridSpec(total=400, wall_points_per_edge=40, chamber_wall_points=30,
                     corner_scales=3, corner_rays=3)
-    mus = default_mu_set(2, 2)
+    mus = list(mu_shells(2, 2))
     rep1 = sweep_constant(mus, spec, seed=11)
     rep2 = sweep_constant(mus, spec, seed=11, threads=3)
     assert rep1 == rep2  # thread count must not change anything
@@ -336,7 +336,7 @@ def test_multi_block_sweep_is_thread_invariant_and_matches_the_full_grid():
     spec = GridSpec(total=2500, wall_points_per_edge=200, chamber_wall_points=150,
                     corner_scales=4, corner_rays=3)
     assert spec.total > 2 * SWEEP_BLOCK  # three blocks
-    mus = default_mu_set(4, 6)
+    mus = list(mu_shells(4, 6))
     assert len(mus) > 2 * CHUNK_WEIGHTS  # three weight chunks
     assert max(Counter(mu.a + 2 * mu.b for mu in mus).values()) >= 2  # chunks share degrees
     rep1 = sweep_constant(mus, spec, seed=3, threads=1)
@@ -390,6 +390,72 @@ def test_sweep_records_on_mirror_twins_are_the_full_grid_argmax():
         assert rec.method == GRID_METHOD_NAMES[methods[i]]
 
 
+DUAL_PAIRS = [(1, 0), (2, 0), (2, 1), (5, 1), (4, 3), (9, 2), (20, 0), (14, 6)]
+
+
+def test_grid_dual_weight_is_the_conjugate_bitwise():
+    # chi_(b,a) = conj chi_(a,b): the routes run (max(a,b), min(a,b)) and
+    # conjugate, and both envelopes read the same pairings
+    grid = build_grid(GridSpec(), seed=7)
+    for a, b in DUAL_PAIRS + [(27, 13)]:
+        mu, dual = DominantWeight(a, b), DominantWeight(b, a)
+        vals, methods = chi_on_grid(mu, grid.t1, grid.t2)
+        dvals, dmethods = chi_on_grid(dual, grid.t1, grid.t2)
+        assert np.array_equal(methods, dmethods)
+        assert dvals.tobytes() == np.conjugate(vals).tobytes(), mu
+        assert (_envelope_min_grid(dual, grid.t1, grid.t2).tobytes()
+                == _envelope_min_grid(mu, grid.t1, grid.t2).tobytes())
+
+
+def test_grid_dual_weights_match_the_pattern_oracle_on_every_route():
+    # sampled points of each route on the seed-7 grid, away from the central
+    # corners (c(H) >= 1e-2), where the Weyl and descent formulas lose digits
+    # for any weight; the corner rays are judged by the descent oracle test
+    # above and the dual values there by the bitwise test
+    grid = build_grid(GridSpec(), seed=7)
+    walls = np.sort(np.abs(np.sin(0.5 * np.array([grid.t1 + grid.t2, grid.t1, grid.t2]))), axis=0)
+    rng = np.random.default_rng(16)
+    for b, a in DUAL_PAIRS:
+        mu = DominantWeight(a, b)  # a < b
+        vals, methods = chi_on_grid(mu, grid.t1, grid.t2)
+        for code in range(len(GRID_METHOD_NAMES)):
+            idx = np.nonzero((methods == code) & ((walls[1] * walls[2] >= 1e-2) | (code == 4)))[0]
+            assert idx.size >= 90, code
+            for i in rng.choice(idx, size=30, replace=False):
+                H = TorusPoint.from_alcove_coords(float(grid.t1[i]), float(grid.t2[i]))
+                assert abs(vals[i] - chi_schur(mu, H).value) <= 1e-12 * dim(mu), (mu, i)
+
+
+def test_sweep_record_of_a_dual_weight_is_its_twins_relabelled():
+    spec = GridSpec(total=2500, wall_points_per_edge=200, chamber_wall_points=150,
+                    corner_scales=4, corner_rays=3)
+    for a, b in DUAL_PAIRS:
+        rep, dual = (sweep_constant([mu], spec, seed=5) for mu in ((a, b), (b, a)))
+        assert dual.per_mu == (dataclasses.replace(rep.per_mu[0], mu_a=b, mu_b=a),)
+        assert (dual.c_emp, dual.ratio_at_zero_exact) == (rep.c_emp, rep.ratio_at_zero_exact)
+
+
+def test_default_sweep_evaluates_each_dual_pair_once(monkeypatch):
+    rows = {}  # geometry (one per block) -> the weights of its chunk rows
+    chi = _GridGeometry.chi
+
+    def counted(geom, chunk):
+        rows.setdefault(geom, []).extend(chunk.mus)
+        return chi(geom, chunk)
+
+    monkeypatch.setattr(_GridGeometry, "chi", counted)
+    mus = list(mu_shells())
+    rep = sweep_constant(mus, GridSpec(), seed=7)
+    canonical = {DominantWeight(max(mu.a, mu.b), min(mu.a, mu.b)) for mu in mus}
+    assert (len(mus), len(canonical), len(rows)) == (351, 213, 10)
+    for swept in rows.values():
+        assert len(swept) == 213 and set(swept) == canonical
+    by_weight = {(rec.mu_a, rec.mu_b): rec for rec in rep.per_mu}
+    for rec in rep.per_mu:
+        twin = by_weight.get((rec.mu_b, rec.mu_a))
+        assert twin is None or twin == dataclasses.replace(rec, mu_a=rec.mu_b, mu_b=rec.mu_a)
+
+
 def test_argmax_key_is_np_argmax_order_over_any_blocks():
     nan = math.nan
     key = _argmax_key
@@ -422,12 +488,12 @@ def test_sweep_budget_is_refused_before_the_grid_is_built(monkeypatch):
     with pytest.raises(ResourceLimitError, match=r"\(1250000,0\), is past the sweep's budget"):
         sweep_constant([(0, 0), (1_250_000, 0)], GridSpec())
     with pytest.raises(ResourceLimitError, match="point budget"):
-        sweep_constant(default_mu_set(), GridSpec(total=10**7 + 1))
+        sweep_constant(list(mu_shells()), GridSpec(total=10**7 + 1))
 
 
 @pytest.mark.parametrize("mus, spec", [
-    (default_mu_set(), GridSpec(total=10**7)),        # the defaults on the largest grid
-    (default_mu_set(20, 600), GridSpec()),            # 3 711 weights
+    (list(mu_shells()), GridSpec(total=10**7)),      # the defaults on the largest grid
+    (list(mu_shells(20, 600)), GridSpec()),          # 3 711 weights
     ([(0, 0)] * bounds.MAX_WEIGHTS, GridSpec()),
     ([(1_249_999, 0)] * CHUNK_WEIGHTS, GridSpec()),
 ])
