@@ -416,7 +416,7 @@ def sweep_constant(
     """Max |chi|/envelope over a mu set x stratified alcove grid.
 
     (a,b) and its dual (b,a) share one record, swept once as (max(a,b),
-    min(a,b)): |chi| and the envelope, a permanent, agree (see _GridChunk).
+    min(a,b)): |chi| and the envelope agree (see _GridChunk).
     The grid points are sorted stably by route and cut into blocks of
     SWEEP_BLOCK points, each in grid order; each block builds its
     mu-independent geometry once and evaluates the weights on it in chunks

@@ -380,11 +380,11 @@ GRID_BLOCK = 1 << 18
 
 
 class _GridChunk:
-    """What the grid routes need of a chunk of weights, each read as
-    (max(a,b), min(a,b)): chi_(b,a) = conj chi_(a,b), (b,a) being the dual,
-    so _GridGeometry.chi conjugates the rows ``conj`` (a < b); the envelope
-    is a permanent over pairings that swapping a and b only permutes.
-    Every such lambda = mu + rho is (a+b+2, b+1, 0): ``lam`` per weight.  Weights
+    """What the grid routes need of a chunk of weights, each read as its
+    form (max(a,b), min(a,b)) in ``mus``: the routes give chi of that form,
+    conj chi_(a,b) for a < b ((b,a) is the dual), and the envelope, a
+    permanent over pairings that swapping a and b only permutes, is the same.
+    Every lambda = mu + rho is (a+b+2, b+1, 0): ``lam`` per weight.  Weights
     of one degree a+2b+3 share the common phase of the Weyl and multi-wall
     routes; ``runs`` lists (degree, rows) per run of equal degree.
     ``descent[:, j]`` holds det * m per coset term at wall j (see
@@ -393,9 +393,8 @@ class _GridChunk:
     """
 
     def __init__(self, mus):
-        self.mus = tuple(mus)
-        self.conj = np.array([mu.a < mu.b for mu in self.mus])
-        ells = [(mu.a + mu.b + 2, min(mu.a, mu.b) + 1, 0) for mu in self.mus]
+        self.mus = tuple(DominantWeight(max(mu.a, mu.b), min(mu.a, mu.b)) for mu in mus)
+        ells = [mu.shifted().ell for mu in self.mus]
         degrees = [sum(ell) for ell in ells]
         starts = [w for w in range(len(ells)) if w == 0 or degrees[w] != degrees[w - 1]]
         self.runs = [(degrees[lo], slice(lo, hi))
@@ -532,7 +531,6 @@ class _MultiWallPoints:
         self.idx = idx
         self.th2 = th[1][idx]
         self.d1, self.d3 = th[0][idx] - self.th2, th[2][idx] - self.th2
-        self.kept = ()  # E3, P, Q at every point, while one tile holds them
 
     def tile(self, chunk: _GridChunk) -> np.ndarray:
         """chi on the multi-wall points, [weights x points]: the pattern
@@ -546,9 +544,8 @@ class _MultiWallPoints:
         P[m12+1] - P[m22] and chi = exp(i c th2) (S_A Q[b] - Q[a] S_D) with
         S_A = sum_{j<=a} E3[j] P[a+b+1-j] and S_D = sum_{j<=b} E3[j] P[b-j].
         The tables serve the whole chunk, per tile of GRID_BLOCK entries a
-        weight; one tile's are kept for later chunks up to their a+b.  Every
-        sum is a cumulative sum in increasing index order, so no value depends
-        on the other points or weights or on the table's length; at H = 0
+        weight.  Every sum is a cumulative sum in increasing index order,
+        so a value does not depend on the other points or weights; at H = 0
         every phase is 1, every sum an exact integer and chi exactly dim.
         """
         w, b = len(chunk.mus), chunk.lam[:, 1] - 1
@@ -557,25 +554,18 @@ class _MultiWallPoints:
         if w * n > SCHUR_DIM_LIMIT:
             raise ResourceLimitError(f"the multi-wall tables, {w} x {n} entries a point, "
                                      f"exceed the {SCHUR_DIM_LIMIT}-entry budget")
+        k = np.arange(n, dtype=np.float64)
         out = np.empty((w, self.idx.size), dtype=np.complex128)
-        step = max(1, GRID_BLOCK // (w * n))
-        keep = step >= self.idx.size
+        step = max(1, GRID_BLOCK // (w * k.size))
         for lo in range(0, self.idx.size, step):
             pts = slice(lo, lo + step)
-            if keep and self.kept and len(self.kept[0]) >= n:
-                e3, p, q = self.kept
-            else:
-                k = np.arange(n, dtype=np.float64)
-                e1, e3 = (np.exp(1j * np.multiply.outer(k, d[pts])) for d in (self.d1, self.d3))
-                p = np.concatenate((np.zeros_like(e1[:1]), np.cumsum(e1, axis=0)))
-                q = np.cumsum(e3, axis=0)
-                if keep:
-                    self.kept = e3, p, q
-            s = []
-            for top, last in ((a + b + 1, a), (b, b)):  # S_A, S_D
+            e1, e3 = (np.exp(1j * np.multiply.outer(k, d[pts])) for d in (self.d1, self.d3))
+            p = np.concatenate((np.zeros_like(e1[:1]), np.cumsum(e1, axis=0)))
+            q, s = np.cumsum(e3, axis=0), []
+            for n, last in ((a + b + 1, a), (b, b)):  # S_A, S_D
                 j = np.arange(last.max() + 1)
                 terms = np.empty((w, j.size, e3.shape[1]), dtype=np.complex128)
-                _cmul(e3[j], p[np.maximum(top[:, None] - j, 0)], terms)
+                _cmul(e3[j], p[np.maximum(n[:, None] - j, 0)], terms)
                 s.append(np.cumsum(terms, axis=1)[np.arange(w), last])
             sa, sd = s
             out[:, pts] = _cmul(sa, q[b], np.empty_like(sa)) - _cmul(q[a], sd, np.empty_like(sd))
@@ -634,13 +624,14 @@ class _GridGeometry:
         """chi(mu, .) for every weight of the chunk at every point,
         [weights x points], by each point's route."""
         routes = self.routes
-        if len(routes) == 1:  # no scatter; a tile at one point may be a 1-vector (see _cmul)
-            values = routes[0].tile(chunk).reshape(len(chunk.mus), -1)
-        else:
-            values = np.empty((len(chunk.mus), self.t1.size), dtype=np.complex128)
-            for r in routes:
-                values[:, r.idx] = r.tile(chunk)
-        return np.conjugate(values, out=values, where=chunk.conj[:, None])
+        if len(routes) == 1 and isinstance(routes[0], _WeylPoints):
+            # no scatter where every point is Weyl; other tiles of one
+            # weight at one point are 1-vectors (see _cmul)
+            return routes[0].tile(chunk)
+        values = np.empty((len(chunk.mus), self.t1.size), dtype=np.complex128)
+        for r in routes:
+            values[:, r.idx] = r.tile(chunk)
+        return values
 
 
 def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
@@ -652,10 +643,12 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
     that wall; two or more, the pattern sum in closed form ("schur", O(a+b)
     per point, exact dim at H = 0, ResourceLimitError past SCHUR_DIM_LIMIT
     table entries a point).  The Weyl and descent routes read their phases
-    from per-point rows (:class:`_PhaseRows`).  It is a chunk of one weight
-    through the sweep's kernels, which read (a,b) as (max(a,b), min(a,b)) and
-    conjugate for a < b, as chi_(b,a) = conj chi_(a,b) (see _GridChunk).  A
-    value depends on its point alone, not on the other points or call size.
+    from per-point rows (:class:`_PhaseRows`).  It is a chunk of one
+    weight through the same kernels as the envelope sweep, at (max(a,b),
+    min(a,b)) and conjugated for a < b (see _GridChunk).  Every point's
+    value is computed from that point alone, so its bits do not depend on
+    the other points of the call, nor on the call's size.
     """
     geom = _GridGeometry(t1, t2)
-    return geom.chi(_GridChunk([mu]))[0], geom.methods
+    vals = geom.chi(_GridChunk([mu]))[0]
+    return (np.conjugate(vals) if mu.a < mu.b else vals), geom.methods

@@ -394,8 +394,8 @@ DUAL_PAIRS = [(1, 0), (2, 0), (2, 1), (5, 1), (4, 3), (9, 2), (20, 0), (14, 6)]
 
 
 def test_grid_dual_weight_is_the_conjugate_bitwise():
-    # chi_(b,a) = conj chi_(a,b): the routes run (max(a,b), min(a,b)) and
-    # conjugate, and both envelopes read the same pairings
+    # chi_(b,a) = conj chi_(a,b): the routes run (max(a,b), min(a,b)),
+    # chi_on_grid conjugates, and both envelopes read the same pairings
     grid = build_grid(GridSpec(), seed=7)
     for a, b in DUAL_PAIRS + [(27, 13)]:
         mu, dual = DominantWeight(a, b), DominantWeight(b, a)

@@ -2,7 +2,6 @@ import cmath
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -32,8 +31,6 @@ from su3char.character import (
     EPS_WALL,
     GRID_BLOCK,
     GRID_METHOD_NAMES,
-    _GridChunk,
-    _GridGeometry,
     _Rank1Rows,
     _schur_weight_arrays,
 )
@@ -247,6 +244,8 @@ def test_dispatch_near_wall_uses_descent_and_matches_oracle():
 
 def pattern_sum_40_digits(mu, H) -> complex:
     """chi(mu, H) as the Gelfand-Tsetlin phase sum in 40-digit arithmetic."""
+    import mpmath  # only this oracle needs it
+
     w1, w2, w3 = _schur_weight_arrays(mu.a, mu.b)
     with mpmath.workdps(40):
         th = [mpmath.mpf(x) for x in H.theta]
@@ -465,22 +464,6 @@ def test_grid_multi_wall_points_over_several_tables_match_one_point_calls():
     for i in (0, 1500, k - 1):
         H = TorusPoint.from_alcove_coords(float(t1[i]), float(t2[i]))
         assert abs(vals[i] - chi_schur(mu, H).value) <= 1e-13 * d, i
-
-
-def test_grid_multi_wall_tables_kept_across_chunks_keep_their_bits():
-    # one geometry keeps its multi-wall tables from chunk to chunk and
-    # rebuilds them only for a larger a+b; every chunk gets the bits of a
-    # fresh geometry
-    rng = np.random.default_rng(9)
-    r = rng.uniform(1e-6, 5e-4, 60)
-    phi = rng.uniform(0.05, 1.5, 60)
-    t1, t2 = r * np.cos(phi), r * np.sin(phi)
-    geom = _GridGeometry(t1, t2)
-    assert all(GRID_METHOD_NAMES[m] == "schur" for m in geom.methods)
-    for ab in ([(3, 1), (7, 2)], [(20, 0), (4, 16)], [(2, 2)], [(30, 11)], [(1, 0), (0, 5)]):
-        chunk = _GridChunk([DominantWeight(a, b) for a, b in ab])
-        assert geom.chi(chunk).tobytes() == _GridGeometry(t1, t2).chi(chunk).tobytes(), ab
-    assert len(geom.routes[0].kept[0]) == 42  # built for (30, 11), kept after
 
 
 def test_grid_values_do_not_depend_on_the_call_size():
