@@ -13,7 +13,6 @@ from .cartan import (
     EXTENDED_ROOTS,
     IDENTITY,
     POSITIVE_ROOTS,
-    RHO,
     WEYL_GROUP,
     DominantWeight,
     MuStats,
@@ -23,14 +22,9 @@ from .cartan import (
     WeylElement,
     dim,
     mu_stats,
-    pairing_root_torus,
-    pairing_weight_root,
     reflection,
     theta_from_alcove,
     wall_coset,
-    wall_norm,
-    weyl_act_torus,
-    weyl_act_weight,
 )
 from .character import (
     CharValue,

@@ -4,7 +4,7 @@ The central object is the six-term envelope
 
     envelope_min(mu, H) = sum over s in W of
         prod over the three extended roots alpha of
-            min( |<s(mu+rho), alpha>| , wall_norm(H, alpha)^{-1} )
+            min( |<s(mu+rho), alpha>| , |sin(<alpha, H>/2)|^{-1} )
 
 which dominates |chi(mu, H)| up to a universal constant.  Which pairing
 |<s(mu+rho), alpha>| each factor takes is one table, ``_ENVELOPE_KINDS``
@@ -30,7 +30,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,7 @@ __all__ = [
     "pointwise_singular_bound",
     "ratio",
     "rank1_bound_margin",
+    "rank1_margin_min",
     "build_grid",
     "mu_shells",
     "sweep_constant",
@@ -194,6 +195,17 @@ def ratio(mu: DominantWeight, H: TorusPoint) -> RatioRecord:
     )
 
 
+def _rank1_margins(t: np.ndarray, ns: Iterable[int]) -> Iterator[np.ndarray]:
+    """rank1_bound_margin(n, t) for each n of ns in turn, from one sin t and
+    one :class:`_Rank1Rows`, whose rows are not kept past their n."""
+    sin_t = np.sin(t)
+    s = np.abs(sin_t)
+    with np.errstate(divide="ignore"):
+        inv = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), np.inf)
+    rows = _Rank1Rows(t, sin_t)
+    return (np.minimum(float(n + 1), inv) - np.abs(rows.row(n + 1)) for n in ns)
+
+
 def rank1_bound_margin(n: int, theta):
     """min(n+1, 1/|sin theta|) - |sin((n+1)theta)/sin(theta)|; >= 0 in exact math.
 
@@ -202,14 +214,20 @@ def rank1_bound_margin(n: int, theta):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    m = n + 1
-    t = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    sin_t = np.sin(t)
-    s = np.abs(sin_t)
-    with np.errstate(divide="ignore"):
-        bound = np.minimum(float(m), np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), np.inf))
-    margin = bound - np.abs(_Rank1Rows(t, sin_t)(m))
+    margin = next(_rank1_margins(np.atleast_1d(np.asarray(theta, dtype=np.float64)), (n,)))
     return float(margin[0]) if np.ndim(theta) == 0 else margin
+
+
+def rank1_margin_min(n_max: int, theta: np.ndarray) -> Tuple[float, int, float]:
+    """(min, argmin n, argmin theta) of rank1_bound_margin(n, theta) over
+    n = 0..n_max, the first in (n, angle) order, in O(len(theta)) memory."""
+    t = np.asarray(theta, dtype=np.float64)
+    best = (math.inf, -1, math.nan)
+    for n, margins in enumerate(_rank1_margins(t, range(n_max + 1))):
+        i = int(np.argmin(margins))
+        if margins[i] < best[0]:
+            best = (float(margins[i]), n, float(t[i]))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ Conventions used by the whole package (everything downstream assumes them):
   an integer triple ``ell = (a+b+2, b+1, 0)`` in the gauge ``ell3 = 0``;
   pairings are differences, ``<lambda, alpha_jk> = ell_j - ell_k``.  Against
   the positive roots these are ``a+1``, ``b+1`` and ``a+b+2``.
-* The distance of ``<alpha, H>`` to ``2*pi*Z`` is measured by
-  ``wall_norm(H, alpha) = |sin((theta_j - theta_k)/2)|``.
+* The distance of ``<alpha, H>`` to ``2*pi*Z`` is measured by the wall norm
+  ``|sin((theta_j - theta_k)/2)|`` (``TorusPoint.wall_norms``).
 * Alcove coordinates are ``t1 = theta1 - theta2``, ``t2 = theta2 - theta3``;
   the fundamental alcove is ``A = {t1 >= 0, t2 >= 0, t1 + t2 <= 2*pi}``.
 * ``WEYL_TABLE`` and ``WALL_COSET_TABLES`` are the one place W acts on
@@ -48,12 +48,6 @@ __all__ = [
     "WEYL_TABLE",
     "WALL_COSET_TABLES",
     "IDENTITY",
-    "RHO",
-    "pairing_root_torus",
-    "wall_norm",
-    "pairing_weight_root",
-    "weyl_act_torus",
-    "weyl_act_weight",
     "reflection",
     "wall_coset",
     "dim",
@@ -98,7 +92,7 @@ class TorusPoint:
         return (self.theta[0] - self.theta[1], self.theta[1] - self.theta[2])
 
     def wall_norms(self) -> Tuple[float, float, float]:
-        """wall_norm against (alpha0, alpha1, alpha2), in that order."""
+        """The wall norms against (alpha0, alpha1, alpha2), in that order."""
         s0, s1, s2 = self.wall_sines
         return (abs(s0), abs(s1), abs(s2))
 
@@ -144,7 +138,7 @@ ALPHA0 = Root(3, 1)
 EXTENDED_ROOTS: Tuple[Root, Root, Root] = (ALPHA0, ALPHA1, ALPHA2)
 
 # Positive system: {alpha1, alpha2, -alpha0}.  -alpha0 = (1,3) is the highest
-# root; its wall_norm agrees with alpha0's (the norm is sign-blind).
+# root; its wall norm agrees with alpha0's (the norm is sign-blind).
 POSITIVE_ROOTS: Tuple[Root, Root, Root] = (ALPHA1, ALPHA2, ALPHA0.negated())
 
 # Positive-root representative of each extended wall.  Wall 0 is alpha0's
@@ -152,16 +146,6 @@ POSITIVE_ROOTS: Tuple[Root, Root, Root] = (ALPHA1, ALPHA2, ALPHA0.negated())
 # representative in both the rank-one factor and the prefactor keeps the
 # assembled descent sum equal to chi~ with no stray sign.
 WALL_POSITIVE_ROOT: Tuple[Root, Root, Root] = (ALPHA0.negated(), ALPHA1, ALPHA2)
-
-
-def pairing_root_torus(H: TorusPoint, alpha: Root) -> float:
-    """<alpha, H> = theta_j - theta_k."""
-    return H.theta[alpha.j - 1] - H.theta[alpha.k - 1]
-
-
-def wall_norm(H: TorusPoint, alpha: Root) -> float:
-    """|sin(<alpha,H>/2)|: distance of the pairing to 2*pi*Z, in sine units."""
-    return abs(math.sin(0.5 * pairing_root_torus(H, alpha)))
 
 
 @dataclass(frozen=True)
@@ -208,14 +192,6 @@ class RegularTriple:
         return cls((mu.a + mu.b + 2, mu.b + 1, 0))
 
 
-RHO = RegularTriple((2, 1, 0))  # mu = (0,0) shifted
-
-
-def pairing_weight_root(lam: RegularTriple, alpha: Root) -> int:
-    """<lambda, alpha_jk> = ell_j - ell_k (an integer in this normalization)."""
-    return lam.ell[alpha.j - 1] - lam.ell[alpha.k - 1]
-
-
 # ---------------------------------------------------------------------------
 # Weyl group: S3 permuting the three angle/weight slots.
 # ---------------------------------------------------------------------------
@@ -248,22 +224,12 @@ class WeylElement:
         # (self*other)(i) = self(other(i)) -- other acts first
         return WeylElement(tuple(self.perm[other.perm[i] - 1] for i in range(3)))
 
-    def inverse(self) -> "WeylElement":
-        inv = [0, 0, 0]
-        for i in range(3):
-            inv[self.perm[i] - 1] = i + 1
-        return WeylElement(tuple(inv))
-
     def apply(self, triple):
         """Permute the slots of a length-3 sequence: out[s(i)] = in[i]."""
         out = [None, None, None]
         for i in range(3):
             out[self.perm[i] - 1] = triple[i]
         return tuple(out)
-
-    def act_root(self, alpha: Root) -> Root:
-        return Root(self.perm[alpha.j - 1], self.perm[alpha.k - 1])
-
 
 IDENTITY = WeylElement((1, 2, 3))
 
@@ -283,15 +249,6 @@ def reflection(alpha: Root) -> WeylElement:
     perm = [1, 2, 3]
     perm[alpha.j - 1], perm[alpha.k - 1] = perm[alpha.k - 1], perm[alpha.j - 1]
     return WeylElement(tuple(perm))
-
-
-def weyl_act_torus(s: WeylElement, H: TorusPoint) -> TorusPoint:
-    return TorusPoint(s.apply(H.theta))
-
-
-def weyl_act_weight(s: WeylElement, lam: RegularTriple) -> RegularTriple:
-    # constructor re-canonicalizes the gauge (subtracts the new ell3)
-    return RegularTriple(s.apply(lam.ell))
 
 
 def wall_coset(j: int) -> Tuple[WeylElement, WeylElement, WeylElement]:

@@ -9,10 +9,10 @@
                 so the cancellation across one chosen wall is done in closed
                 form by a rank-one character sin(m*u)/sin(u); exact on that
                 wall, needs the other two walls to stay away from zero.
-``chi_schur``   brute-force oracle: the sum of dim(mu) unit-modulus phases,
-                one per Gelfand-Tsetlin pattern of shape (a+b, b, 0) with
-                entries <= 3.  Slow but unconditionally stable; exact at
-                H = 0.
+``chi_schur``   oracle: the sum of dim(mu) unit-modulus phases, one per
+                Gelfand-Tsetlin pattern of shape (a+b, b, 0) with entries
+                <= 3, taken per distinct weight times its multiplicity and
+                exactly rounded.  Unconditionally stable; exact at H = 0.
 ``chi_stable``  dispatcher picking among the three by wall distances.
 
 ``chi_on_grid`` vectorizes the dispatch.  The Weyl and descent routes read
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -48,7 +48,6 @@ from .cartan import (
     RegularTriple,
     TorusPoint,
     dim,
-    pairing_root_torus,
     theta_from_alcove,
 )
 
@@ -140,7 +139,8 @@ def chi_rank1(m: int, u: float) -> float:
 
 
 class _Rank1Rows:
-    """chi_rank1(m, u) at fixed angles u, built from (u, sin u), kept per m.
+    """chi_rank1(m, u) at fixed angles u, built from (u, sin u); a call
+    keeps the row per m, :meth:`row` does not.
 
     Near-pole entries (|sin u| < RANK1_SIN_SWITCH) come from one Chebyshev
     recurrence in cos u that is extended, never restarted, when a larger |m|
@@ -160,14 +160,17 @@ class _Rank1Rows:
     def __call__(self, m: int) -> np.ndarray:
         row = self._rows.get(m)
         if row is None:
-            row = np.empty_like(self.u)
-            row[self.safe] = np.sin(m * self._u_safe) / self._s_safe
-            if self._c2.size:
-                cheb = self._cheb
-                while len(cheb) <= abs(m):
-                    cheb.append(self._c2 * cheb[-1] - cheb[-2])
-                row[~self.safe] = cheb[m] if m > 0 else -cheb[-m]
-            self._rows[m] = row
+            row = self._rows[m] = self.row(m)
+        return row
+
+    def row(self, m: int) -> np.ndarray:
+        row = np.empty_like(self.u)
+        row[self.safe] = np.sin(m * self._u_safe) / self._s_safe
+        if self._c2.size:
+            cheb = self._cheb
+            while len(cheb) <= abs(m):
+                cheb.append(self._c2 * cheb[-1] - cheb[-2])
+            row[~self.safe] = cheb[m] if m > 0 else -cheb[-m]
         return row
 
 
@@ -198,39 +201,39 @@ def chi_weyl(lam: RegularTriple, H: TorusPoint) -> CharValue:
 # Gelfand-Tsetlin / Schur oracle
 # ---------------------------------------------------------------------------
 
-_weights_cache: dict = {}
+def _pattern_counts(a: int, b: int, w1: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """M[w1, w3], s = a+2b-w3, elementwise: the Gelfand-Tsetlin patterns of
+    shape (a+b, b, 0) with m11 = w1 and m12 + m22 = s, one per m12 in
+    [max(b, s-b, w1, s-w1), min(a+b, s)]; <= 0 where there is none."""
+    m = np.maximum(w1, s - w1)
+    np.maximum(m, np.maximum(b, s - b), out=m)
+    return np.subtract(np.minimum(a + b, s) + 1, m, out=m)
 
 
-def _schur_weight_arrays(a: int, b: int):
-    """Weights (w1, w2, w3) of all GT patterns of shape (a+b, b, 0), lex order.
-
-    Lex order is (m12, m22, m11) ascending.  w1 = m11, w2 = m12+m22-m11,
-    w3 = a+2b - m12 - m22; one pattern per basis vector, so the number of
-    rows equals dim.
-    """
-    key = (a, b)
-    hit = _weights_cache.get(key)
-    if hit is not None:
-        return hit
-    m12v = np.arange(b, a + b + 1, dtype=np.int64)
-    m22v = np.arange(0, b + 1, dtype=np.int64)
-    m12 = np.repeat(m12v, b + 1)
-    m22 = np.tile(m22v, a + 1)
-    counts = m12 - m22 + 1
-    total = int(counts.sum())
-    block = np.repeat(np.arange(m12.size), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total, dtype=np.int64) - offsets[block]
-    m11 = m22[block] + within
-    w1 = m11
-    w2 = m12[block] + m22[block] - m11
-    w3 = (a + 2 * b) - m12[block] - m22[block]
-    for arr in (w1, w2, w3):
+@lru_cache(maxsize=4)
+def _schur_table(a: int, b: int):
+    """(w1, w2, w3, M) on the support of M as read-only float64, the weights
+    of multiplicity 1 first and M kept only for the others; and their count.
+    Row w3 of the support is w1 in [s - top, top], s = a+2b-w3, top =
+    min(a+b, s): at most dim(mu) entries."""
+    n = a + b + 1
+    s = (a + 2 * b) - np.arange(n, dtype=np.int64)
+    top = np.minimum(a + b, s)
+    counts = 2 * top - s + 1
+    w3 = np.repeat(np.arange(n, dtype=np.int64), counts)
+    w1 = np.arange(w3.size, dtype=np.int64) + (s - top + counts - np.cumsum(counts))[w3]
+    m = _pattern_counts(a, b, w1, s[w3])
+    order = np.argsort(m > 1, kind="stable")
+    ones = int(np.count_nonzero(m == 1))
+    w1, w3, m = (x[order].astype(np.float64) for x in (w1, w3, m))
+    table = (w1, (a + 2 * b) - w1 - w3, w3, m[ones:])
+    for arr in table:
         arr.setflags(write=False)
-    if len(_weights_cache) > 3:
-        _weights_cache.clear()
-    _weights_cache[key] = (w1, w2, w3)
-    return w1, w2, w3
+    return table, ones
+
+
+# Veltkamp's splitter for doubles: x = hi + lo, each half of 26 bits at most
+_SPLIT = 2.0**27 + 1.0
 
 
 def chi_schur(mu: DominantWeight, H: TorusPoint) -> CharValue:
@@ -238,18 +241,31 @@ def chi_schur(mu: DominantWeight, H: TorusPoint) -> CharValue:
 
     No denominators at all, hence stable everywhere (walls, corners, H = 0);
     at H = 0 every phase is exactly 1.0 and the value is exactly dim(mu).
-    Summation is exactly rounded (math.fsum) in pattern-lex order.
+    Patterns of one weight share its phase: each cos and sin of a weight of
+    multiplicity M > 1 (M <= dim(mu) < 2^26) is split into hi + lo of 26
+    bits, so M hi and M lo are exact, and math.fsum of these at most dim(mu)
+    terms has the bits of math.fsum over the dim(mu) pattern phases.
+    Refuses dim(mu) > SCHUR_DIM_LIMIT before allocating.
     """
     d = dim(mu)
     if d > SCHUR_DIM_LIMIT:
         raise ResourceLimitError(
             f"dim(mu) = {d} exceeds the pattern-sum budget {SCHUR_DIM_LIMIT}"
         )
-    w1, w2, w3 = _schur_weight_arrays(mu.a, mu.b)
-    th = H.theta
-    angle = w1 * th[0] + w2 * th[1] + w3 * th[2]
-    re = math.fsum(np.cos(angle).tolist())
-    im = math.fsum(np.sin(angle).tolist())
+    (w1, w2, w3, m), ones = _schur_table(mu.a, mu.b)
+    k, th = w1.size, H.theta
+    # [cos; sin] per weight, M hi in place of the split ones, M lo after
+    terms = np.empty((2, 2 * k - ones))
+    angle = np.add(w1 * th[0] + w2 * th[1], w3 * th[2], out=terms[1, :k])
+    np.cos(angle, out=terms[0, :k])
+    np.sin(angle, out=angle)
+    if ones < k:
+        y = terms[:, ones:k]
+        hi = y * _SPLIT
+        hi -= hi - y
+        np.multiply(m, y - hi, out=terms[:, k:])
+        np.multiply(m, hi, out=y)
+    re, im = (math.fsum(row.tolist()) for row in terms)
     return CharValue(value=complex(re, im), method="schur", condition=math.inf)
 
 
@@ -257,11 +273,9 @@ def multiplicities(mu) -> np.ndarray:
     """Weight multiplicities of V_mu as an exact int64 array M[w1, w3].
 
     chi_mu = sum M[w1, w3] x1^w1 x2^w2 x3^w3 with w2 = a+2b-w1-w3, so
-    M.sum() == dim(mu) and M equals the Gelfand-Tsetlin weight histogram:
-    M[w1, w3] counts the patterns of shape (a+b, b, 0) with m11 = w1 and
-    m12 + m22 = s = a+2b-w3, i.e. the m12 in [max(b, s-b, w1, s-w1),
-    min(a+b, s)].  O((a+b)^2) work, no loop.  Refuses, before allocating,
-    arrays of more than SCHUR_DIM_LIMIT entries.
+    M.sum() == dim(mu) and M equals the Gelfand-Tsetlin weight histogram
+    (:func:`_pattern_counts`).  O((a+b)^2) work, no loop.  Refuses, before
+    allocating, arrays of more than SCHUR_DIM_LIMIT entries.
     """
     if not isinstance(mu, DominantWeight):
         mu = DominantWeight(*mu)
@@ -273,10 +287,7 @@ def multiplicities(mu) -> np.ndarray:
             f"{SCHUR_DIM_LIMIT}"
         )
     w1 = np.arange(n, dtype=np.int64)[:, None]
-    s = (a + 2 * b) - np.arange(n, dtype=np.int64)
-    m = np.maximum(w1, s - w1)
-    np.maximum(m, np.maximum(b, s - b), out=m)
-    np.subtract(np.minimum(a + b, s) + 1, m, out=m)
+    m = _pattern_counts(a, b, w1, (a + 2 * b) - np.arange(n, dtype=np.int64))
     return np.maximum(m, 0, out=m)
 
 
@@ -312,6 +323,11 @@ class DescentTermSet:
         return CharValue(self.assembled(), f"descent{self.j}", self.condition)
 
 
+# Per wall j: its complementary walls, and the slots q, r of beta_j = (q+1, r+1)
+_COMPLEMENT = ((1, 2), (0, 2), (0, 1))
+_WALL_SLOTS = tuple((beta.j - 1, beta.k - 1) for beta in WALL_POSITIVE_ROOT)
+
+
 def descent_terms(lam: RegularTriple, H: TorusPoint, j: int) -> DescentTermSet:
     """Regroup the Weyl sum over the coset transversal of wall j.
 
@@ -323,25 +339,22 @@ def descent_terms(lam: RegularTriple, H: TorusPoint, j: int) -> DescentTermSet:
     """
     if j not in (0, 1, 2):
         raise ValueError(f"wall index must be 0, 1 or 2, got {j}")
-    beta_j = WALL_POSITIVE_ROOT[j]
-    others = [WALL_POSITIVE_ROOT[k] for k in (0, 1, 2) if k != j]
-    other_sines = [H.wall_sines[k] for k in (0, 1, 2) if k != j]
-    other_walls = [abs(x) for x in other_sines]
-    wmin = min(other_walls)
+    k1, k2 = _COMPLEMENT[j]
+    s1, s2 = H.wall_sines[k1], H.wall_sines[k2]
+    wmin = min(abs(s1), abs(s2))
     if wmin <= WALL_FLOOR:
-        k_bad = others[other_walls.index(wmin)]
+        bad = WALL_POSITIVE_ROOT[k1 if abs(s1) == wmin else k2]
         raise WallTooSmallError(
-            f"complementary wall ({k_bad.j},{k_bad.k}) is singular "
+            f"complementary wall ({bad.j},{bad.k}) is singular "
             f"(wall_norm {wmin:.3e}); descend to a different wall"
         )
-    prefactor = 1.0 + 0j
-    for x in other_sines:
-        prefactor /= 2j * x
-    u = 0.5 * pairing_root_torus(H, beta_j)
+    prefactor = (1.0 + 0j) / (2j * s1) / (2j * s2)
+    q, r = _WALL_SLOTS[j]
     th, ell = H.theta, lam.ell
+    u = 0.5 * (th[q] - th[r])
     terms = []
     for sign, p in WALL_COSET_TABLES[j]:
-        m = ell[p[beta_j.j - 1]] - ell[p[beta_j.k - 1]]
+        m = ell[p[q]] - ell[p[r]]
         angle = ell[p[0]] * th[0] + ell[p[1]] * th[1] + ell[p[2]] * th[2] - m * u
         phase = complex(math.cos(angle), math.sin(angle))
         terms.append(DescentTerm(det=sign, m=m, phase=phase, rank1=chi_rank1(m, u)))

@@ -33,7 +33,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .bounds import GridSpec, mu_shells, rank1_bound_margin, sweep_constant
+from .bounds import GridSpec, mu_shells, rank1_margin_min, sweep_constant
 from .cartan import DominantWeight, TorusPoint, dim
 from .character import (
     SCHUR_DIM_LIMIT,
@@ -380,16 +380,7 @@ def _cmd_rank1(cfg: RunConfig) -> int:
     p = cfg.params
     n_max, grid = p["n_max"], p["grid"]
     thetas = math.pi * (np.arange(grid, dtype=np.float64) + 1.0) / (grid + 1.0)
-    min_margin = math.inf
-    arg_n = -1
-    arg_theta = math.nan
-    for n in range(n_max + 1):
-        margins = rank1_bound_margin(n, thetas)
-        i = int(np.argmin(margins))
-        if margins[i] < min_margin:
-            min_margin = float(margins[i])
-            arg_n = n
-            arg_theta = float(thetas[i])
+    min_margin, arg_n, arg_theta = rank1_margin_min(n_max, thetas)
     _emit(cfg, {
         "n_max": n_max,
         "grid": grid,

@@ -3,7 +3,7 @@ predicted-bound formulas they are checked against.
 
 The torus reduction: ||chi_mu||_p^p is proportional to
 
-    N_p = int_A |chi(mu, H)|^p * w(H) dH,   w = prod_{alpha} wall_norm^2,
+    N_p = int_A |chi(mu, H)|^p * w(H) dH,   w = prod_{alpha} |sin(<alpha, H>/2)|^2,
 
 over the alcove A = {t1, t2 >= 0, t1 + t2 <= 2pi}.  We self-normalize by
 Z = int_A w so that ||chi_(0,0)||_p = 1 identically and no Haar-measure
@@ -50,6 +50,7 @@ from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cartan import DominantWeight, dim, mu_stats
 from .character import SCHUR_DIM_LIMIT, ResourceLimitError, chi_on_grid, multiplicities
@@ -202,16 +203,17 @@ def _rgrid_sums(m: np.ndarray, d: int, p: float, n0: int, K: int,
     twice = np.where(real & (q[:len(g)] != 0) & (2 * q[:len(g)] != n0), 2.0, 1.0)
     s1 = _sin2(K * q + r1, n)
     s2 = _sin2(K * q[:len(g)] + r2, n) * twice
-    s3 = _sin2(K * np.arange(2 * n0 - 1) + r1 + r2, n)  # at q1 + q2
+    # s3 at q1 + q2, a read-only [q2, q1] view
+    s3 = sliding_window_view(_sin2(K * np.arange(2 * n0 - 1) + r1 + r2, n), n0)
     rows = max(1, BLOCK_NODES // n0)
     nums, dens = [], []
     for lo in range(0, len(g), rows):
-        q2 = np.arange(lo, min(lo + rows, len(g)))
+        hi = min(lo + rows, len(g))
         # |chi|/d at [q2, q1]; the complex block is freed once abs returns
-        v = np.abs(np.fft.ifft(g[lo:lo + rows], n=n0, axis=1, norm="forward"))
+        v = np.abs(np.fft.ifft(g[lo:hi], n=n0, axis=1, norm="forward"))
         v **= p
-        w = s3[q2[:, None] + q] * s1
-        w *= s2[q2, None]
+        w = s3[lo:hi] * s1
+        w *= s2[lo:hi, None]
         v *= w
         # per-block pairwise sums are fixed by n0; fsum across blocks
         nums.append(float(np.sum(v)))
@@ -358,7 +360,9 @@ def _model_integrand(p_values: Sequence[float], triples: Sequence[Tuple[float, f
     Per triangle, (x y)^2 (x+y)^2 is formed once, the two denominators once
     per triple (the three factors multiplied before the one power, with
     1+c_t(x+y) shared), and only the powers per p.  Swapping a_t with b_t
-    swaps the two denominators bit for bit."""
+    swaps the two denominators bit for bit; at a_t == b_t they are equal
+    bit for bit (IEEE products commute), and one power, doubled, is their
+    sum exactly."""
     n_p = len(p_values)
 
     def values(x, y, active):
@@ -368,10 +372,10 @@ def _model_integrand(p_values: Sequence[float], triples: Sequence[Tuple[float, f
             a_t, b_t, c_t = triples[j]
             shared = 1.0 + c_t * s
             d1 = (1.0 + a_t * x) * (1.0 + b_t * y) * shared
-            d2 = (1.0 + a_t * y) * (1.0 + b_t * x) * shared
+            d2 = None if a_t == b_t else (1.0 + a_t * y) * (1.0 + b_t * x) * shared
             for k in ks:
                 p = p_values[k % n_p]
-                yield num * (d1 ** -p + d2 ** -p)
+                yield num * (2.0 * d1 ** -p if d2 is None else d1 ** -p + d2 ** -p)
 
     return values
 

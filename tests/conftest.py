@@ -58,3 +58,24 @@ def acceptance3_points():
         if walls[0] <= 1e-6 and walls[1] >= 0.1:
             near_wall.append(H)
     return regular, near_wall
+
+
+def pattern_weights(a: int, b: int):
+    """Weights (w1, w2, w3) of all GT patterns of shape (a+b, b, 0), lex order.
+
+    Lex order is (m12, m22, m11) ascending.  w1 = m11, w2 = m12+m22-m11,
+    w3 = a+2b - m12 - m22; one pattern per basis vector, so the number of
+    rows equals dim.  The pattern-by-pattern oracle for chi_schur and
+    multiplicities.
+    """
+    m12v = np.arange(b, a + b + 1, dtype=np.int64)
+    m22v = np.arange(0, b + 1, dtype=np.int64)
+    m12 = np.repeat(m12v, b + 1)
+    m22 = np.tile(m22v, a + 1)
+    counts = m12 - m22 + 1
+    total = int(counts.sum())
+    block = np.repeat(np.arange(m12.size), counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    within = np.arange(total, dtype=np.int64) - offsets[block]
+    m11 = m22[block] + within
+    return m11, m12[block] + m22[block] - m11, (a + 2 * b) - m12[block] - m22[block]

@@ -34,10 +34,9 @@ from su3char import (
     dim,
     haar_lp_norm,
     rank1_bound_margin,
-    weyl_act_torus,
-    weyl_act_weight,
 )
-from su3char.character import _schur_weight_arrays
+from su3char.character import _schur_table
+from test_cartan import weyl_act_torus, weyl_act_weight
 
 CLI = [sys.executable, "-m", "su3char.cli"]
 
@@ -85,7 +84,8 @@ def test_2_dimension_identity():
                 bad_value += 1
     for a in range(21):
         for b in range(21):
-            if _schur_weight_arrays(a, b)[0].size != dim(DominantWeight(a, b)):
+            (_, _, _, rest), ones = _schur_table(a, b)
+            if ones + int(rest.sum()) != dim(DominantWeight(a, b)):
                 bad_count += 1
     dt = time.perf_counter() - t0
     ok = bad_value == 0 and bad_count == 0 and dt < 30.0

@@ -20,18 +20,27 @@ from su3char import (
     chi_stable,
     dim,
     envelope_min,
-    pairing_weight_root,
     pointwise_singular_bound,
     rank1_bound_margin,
     ratio,
     sweep_constant,
-    wall_norm,
-    weyl_act_torus,
-    weyl_act_weight,
 )
 from su3char import bounds
-from su3char.bounds import CHUNK_WEIGHTS, SWEEP_BLOCK, _argmax_key, _envelope_min_grid, mu_shells
-from su3char.character import GRID_METHOD_NAMES, ResourceLimitError, _GridGeometry
+from test_cartan import pairing_weight_root, wall_norm, weyl_act_torus, weyl_act_weight
+from su3char.bounds import (
+    CHUNK_WEIGHTS,
+    SWEEP_BLOCK,
+    _argmax_key,
+    _envelope_min_grid,
+    mu_shells,
+    rank1_margin_min,
+)
+from su3char.character import (
+    GRID_METHOD_NAMES,
+    RANK1_SIN_SWITCH,
+    ResourceLimitError,
+    _GridGeometry,
+)
 
 TWO_PI = 2.0 * math.pi
 ZERO = TorusPoint((0.0, 0.0, 0.0))
@@ -217,6 +226,30 @@ def test_rank1_margin_array_matches_scalar():
     arr = rank1_bound_margin(7, thetas)
     for i, th in enumerate(thetas):
         assert arr[i] == pytest.approx(rank1_bound_margin(7, float(th)), abs=1e-14)
+
+
+def test_rank1_margin_min_equals_the_per_n_loop():
+    # the sweep's one set of rows against a fresh rank1_bound_margin per n
+    # (the rank1 command's former loop), bit for bit; the angles with
+    # |sin| < RANK1_SIN_SWITCH make the near-pole recurrence run and extend
+    thetas = np.concatenate((
+        [0.0, 3e-9, math.pi - 2e-9, math.pi, 1e-300],
+        math.pi * np.arange(1, 400) / 400.0,
+    ))
+    assert np.count_nonzero(np.abs(np.sin(thetas)) < RANK1_SIN_SWITCH) == 5
+    for n_max in (0, 1, 57):
+        best, arg_n, arg_theta = math.inf, -1, math.nan
+        for n in range(n_max + 1):
+            margins = rank1_bound_margin(n, thetas)
+            i = int(np.argmin(margins))
+            if margins[i] < best:
+                best, arg_n, arg_theta = float(margins[i]), n, float(thetas[i])
+        got = rank1_margin_min(n_max, thetas)
+        assert got == (best, arg_n, arg_theta)
+        assert math.copysign(1.0, got[0]) == math.copysign(1.0, best)
+    rows = bounds._rank1_margins(thetas, range(58))
+    for n, row in enumerate(rows):
+        assert row.tobytes() == rank1_bound_margin(n, thetas).tobytes(), n
 
 
 @given(st.integers(0, 60), st.floats(1e-4, math.pi - 1e-4))

@@ -12,7 +12,6 @@ from su3char import (
     EXTENDED_ROOTS,
     IDENTITY,
     POSITIVE_ROOTS,
-    RHO,
     WEYL_GROUP,
     DominantWeight,
     RegularTriple,
@@ -21,19 +20,59 @@ from su3char import (
     WeylElement,
     dim,
     mu_stats,
-    pairing_root_torus,
-    pairing_weight_root,
     reflection,
     theta_from_alcove,
     wall_coset,
-    wall_norm,
-    weyl_act_torus,
-    weyl_act_weight,
 )
 from su3char.cartan import WALL_COSET_TABLES, WALL_POSITIVE_ROOT, WEYL_TABLE
 from su3char.character import chi_schur
 
 TWO_PI = 2.0 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# the Weyl action and pairings one element and one root at a time: test-side
+# references for the package's index tables (WEYL_TABLE, WALL_COSET_TABLES)
+# and wall sines, some used by the other test modules too
+# ---------------------------------------------------------------------------
+
+RHO = RegularTriple((2, 1, 0))  # mu = (0,0) shifted
+
+
+def pairing_root_torus(H: TorusPoint, alpha: Root) -> float:
+    """<alpha, H> = theta_j - theta_k."""
+    return H.theta[alpha.j - 1] - H.theta[alpha.k - 1]
+
+
+def wall_norm(H: TorusPoint, alpha: Root) -> float:
+    """|sin(<alpha,H>/2)|: distance of the pairing to 2*pi*Z, in sine units."""
+    return abs(math.sin(0.5 * pairing_root_torus(H, alpha)))
+
+
+def pairing_weight_root(lam: RegularTriple, alpha: Root) -> int:
+    """<lambda, alpha_jk> = ell_j - ell_k (an integer in this normalization)."""
+    return lam.ell[alpha.j - 1] - lam.ell[alpha.k - 1]
+
+
+def weyl_act_torus(s: WeylElement, H: TorusPoint) -> TorusPoint:
+    return TorusPoint(s.apply(H.theta))
+
+
+def weyl_act_weight(s: WeylElement, lam: RegularTriple) -> RegularTriple:
+    # constructor re-canonicalizes the gauge (subtracts the new ell3)
+    return RegularTriple(s.apply(lam.ell))
+
+
+def act_root(s: WeylElement, alpha: Root) -> Root:
+    return Root(s.perm[alpha.j - 1], s.perm[alpha.k - 1])
+
+
+def inverse(s: WeylElement) -> WeylElement:
+    inv = [0, 0, 0]
+    for i in range(3):
+        inv[s.perm[i] - 1] = i + 1
+    return WeylElement(tuple(inv))
+
 
 alcove_t = st.floats(0.0, TWO_PI, allow_nan=False)
 
@@ -80,7 +119,7 @@ def test_wall_norm_examples():
 @given(torus_points(), st.sampled_from(range(6)), st.sampled_from(EXTENDED_ROOTS))
 def test_wall_norm_weyl_invariance(H, si, alpha):
     s = WEYL_GROUP[si]
-    assert wall_norm(weyl_act_torus(s, H), s.act_root(alpha)) == pytest.approx(
+    assert wall_norm(weyl_act_torus(s, H), act_root(s, alpha)) == pytest.approx(
         wall_norm(H, alpha), abs=1e-12
     )
 
@@ -184,8 +223,8 @@ def test_three_cycle_has_order_three_and_sign_one():
 @given(st.sampled_from(range(6)))
 def test_inverse(si):
     s = WEYL_GROUP[si]
-    assert s * s.inverse() == IDENTITY
-    assert s.inverse() * s == IDENTITY
+    assert s * inverse(s) == IDENTITY
+    assert inverse(s) * s == IDENTITY
 
 
 def test_reflection_fixes_its_wall():
@@ -233,7 +272,7 @@ def test_weight_action_preserves_pairings(si, mu):
     lam = mu.shifted()
     moved = weyl_act_weight(s, lam)
     for alpha in EXTENDED_ROOTS:
-        assert pairing_weight_root(moved, s.act_root(alpha)) == pairing_weight_root(
+        assert pairing_weight_root(moved, act_root(s, alpha)) == pairing_weight_root(
             lam, alpha
         )
 

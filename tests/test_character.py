@@ -23,17 +23,16 @@ from su3char import (
     descent_terms,
     dim,
     multiplicities,
-    weyl_act_torus,
-    weyl_act_weight,
 )
-from conftest import acceptance3_points
+from conftest import acceptance3_points, pattern_weights
+from su3char import character
 from su3char.character import (
     EPS_WALL,
     GRID_BLOCK,
     GRID_METHOD_NAMES,
     _Rank1Rows,
-    _schur_weight_arrays,
 )
+from test_cartan import weyl_act_torus, weyl_act_weight
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,6 +92,15 @@ def test_rank1_continuous_across_the_switch(m, eps):
     u = math.pi + eps
     direct = math.sin(m * u) / math.sin(u)
     assert chi_rank1(m, u) == pytest.approx(direct, abs=3e-6 * m)
+
+
+def test_rank1_uncached_rows_equal_the_cached_ones():
+    # row() extends the same recurrence as a call but keeps no row
+    u = np.array([0.0, 1e-12, 0.5, math.pi, math.pi + 1e-9, 2.0])
+    kept, passing = _Rank1Rows(u, np.sin(u)), _Rank1Rows(u, np.sin(u))
+    for m in (1, 2, 7, 30, -7, 3):
+        assert passing.row(m).tobytes() == kept(m).tobytes(), m
+    assert passing._rows == {}
 
 
 def test_rank1_array_matches_scalar():
@@ -175,11 +183,88 @@ def test_schur_resource_guard():
         chi_schur(big, TorusPoint((0.0, 0.0, 0.0)))
 
 
+def test_schur_domain_is_dim_up_to_the_budget(monkeypatch):
+    # accepted exactly while dim <= SCHUR_DIM_LIMIT, also where the dense
+    # (a+b+1)^2 multiplicity array would be over it; refused past it before
+    # anything of its size is allocated, with the same message
+    monkeypatch.setattr(character, "SCHUR_DIM_LIMIT", dim(DominantWeight(40, 0)))  # 861 < 41^2
+    H = TorusPoint.from_alcove_coords(0.3, 1.1)
+    assert chi_schur(DominantWeight(40, 0), H).value == pattern_fsum(DominantWeight(40, 0), H)
+    with pytest.raises(ResourceLimitError, match="multiplicity-array budget"):
+        multiplicities(DominantWeight(40, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            chi_schur(DominantWeight(41, 0), H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "dim(mu) = 903 exceeds the pattern-sum budget 861"
+    assert peak < 4096
+
+
+def pattern_fsum(mu, H) -> complex:
+    """chi_schur's value pattern by pattern: math.fsum of the dim(mu) phases."""
+    w1, w2, w3 = pattern_weights(mu.a, mu.b)
+    th = H.theta
+    angle = w1 * th[0] + w2 * th[1] + w3 * th[2]
+    return complex(math.fsum(np.cos(angle).tolist()), math.fsum(np.sin(angle).tolist()))
+
+
+def test_schur_equals_the_pattern_by_pattern_fsum_bitwise():
+    # one phase per distinct weight times its multiplicity, split exactly,
+    # rounds to the same bits as the sum over every pattern
+    regular, near_wall = acceptance3_points()
+    points = [TorusPoint((0.0, 0.0, 0.0))]
+    points += [TorusPoint.from_alcove_coords(*t) for t in (
+        (TWO_PI, 0.0), (0.0, TWO_PI),                  # central corners
+        (0.0, 1.3), (2.1, 0.0), (1.7, TWO_PI - 1.7),   # exact wall hits
+        (1e-7, 2e-7), (TWO_PI - 3e-6, 1e-6))]          # next to a corner
+    points += regular[:20] + near_wall[:20]
+    for a, b in ((7, 0), (0, 5), (2, 1), (12, 12), (20, 20)):
+        mu = DominantWeight(a, b)
+        for i, H in enumerate(points):
+            assert chi_schur(mu, H).value == pattern_fsum(mu, H), (a, b, i)
+
+
+def test_schur_table_is_the_support_of_the_multiplicities():
+    for a in range(21):
+        for b in range(21):
+            m = multiplicities(DominantWeight(a, b))
+            (w1, w2, w3, rest), ones = character._schur_table(a, b)
+            mult = np.concatenate((np.ones(ones), rest))
+            assert np.all(w1 == np.round(w1)) and np.all(w3 == np.round(w3))
+            i1, i3 = w1.astype(np.int64), w3.astype(np.int64)
+            assert np.array_equal(w2, (a + 2 * b) - w1 - w3)
+            assert np.all(rest > 1)
+            assert np.count_nonzero(m) == w1.size
+            assert np.array_equal(m[i1, i3], mult), (a, b)
+
+
 def test_descent_rejects_vanishing_complementary_wall():
     # H on the t2 = 0 wall; descending to wall 1 needs sin(t2/2) != 0
     H = TorusPoint.from_alcove_coords(2.0, 0.0)
     with pytest.raises(WallTooSmallError):
         descent_terms(DominantWeight(3, 2).shifted(), H, 1)
+
+
+@pytest.mark.parametrize("t, j, root, wall", [
+    ((2.0, 0.0), 0, "(2,3)", "0.000e+00"),
+    ((2.0, 0.0), 1, "(2,3)", "0.000e+00"),
+    ((0.0, 2.0), 0, "(1,2)", "0.000e+00"),
+    ((0.0, 2.0), 2, "(1,2)", "0.000e+00"),
+    ((2.0, TWO_PI - 2.0), 1, "(1,3)", "1.225e-16"),
+    ((2.0, TWO_PI - 2.0), 2, "(1,3)", "1.225e-16"),
+    # both complementary walls vanish: the lower-numbered one is named
+    ((0.0, 0.0), 0, "(1,2)", "0.000e+00"),
+    ((0.0, 0.0), 2, "(1,3)", "0.000e+00"),
+])
+def test_descent_refusal_names_the_vanishing_wall(t, j, root, wall):
+    H = TorusPoint.from_alcove_coords(*t)
+    with pytest.raises(WallTooSmallError) as err:
+        descent_terms(DominantWeight(3, 2).shifted(), H, j)
+    assert str(err.value) == (f"complementary wall {root} is singular "
+                              f"(wall_norm {wall}); descend to a different wall")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +331,7 @@ def pattern_sum_40_digits(mu, H) -> complex:
     """chi(mu, H) as the Gelfand-Tsetlin phase sum in 40-digit arithmetic."""
     import mpmath  # only this oracle needs it
 
-    w1, w2, w3 = _schur_weight_arrays(mu.a, mu.b)
+    w1, w2, w3 = pattern_weights(mu.a, mu.b)
     with mpmath.workdps(40):
         th = [mpmath.mpf(x) for x in H.theta]
         total = mpmath.fsum(mpmath.expj(int(x) * th[0] + int(y) * th[1] + int(z) * th[2])

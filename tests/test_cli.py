@@ -322,7 +322,7 @@ def test_config_file_values_the_flag_type_would_change_are_refused(capsys, tmp_p
 
 
 @pytest.mark.parametrize("cmd, key, work", [
-    ("rank1", "out", "rank1_bound_margin"),
+    ("rank1", "out", "rank1_margin_min"),
     ("prop-i", "out_csv", "I_numeric_table"),
     ("verify-envelope", "out_json", "sweep_constant"),
 ])

@@ -28,7 +28,7 @@ from su3char import (
     scaling_fit,
 )
 from su3char import lpnorms
-from su3char.character import _schur_weight_arrays
+from conftest import pattern_weights
 from su3char.cli import _DEFAULTS, _quad_spec
 from su3char.lpnorms import (
     A0_SIDE,
@@ -220,7 +220,7 @@ def test_multiplicities_equal_the_pattern_weight_histogram():
     for a in range(41):
         for b in range(41 - a):
             m = multiplicities(DominantWeight(a, b))
-            w1, _, w3 = _schur_weight_arrays(a, b)
+            w1, _, w3 = pattern_weights(a, b)
             k = a + b + 1
             hist = np.bincount(w1 * k + w3, minlength=k * k).reshape(k, k)
             assert m.dtype == np.int64
@@ -237,6 +237,20 @@ def test_fft_level_matches_node_by_node_trapezoid_sum():
         mu = DominantWeight(a, b)
         levels = _grid_levels(multiplicities(mu), dim(mu), p, n0)
         for K in (1, 2, 4):
+            num, den = next(levels)
+            want = _trapezoid_sum(_norm_integrand(mu, p), TWO_PI, K * n0)
+            assert num == pytest.approx(want, rel=1e-12), (a, b, n0, K)
+            assert den == pytest.approx(_trapezoid_sum(_weight, TWO_PI, K * n0), rel=1e-14)
+
+
+def test_rgrid_blocks_of_two_rows_match_node_by_node_sums(monkeypatch):
+    # weight blocks cut at every second row, the last one short on odd row
+    # counts (rfft and full fft), against chi_on_grid at every node
+    for (a, b), p, n0 in [((2, 1), 2.5, 48), ((5, 3), 3.0, 7)]:
+        monkeypatch.setattr(lpnorms, "BLOCK_NODES", 2 * n0)
+        mu = DominantWeight(a, b)
+        levels = _grid_levels(multiplicities(mu), dim(mu), p, n0)
+        for K in (1, 2):
             num, den = next(levels)
             want = _trapezoid_sum(_norm_integrand(mu, p), TWO_PI, K * n0)
             assert num == pytest.approx(want, rel=1e-12), (a, b, n0, K)
@@ -478,6 +492,45 @@ def test_prop_i_table_matches_one_call_per_integral():
             assert (res.levels, res.last_delta, res.converged) == \
                 (alone.levels, alone.last_delta, alone.converged)
             assert value == res.value
+
+
+def _two_power_integrand(p_values, triples):
+    """_model_integrand with both denominators and both powers formed at
+    every triple, a_t == b_t included."""
+    n_p = len(p_values)
+
+    def values(x, y, active):
+        s = x + y
+        num = (x * y) ** 2 * s ** 2
+        for j, ks in itertools.groupby(active, lambda k: k // n_p):
+            a_t, b_t, c_t = triples[j]
+            shared = 1.0 + c_t * s
+            d1 = (1.0 + a_t * x) * (1.0 + b_t * y) * shared
+            d2 = (1.0 + a_t * y) * (1.0 + b_t * x) * shared
+            for k in ks:
+                yield num * (d1 ** -p_values[k % n_p] + d2 ** -p_values[k % n_p])
+
+    return values
+
+
+def test_symmetric_triples_equal_the_two_power_reference(monkeypatch):
+    # at a_t == b_t one power, doubled, replaces two equal powers: the
+    # default prop-i table's symmetric triples keep every bit and decision
+    cfg = _DEFAULTS["prop-i"]
+    spec = _quad_spec(cfg)
+    pool = sorted(float(v) for v in cfg["pool"].split(","))
+    p_values = [float(v) for v in cfg["p_values"].split(",")]
+    triples = [(a, b, c) for c, b, a in itertools.combinations_with_replacement(pool, 3)
+               if a == b] + [(16.0, 4.0, 1.0)]
+    assert len(triples) == 16
+    got = I_numeric_table(p_values, triples, spec, full=True)
+    monkeypatch.setattr(lpnorms, "_model_integrand", _two_power_integrand)
+    want = I_numeric_table(p_values, triples, spec, full=True)
+    for row, want_row in zip(got, want):
+        for res, ref in zip(row, want_row):
+            assert struct.pack("<d", res.value) == struct.pack("<d", ref.value)
+            assert (res.levels, res.last_delta, res.converged) == \
+                (ref.levels, ref.last_delta, ref.converged)
 
 
 def test_model_integral_monotone_in_each_argument():
