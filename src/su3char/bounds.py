@@ -17,9 +17,10 @@ empirical constant together with shell tables for growth analysis.
 The sweep loops over blocks of SWEEP_BLOCK grid points, sorted stably by
 route, on the outside and over chunks of CHUNK_WEIGHTS weights, in order of
 Weyl degree a+2b+3, on the inside: each block builds the character module's
-mu-independent grid geometry once (wall sines, routes, rank-one and phase
-rows, inverse walls), and each route and the envelope run once per chunk on
-a [weights x points] tile.  A weight's values do not depend on its chunk.
+mu-independent grid geometry (wall sines, routes, rank-one and phase rows)
+and the envelope's inverse walls once, and each route and the envelope run
+once per chunk on a [weights x points] tile.  A weight's values do not
+depend on its chunk.
 Threads map over blocks; per-weight maxima merge on (ratio, grid index),
 the lower index first on a tie.
 """
@@ -53,19 +54,13 @@ from .character import (
 )
 
 __all__ = [
-    "EnvelopeValue",
-    "RatioRecord",
-    "PointwiseBound",
     "GridSpec",
-    "SweepReport",
     "envelope_min",
     "c_of_H",
     "pointwise_singular_bound",
     "ratio",
     "rank1_bound_margin",
-    "rank1_margin_min",
     "build_grid",
-    "mu_shells",
     "sweep_constant",
 ]
 
@@ -114,15 +109,22 @@ def envelope_min(mu: DominantWeight, H: TorusPoint) -> EnvelopeValue:
     )
 
 
-def _envelope_tile(geom: _GridGeometry, chunk: _GridChunk) -> np.ndarray:
-    """min_form for every weight of the chunk at the points of geom,
-    [weights x points].  The nine factors min(x, 1/wall) (three pairings x
-    three walls) are computed once per weight; each Weyl term picks its
-    three by _ENVELOPE_KINDS, as envelope_min does, and the products and
-    the sum over terms keep envelope_min's order."""
-    inv = geom.inverse_walls
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """1/x elementwise for x >= 0; +inf at 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(x > 0.0, 1.0 / np.where(x > 0.0, x, 1.0), np.inf)
+
+
+def _envelope_tile(inv: np.ndarray, chunk: _GridChunk) -> np.ndarray:
+    """min_form for every weight of the chunk, [weights x points], at the
+    points whose inverse walls are inv ([wall x point], see _reciprocal).
+    The nine factors min(x, 1/wall), x in the pairings (l1-l2, l1, l2) =
+    (a+1, a+b+2, b+1) of chunk.lam, are computed once per weight; each Weyl
+    term picks its three by _ENVELOPE_KINDS, as envelope_min does, and the
+    products and the sum over terms keep envelope_min's order."""
+    pairings = np.array([(l1 - l2, l1, l2) for l1, l2, _ in chunk.lam.tolist()], dtype=np.float64)
     # f[weight, wall, pairing, point]
-    f = np.minimum(chunk.pairings[:, None, :, None], inv[None, :, None, :])
+    f = np.minimum(pairings[:, None, :, None], inv[None, :, None, :])
     total = np.zeros(f[:, 0, 0].shape, dtype=np.float64)
     tmp = np.empty_like(total)
     for q0, q1, q2 in _ENVELOPE_KINDS:
@@ -135,7 +137,7 @@ def _envelope_tile(geom: _GridGeometry, chunk: _GridChunk) -> np.ndarray:
 def _envelope_min_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """min_form over flat alcove-coordinate arrays (same wall conventions
     as chi_on_grid: wall pairings are t1+t2, t1, t2)."""
-    return _envelope_tile(_GridGeometry(t1, t2), _GridChunk([mu]))[0]
+    return _envelope_tile(_reciprocal(_GridGeometry(t1, t2).walls), _GridChunk([mu]))[0]
 
 
 def c_of_H(H: TorusPoint) -> float:
@@ -199,9 +201,7 @@ def _rank1_margins(t: np.ndarray, ns: Iterable[int]) -> Iterator[np.ndarray]:
     """rank1_bound_margin(n, t) for each n of ns in turn, from one sin t and
     one :class:`_Rank1Rows`, whose rows are not kept past their n."""
     sin_t = np.sin(t)
-    s = np.abs(sin_t)
-    with np.errstate(divide="ignore"):
-        inv = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), np.inf)
+    inv = _reciprocal(np.abs(sin_t))
     rows = _Rank1Rows(t, sin_t)
     return (np.minimum(float(n + 1), inv) - np.abs(rows.row(n + 1)) for n in ns)
 
@@ -393,12 +393,12 @@ def _sweep_block(grid: GridPoints, idx: np.ndarray, chunks, count: int):
     envelope, method code) of the largest ratio at the grid points idx (in
     grid order), and the ratio at the first of them."""
     geom = _GridGeometry(grid.t1[idx], grid.t2[idx])
-    methods = geom.methods
+    methods, inv = geom.methods, _reciprocal(geom.walls)
     best = [None] * count
     first = [None] * count
     for pos, chunk in chunks:
         absv = np.abs(geom.chi(chunk))
-        env = _envelope_tile(geom, chunk)
+        env = _envelope_tile(inv, chunk)
         ratios = absv / env
         top = np.argmax(ratios, axis=1)  # per row: the first NaN if any, else the first maximum
         for w, (p, i) in enumerate(zip(pos, top.tolist())):

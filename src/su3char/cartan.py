@@ -37,16 +37,12 @@ __all__ = [
     "DominantWeight",
     "RegularTriple",
     "WeylElement",
-    "MuStats",
     "ALPHA1",
     "ALPHA2",
     "ALPHA0",
     "EXTENDED_ROOTS",
-    "WALL_POSITIVE_ROOT",
     "POSITIVE_ROOTS",
     "WEYL_GROUP",
-    "WEYL_TABLE",
-    "WALL_COSET_TABLES",
     "IDENTITY",
     "reflection",
     "wall_coset",

@@ -53,8 +53,6 @@ from .cartan import (
 
 __all__ = [
     "CharValue",
-    "DescentTerm",
-    "DescentTermSet",
     "chi_rank1",
     "chi_weyl",
     "chi_schur",
@@ -65,9 +63,6 @@ __all__ = [
     "SingularInputError",
     "WallTooSmallError",
     "ResourceLimitError",
-    "EPS_WALL",
-    "SCHUR_DIM_LIMIT",
-    "GRID_METHOD_NAMES",
 ]
 
 # Dispatch threshold: below this wall distance the Weyl quotient loses ~10
@@ -400,9 +395,9 @@ class _GridChunk:
     Every lambda = mu + rho is (a+b+2, b+1, 0): ``lam`` per weight.  Weights
     of one degree a+2b+3 share the common phase of the Weyl and multi-wall
     routes; ``runs`` lists (degree, rows) per run of equal degree.
-    ``descent[:, j]`` holds det * m per coset term at wall j (see
-    :meth:`_WallPoints.tile`), ``pairings`` the magnitudes
-    (l1-l2, l1-l3, l2-l3) = (a+1, a+b+2, b+1).
+    ``descent[:, j]`` holds det * m per coset term at wall j, m = ell[p[q]]
+    - ell[p[r]] on the wall slots (q, r) as in descent_terms (see
+    :meth:`_WallPoints.tile`).
     """
 
     def __init__(self, mus):
@@ -413,11 +408,9 @@ class _GridChunk:
         self.runs = [(degrees[lo], slice(lo, hi))
                      for lo, hi in zip(starts, starts[1:] + [len(ells)])]
         self.lam = np.array(ells, dtype=np.int64)
-        self.descent = np.array([[[sign * (ell[p[beta.j - 1]] - ell[p[beta.k - 1]])
-                                   for sign, p in coset]
-                                  for beta, coset in zip(WALL_POSITIVE_ROOT, WALL_COSET_TABLES)]
+        self.descent = np.array([[[sign * (ell[p[q]] - ell[p[r]]) for sign, p in coset]
+                                  for (q, r), coset in zip(_WALL_SLOTS, WALL_COSET_TABLES)]
                                  for ell in ells], dtype=np.int64)
-        self.pairings = np.array([(l1 - l2, l1, l2) for l1, l2, _ in ells], dtype=np.float64)
 
 
 def _cmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -502,14 +495,13 @@ class _WallPoints:
     def __init__(self, j: int, idx, th, pairing, sines):
         self.j = j
         self.idx = idx
-        k1, k2 = (k for k in (0, 1, 2) if k != j)
+        k1, k2 = _COMPLEMENT[j]
         self.prefactor = 1.0 / ((2j * sines[k1][idx]) * (2j * sines[k2][idx]))
         # rank1(m, u) = (-1)^(n(m-1)) rank1(m, v), v = u - n pi: m v rounds relative to v
         n = np.round(0.5 * pairing[idx] / np.pi)
         v = 0.5 * pairing[idx] - n * np.pi
         self.rank1, self.flip = _Rank1Rows(v, np.sin(v)), n % 2 == 1
-        beta = WALL_POSITIVE_ROOT[j]
-        self.c = 5 - beta.j - beta.k  # the slot off the wall
+        self.c = 3 - sum(_WALL_SLOTS[j])  # the slot off the wall
         self.phase = _PhaseRows(0.5 * th[self.c][idx])
 
     def tile(self, chunk: _GridChunk) -> np.ndarray:
@@ -533,7 +525,8 @@ class _WallPoints:
             rank1 = np.stack([self.rank1(x) for x in np.abs(m).tolist()])
             rank1[(m < 0)[:, None] ^ ((m % 2 == 0)[:, None] & self.flip)] *= -1.0
             acc += _cmul(rank1, phases[p[self.c]], w1)
-        return _cmul(self.prefactor, acc, w1)
+        _cmul(self.prefactor, acc, w1)
+        return w1
 
 
 class _MultiWallPoints:
@@ -592,9 +585,10 @@ class _GridGeometry:
     """Everything about a set of alcove points that does not depend on mu.
 
     Built once from (t1, t2) and shared by every chunk of weights evaluated
-    there.  The wall sines are computed at once; the inverse walls (for the
-    envelope), the route codes and the routes (for chi) on first use, so a
-    caller that needs only one of them pays for nothing else.
+    there.  The wall sines and walls are computed at once; the route codes
+    and the routes on first use, so a caller that needs only the walls or
+    the codes pays for nothing else.  The envelope's data (the inverse walls
+    and the pairings of each weight) belongs to the bounds module.
     """
 
     def __init__(self, t1, t2):
@@ -604,13 +598,6 @@ class _GridGeometry:
         self.pairings = (self.t1 + self.t2, self.t1, self.t2)
         self.sines = [np.sin(0.5 * p) for p in self.pairings]
         self.walls = np.abs(self.sines)
-
-    @cached_property
-    def inverse_walls(self) -> np.ndarray:
-        """1/wall per wall and point; +inf on an exact wall."""
-        w = self.walls
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), np.inf)
 
     @cached_property
     def methods(self) -> np.ndarray:
@@ -635,11 +622,10 @@ class _GridGeometry:
 
     def chi(self, chunk: _GridChunk) -> np.ndarray:
         """chi(mu, .) for every weight of the chunk at every point,
-        [weights x points], by each point's route."""
+        [weights x points], by each point's route; a lone route's tile is
+        the result, unscattered."""
         routes = self.routes
-        if len(routes) == 1 and isinstance(routes[0], _WeylPoints):
-            # no scatter where every point is Weyl; other tiles of one
-            # weight at one point are 1-vectors (see _cmul)
+        if len(routes) == 1:
             return routes[0].tile(chunk)
         values = np.empty((len(chunk.mus), self.t1.size), dtype=np.complex128)
         for r in routes:

@@ -50,13 +50,13 @@ from .lpnorms import (
     _MAPPINGS,
     MAX_BASE_RULE,
     MAX_REFINEMENTS,
-    ConvergenceError,
     I_bound,
     I_numeric_table,
     QuadratureSpec,
     haar_lp_norm,
     scaling_fit,
 )
+from .quadrature import ConvergenceError, QuadratureResult
 from .reports import ReportWriteError, emit_json, emit_report, strict_json
 
 EXIT_OK = 0
@@ -86,14 +86,15 @@ class RunConfig:
 # for a list row (its entry count, or "+" for one or more), "choices",
 # "least" and "most" (bounds), "budget" (an entry count past which the run
 # would allocate too much: a resource error, exit 3), "required", and the
-# flag's "help", the only key argparse sees.  Rows that several commands share:
+# flag's "help", the only key argparse sees.  A default that QuadratureSpec or
+# GridSpec holds is read from it.  Rows that several commands share:
 _MU = ("mu", None, dict(type=int, nargs=2, required=True, help="dominant weight 'a,b'"))
 _QUAD = (
-    ("base_rule", 64, dict(type=int, least=2, most=MAX_BASE_RULE)),
-    ("max_refinements", 6, dict(type=int, least=0, most=MAX_REFINEMENTS)),
-    ("rel_tol", 1e-6, dict(type=float)),
+    ("base_rule", QuadratureSpec.base_rule, dict(type=int, least=2, most=MAX_BASE_RULE)),
+    ("max_refinements", QuadratureSpec.max_refinements, dict(type=int, least=0, most=MAX_REFINEMENTS)),
+    ("rel_tol", QuadratureSpec.rel_tol, dict(type=float)),
 )
-_MAPPING = ("mapping", "periodic_square", dict(choices=_MAPPINGS))
+_MAPPING = ("mapping", QuadratureSpec.mapping, dict(choices=_MAPPINGS))
 _OUT = ("out", None, dict(help="write the result JSON here as well"))
 _OUT_FILES = (
     ("out_csv", None, dict(help="write the per-row table as CSV here")),
@@ -300,7 +301,7 @@ def _quad_spec(p: Dict[str, object]) -> QuadratureSpec:
         base_rule=p["base_rule"],
         max_refinements=p["max_refinements"],
         rel_tol=p["rel_tol"],
-        mapping=p.get("mapping", "periodic_square"),
+        mapping=p.get("mapping", QuadratureSpec.mapping),
     )
 
 
@@ -308,7 +309,12 @@ def _cmd_lp(cfg: RunConfig) -> int:
     p = cfg.params
     rep = haar_lp_norm(DominantWeight(*p["mu"]), p["p"], _quad_spec(p))
     _emit(cfg, dataclasses.asdict(rep))
-    return EXIT_OK if rep.converged else EXIT_NONCONVERGENCE
+    if not rep.converged:
+        raise ConvergenceError(
+            f"haar_lp_norm did not converge (last relative delta {rep.last_delta:.3e})",
+            QuadratureResult(rep.norm, rep.levels, rep.last_delta, False),
+        )
+    return EXIT_OK
 
 
 def _cmd_scaling(cfg: RunConfig) -> int:
@@ -473,11 +479,11 @@ _COMMANDS = {
     "verify-envelope": (_cmd_verify_envelope, "ratio sweep certifying the envelope bound", (
         ("dense_max", 20, dict(type=int, least=0)),
         ("shell_max", 40, dict(type=int, least=0)),
-        ("grid_total", 10_000, dict(type=int, budget=SCHUR_DIM_LIMIT)),
-        ("wall_per_edge", 500, dict(type=int, least=0)),
-        ("chamber", 500, dict(type=int, least=0)),
-        ("corner_scales", 8, dict(type=int, least=0)),
-        ("corner_rays", 5, dict(type=int, least=0)),
+        ("grid_total", GridSpec.total, dict(type=int, budget=SCHUR_DIM_LIMIT)),
+        ("wall_per_edge", GridSpec.wall_points_per_edge, dict(type=int, least=0)),
+        ("chamber", GridSpec.chamber_wall_points, dict(type=int, least=0)),
+        ("corner_scales", GridSpec.corner_scales, dict(type=int, least=0)),
+        ("corner_rays", GridSpec.corner_rays, dict(type=int, least=0)),
         ("seed", 2718, dict(type=int)),
         ("threads", None, dict(type=int, help="sweep workers (default: SU3CHAR_THREADS, else 1)")),
         *_OUT_FILES,

@@ -64,9 +64,6 @@ from .quadrature import (
 
 __all__ = [
     "QuadratureSpec",
-    "LpReport",
-    "ScalingRow",
-    "FitResult",
     "haar_lp_norm",
     "predicted_singular_bound",
     "predicted_regular_bound",
@@ -76,7 +73,6 @@ __all__ = [
     "I_bound",
     "scaling_fit",
     "family_weight",
-    "ConvergenceError",
 ]
 
 TWO_PI = 2.0 * math.pi

@@ -39,9 +39,6 @@ import numpy as np
 __all__ = [
     "QuadratureResult",
     "ConvergenceError",
-    "triangle_rule",
-    "subdivide_triangle",
-    "triangle_batch",
     "adaptive_triangle",
     "periodic_trapezoid_2d",
 ]

@@ -19,11 +19,9 @@ import re
 from typing import Iterable, List, Tuple
 
 __all__ = [
-    "ReportWriteError",
     "emit_report",
     "emit_json",
     "read_report_csv",
-    "strict_json",
 ]
 
 

@@ -468,6 +468,44 @@ def test_sweep_record_of_a_dual_weight_is_its_twins_relabelled():
         assert (dual.c_emp, dual.ratio_at_zero_exact) == (rep.c_emp, rep.ratio_at_zero_exact)
 
 
+# ---------------------------------------------------------------------------
+# scalar and grid twins: chi_stable / chi_on_grid, envelope_min / grid envelope
+# ---------------------------------------------------------------------------
+
+TWIN_WEIGHTS = [DominantWeight(a, b) for a, b in
+                [(0, 1), (1, 0), (2, 1), (3, 3), (7, 2), (4, 9), (12, 12), (20, 20)]]
+
+
+@pytest.fixture(scope="module", params=[7, 2718])
+def twin_points(request):
+    """(t1, t2, torus points): every non-interior point of the default grid
+    and every 5th interior point."""
+    grid = build_grid(GridSpec(), seed=request.param)
+    interior = np.array([s == "interior" for s in grid.stratum])
+    idx = np.nonzero(~interior | (np.cumsum(interior) % 5 == 1))[0]
+    t1, t2 = grid.t1[idx], grid.t2[idx]
+    return t1, t2, [TorusPoint.from_alcove_coords(x, y) for x, y in zip(t1.tolist(), t2.tolist())]
+
+
+def test_chi_stable_and_chi_on_grid_take_one_route_and_agree(twin_points):
+    # the bound is the scalar descent's known error (2.6e-9 dim at most);
+    # it holds for the twins as they are, not as a target
+    t1, t2, pts = twin_points
+    for mu in TWIN_WEIGHTS:
+        vals, methods = chi_on_grid(mu, t1, t2)
+        assert set(methods.tolist()) == set(range(len(GRID_METHOD_NAMES)))
+        cvs = [chi_stable(mu, H) for H in pts]
+        assert [cv.method for cv in cvs] == [GRID_METHOD_NAMES[m] for m in methods.tolist()], mu
+        assert np.abs(np.array([cv.value for cv in cvs]) - vals).max() <= 1e-8 * dim(mu), mu
+
+
+def test_envelope_min_and_the_grid_envelope_agree(twin_points):
+    t1, t2, pts = twin_points
+    for mu in TWIN_WEIGHTS:
+        env = np.array([envelope_min(mu, H).min_form for H in pts])
+        assert np.all(np.abs(_envelope_min_grid(mu, t1, t2) - env) <= 1e-13 * env), mu
+
+
 def test_default_sweep_evaluates_each_dual_pair_once(monkeypatch):
     rows = {}  # geometry (one per block) -> the weights of its chunk rows
     chi = _GridGeometry.chi

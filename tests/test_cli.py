@@ -204,12 +204,16 @@ def test_bad_thread_count_names_the_variable(capsys, monkeypatch):
 
 
 def test_lp_nonconvergence_exit_code(capsys):
-    code, payload, _ = run(
+    code, payload, err = run(
         capsys, "lp", "--mu", "3,2", "--p", "2.5",
         "--max-refinements", "0", "--rel-tol", "1e-12",
     )
     assert code == EXIT_NONCONVERGENCE
     assert payload["converged"] is False
+    # the report on stdout, then one JSON diagnostic on stderr
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "non-convergence"
 
 
 def test_scaling_nonconvergence_writes_the_partial_table_and_no_summary(capsys, tmp_path):
