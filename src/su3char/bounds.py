@@ -365,7 +365,7 @@ class SweepReport:
 # built once per block and shared by every weight.
 SWEEP_BLOCK = 1024
 
-# Most sweep workers; every block is submitted to the pool at once.
+# Most workers of a sweep or an L^p level.
 MAX_THREADS = 64
 
 # Most weights per sweep.  A sweep holds about 7 kB a weight: tracemalloc
@@ -425,6 +425,21 @@ def _merge_blocks(blocks, results):
     return top, first
 
 
+def thread_count(threads: Optional[int] = None) -> int:
+    """threads, else SU3CHAR_THREADS, else 1; ValueError unless in 1..MAX_THREADS."""
+    what = "threads"
+    if threads is None:
+        what = "SU3CHAR_THREADS"
+        raw = os.environ.get(what, "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"{what} must be an integer, got {raw!r}") from None
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"{what} must be between 1 and {MAX_THREADS}, got {threads}")
+    return threads
+
+
 def sweep_constant(
     mu_range: Iterable,
     grid_spec: Optional[GridSpec] = None,
@@ -447,16 +462,7 @@ def sweep_constant(
     Refuses (ResourceLimitError), as mu_range is read, past MAX_WEIGHTS
     weights, CHUNK_WEIGHTS x (a+b+1) or grid points above SCHUR_DIM_LIMIT.
     """
-    what = "threads"
-    if threads is None:
-        what = "SU3CHAR_THREADS"
-        raw = os.environ.get(what, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"{what} must be an integer, got {raw!r}") from None
-    if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"{what} must be between 1 and {MAX_THREADS}, got {threads}")
+    threads = thread_count(threads)
     spec = grid_spec or GridSpec()
     if spec.total > SCHUR_DIM_LIMIT:
         raise ResourceLimitError(f"grid total {spec.total} > {SCHUR_DIM_LIMIT}-point budget")

@@ -15,8 +15,8 @@ computation), 3 resource guard tripped, 4 quadrature non-convergence, 5
 invariant violation detected by a verify run.  Errors are also printed as
 one-line JSON diagnostics on stderr.
 
-``SU3CHAR_THREADS`` sets the default worker count for sweeps
-(``verify-envelope --threads`` overrides it); results are byte-identical for
+``SU3CHAR_THREADS`` sets the worker count of sweeps (``verify-envelope
+--threads`` overrides it) and of L^p levels; results are byte-identical for
 any thread count 1-64.
 """
 
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import inspect
 import itertools
 import json
 import math
@@ -86,8 +88,8 @@ class RunConfig:
 # for a list row (its entry count, or "+" for one or more), "choices",
 # "least" and "most" (bounds), "budget" (an entry count past which the run
 # would allocate too much: a resource error, exit 3), "required", and the
-# flag's "help", the only key argparse sees.  A default that QuadratureSpec or
-# GridSpec holds is read from it.  Rows that several commands share:
+# flag's "help", the only key argparse sees.  A default that QuadratureSpec,
+# GridSpec or a library signature holds is read from it.  Shared rows:
 _MU = ("mu", None, dict(type=int, nargs=2, required=True, help="dominant weight 'a,b'"))
 _QUAD = (
     ("base_rule", QuadratureSpec.base_rule, dict(type=int, least=2, most=MAX_BASE_RULE)),
@@ -107,6 +109,11 @@ _OUTPUTS = tuple(name for name, _, _ in (_OUT, *_OUT_FILES))
 _NOT_ECHOED = {"threads", *_OUTPUTS}
 
 
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+@functools.lru_cache(maxsize=None)  # built once per process, however often main runs
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="su3char",
@@ -285,9 +292,8 @@ def _cmd_verify_envelope(cfg: RunConfig) -> int:
     # read lazily: sweep_constant refuses too many weights before the list is built
     mus = mu_shells(p["dense_max"], p["shell_max"])
     rep = sweep_constant(mus, spec, seed=p["seed"], threads=p["threads"])
-    summary = dataclasses.asdict(rep)
-    del summary["per_mu"]
-    _emit(cfg, summary, rep.per_mu)
+    summary = {k: v for k, v in vars(rep).items() if k != "per_mu"}  # per_mu is not copied
+    _emit(cfg, {**summary, "argmax": dataclasses.asdict(rep.argmax)}, rep.per_mu)
     if not (rep.finite_ok and rep.ratio_at_zero_exact):
         raise InvariantViolation(
             f"envelope sweep violated invariants: finite_ok={rep.finite_ok}, "
@@ -328,9 +334,8 @@ def _cmd_scaling(cfg: RunConfig) -> int:
         if p["out_csv"] and partial:
             emit_report(partial, "csv", p["out_csv"], config=_echo(cfg))
         raise
-    summary = {**dataclasses.asdict(fit), "n_values": p["n_values"]}
-    del summary["table"]
-    _emit(cfg, summary, fit.table)
+    summary = {k: v for k, v in vars(fit).items() if k != "table"}
+    _emit(cfg, {**summary, "n_values": p["n_values"]}, fit.table)
     return EXIT_OK
 
 
@@ -477,14 +482,14 @@ _COMMANDS = {
         _OUT,
     )),
     "verify-envelope": (_cmd_verify_envelope, "ratio sweep certifying the envelope bound", (
-        ("dense_max", 20, dict(type=int, least=0)),
-        ("shell_max", 40, dict(type=int, least=0)),
+        ("dense_max", _default(mu_shells, "dense_shell_max"), dict(type=int, least=0)),
+        ("shell_max", _default(mu_shells, "shell_max"), dict(type=int, least=0)),
         ("grid_total", GridSpec.total, dict(type=int, budget=SCHUR_DIM_LIMIT)),
         ("wall_per_edge", GridSpec.wall_points_per_edge, dict(type=int, least=0)),
         ("chamber", GridSpec.chamber_wall_points, dict(type=int, least=0)),
         ("corner_scales", GridSpec.corner_scales, dict(type=int, least=0)),
         ("corner_rays", GridSpec.corner_rays, dict(type=int, least=0)),
-        ("seed", 2718, dict(type=int)),
+        ("seed", _default(sweep_constant, "seed"), dict(type=int)),
         ("threads", None, dict(type=int, help="sweep workers (default: SU3CHAR_THREADS, else 1)")),
         *_OUT_FILES,
     )),

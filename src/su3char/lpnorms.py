@@ -29,8 +29,9 @@ most ``BLOCK_NODES`` nodes.  W x {+-1} maps r-grids onto r-grids without
 changing the integrand, so a level is a sum over the orbits of residues r
 of |orbit| times one r-grid's sums; the even residues are the previous
 level's grids, so each level computes only its new orbits (1, 1, 2, 6, 20,
-72 r-grids for K = 1..32).  Memory is fixed by n0 whatever the level, and
-scaling by dim keeps every power <= 1, so no p overflows.
+72 r-grids for K = 1..32) on up to SU3CHAR_THREADS workers, reading one
+table of wall factors.  Memory is fixed by n0 and the workers whatever the
+level, and scaling by dim keeps every power <= 1, so no p overflows.
 
 A Duffy-mapped triangle rule over A, which evaluates chi node by node
 through ``chi_on_grid``, is kept as the independent cross-check mapping.
@@ -45,13 +46,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from .bounds import thread_count
 from .cartan import DominantWeight, dim, mu_stats
 from .character import SCHUR_DIM_LIMIT, ResourceLimitError, chi_on_grid, multiplicities
 from .quadrature import (
@@ -155,6 +157,7 @@ def _fold(m: np.ndarray, n: int) -> np.ndarray:
     return padded.reshape(k // n, n, k // n, n).sum(axis=(0, 2))
 
 
+@lru_cache(maxsize=None)
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (a fast FFT length): the least m 2^i >= n
     over odd parts m = 3^j 5^k."""
@@ -182,25 +185,27 @@ def _sin2(j: np.ndarray, n: int) -> np.ndarray:
     return np.sin(np.pi * np.minimum(j, n - j) / n) ** 2
 
 
-def _rgrid_sums(m: np.ndarray, d: int, p: float, n0: int, K: int,
+def _rgrid_sums(md: np.ndarray, p: float, n0: int, K: int, S: np.ndarray,
                 r: Tuple[int, int]) -> Tuple[float, float]:
-    """(sum (|chi|/d)^p w, sum w) over the r-grid t = 2pi (K q + r)/(K n0)."""
+    """(sum (|chi|/d)^p w, sum w) over the r-grid t = 2pi (K q + r)/(K n0),
+    from md = M/d and level K's wall table S (see _level_sums)."""
     n, (r1, r2) = K * n0, r
-    k = np.arange(len(m))
-    x = _fold(m / d * np.exp(2j * np.pi * (k * r1 % n / n))[:, None]
-              * np.exp(-2j * np.pi * (k * r2 % n / n)), n0)
+    k = np.arange(len(md))
+    # a zero residue's twist, exp(0) = 1+0j, is exact: it is skipped
+    x = md * np.exp(2j * np.pi * (k * r1 % n / n))[:, None] if r1 else md
+    x = _fold(x * np.exp(-2j * np.pi * (k * r2 % n / n)) if r2 else x, n0)
     # g[q2, w1]; at r = 0, M is real and w even, so columns q2 and n0 - q2
     # agree: only the rfft's columns q2 <= n0/2 are formed, pairs counted once
     real = not (r1 or r2)
-    g = np.ascontiguousarray((np.fft.rfft(x.real, n=n0, axis=1) if real
+    g = np.ascontiguousarray((np.fft.rfft(x, n=n0, axis=1) if real
                               else np.fft.fft(x, n=n0, axis=1)).T)
     del x
-    q = np.arange(n0)
-    twice = np.where(real & (q[:len(g)] != 0) & (2 * q[:len(g)] != n0), 2.0, 1.0)
-    s1 = _sin2(K * q + r1, n)
-    s2 = _sin2(K * q[:len(g)] + r2, n) * twice
-    # s3 at q1 + q2, a read-only [q2, q1] view
-    s3 = sliding_window_view(_sin2(K * np.arange(2 * n0 - 1) + r1 + r2, n), n0)
+    s1, s2 = S[r1, :n0], S[r2, :len(g)]
+    if real:  # twice, but at q2 = 0 and n0/2
+        s2 = s2 * np.where(2 * np.arange(len(g)) % n0, 2.0, 1.0)
+    # s3 at q1 + q2: a [q2, q1] view of S's float64 row (r1 + r2) % K from (r1 + r2) // K
+    c = r1 + r2
+    s3 = np.ndarray((len(g), n0), S.dtype, S, 8 * (c % K * 2 * n0 + c // K), (8, 8))
     rows = max(1, BLOCK_NODES // n0)
     nums, dens = [], []
     for lo in range(0, len(g), rows):
@@ -218,19 +223,33 @@ def _rgrid_sums(m: np.ndarray, d: int, p: float, n0: int, K: int,
     return math.fsum(nums), math.fsum(dens)
 
 
-def _grid_levels(m: np.ndarray, d: int, p: float, n0: int) -> Iterator[Tuple[float, float]]:
+def _level_sums(md: np.ndarray, p: float, n0: int, K: int,
+                residues: Sequence[Tuple[int, int]], workers: int) -> List[Tuple[float, float]]:
+    """_rgrid_sums at each residue, in order, in the calling thread or on
+    ``workers`` > 1 threads, all reading S[c, i] = _sin2(K i + c, K n0), i < 2 n0."""
+    S = np.empty((K, 2 * n0))
+    S[:, :n0] = S[:, n0:] = _sin2(np.arange(K * n0), K * n0).reshape(n0, K).T
+    sums = partial(_rgrid_sums, md, p, n0, K, S)
+    if workers == 1:
+        return list(map(sums, residues))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(sums, residues))
+
+
+def _grid_levels(m: np.ndarray, d: int, p: float, n0: int,
+                 threads: int = 1) -> Iterator[Tuple[float, float]]:
     """(h^2 sum (|chi|/d)^p w, h^2 sum w) over the (K n0)-grid for K = 1, 2,
     4, ...: running sums of |orbit| times r-grid sums, adding at each level
-    the orbits off the even residues."""
-    nums: List[float] = []
-    dens: List[float] = []
+    the orbits off the even residues, on up to ``threads`` workers: as many
+    as SCHUR_DIM_LIMIT holds of their min(len(m), n0) x n0 stages."""
+    md, cap = m / d, SCHUR_DIM_LIMIT // (min(len(m), n0) * n0)
+    nums, dens = [], []
     K = 1
     while True:
-        for orbit in _orbits(K):
-            if K == 1 or orbit[0][0] % 2 or orbit[0][1] % 2:
-                num, den = _rgrid_sums(m, d, p, n0, K, orbit[0])
-                nums.append(len(orbit) * num)
-                dens.append(len(orbit) * den)
+        new = [orbit for orbit in _orbits(K) if K == 1 or orbit[0][0] % 2 or orbit[0][1] % 2]
+        level = _level_sums(md, p, n0, K, [o[0] for o in new], min(threads, len(new), cap))
+        nums += [len(orbit) * num for orbit, (num, _) in zip(new, level)]
+        dens += [len(orbit) * den for orbit, (_, den) in zip(new, level)]
         h2 = (TWO_PI / (K * n0)) ** 2
         yield math.fsum(nums) * h2, math.fsum(dens) * h2
         K *= 2
@@ -239,7 +258,7 @@ def _grid_levels(m: np.ndarray, d: int, p: float, n0: int) -> Iterator[Tuple[flo
 def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec) -> List[QuadratureResult]:
     """N_p / dim^p and Z on the period square, one batch of two integrals.
     Refuses, before level 0, an r-grid stage of more than SCHUR_DIM_LIMIT
-    complex entries (rows of M after folding times n0)."""
+    complex entries (rows of M after folding times n0) or a bad thread count."""
     m = multiplicities(mu)
     # p * bandwidth capped at the budget, which any n0 past it exceeds anyway
     n0 = _fast_len(max(48, math.ceil(min(p * _bandwidth(mu), SCHUR_DIM_LIMIT)) + 8))
@@ -249,7 +268,7 @@ def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec) -> List
             f"r-grids of n0 = {n0} need a {rows} x {n0} complex stage ({rows * n0} "
             f"entries, {16e-6 * rows * n0:.0f} MB), over the {SCHUR_DIM_LIMIT}-entry budget"
         )
-    levels = _grid_levels(m, dim(mu), p, n0)
+    levels = _grid_levels(m, dim(mu), p, n0, thread_count())
 
     def level_sums(level: int, active: List[int]) -> List[float]:
         sums = next(levels)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -36,6 +37,7 @@ from su3char.bounds import (
     rank1_margin_min,
 )
 from su3char.character import (
+    EPS_WALL,
     GRID_METHOD_NAMES,
     RANK1_SIN_SWITCH,
     ResourceLimitError,
@@ -476,20 +478,54 @@ TWIN_WEIGHTS = [DominantWeight(a, b) for a, b in
                 [(0, 1), (1, 0), (2, 1), (3, 3), (7, 2), (4, 9), (12, 12), (20, 20)]]
 
 
+# wall sizes, in units of EPS_WALL, just below and just above the dispatch band
+BAND_LOW, BAND_HIGH = (0.2, 0.5, 0.9), (1.05, 1.5, 1.9)
+
+
+def band_edge_points():
+    """(t1, t2) pairs at walls of BAND_LOW and BAND_HIGH times EPS_WALL, on
+    every wall index: descent points at each corner, whose smallest wall is
+    in BAND_LOW and second in BAND_HIGH (the third is about their sum), and
+    Weyl points near one wall only, that wall in BAND_HIGH."""
+    def angle(f):
+        return 2.0 * math.asin(f * EPS_WALL)
+
+    pts = []
+    for x, y in itertools.product(map(angle, BAND_LOW), map(angle, BAND_HIGH)):
+        for u, v in ((x, y), (y, x)):
+            pts += [(u, v), (TWO_PI - u - v, v), (u, TWO_PI - u - v)]
+    for u in map(angle, BAND_HIGH):
+        pts += [(u, 2.0), (2.0, u), (2.0, TWO_PI - 2.0 - u)]
+    return pts
+
+
 @pytest.fixture(scope="module", params=[7, 2718])
 def twin_points(request):
-    """(t1, t2, torus points): every non-interior point of the default grid
-    and every 5th interior point."""
+    """(t1, t2, torus points): every non-interior point of the default grid,
+    every 5th interior point and the band-edge points."""
     grid = build_grid(GridSpec(), seed=request.param)
     interior = np.array([s == "interior" for s in grid.stratum])
     idx = np.nonzero(~interior | (np.cumsum(interior) % 5 == 1))[0]
-    t1, t2 = grid.t1[idx], grid.t2[idx]
+    b1, b2 = np.array(band_edge_points()).T
+    t1, t2 = np.concatenate((grid.t1[idx], b1)), np.concatenate((grid.t2[idx], b2))
     return t1, t2, [TorusPoint.from_alcove_coords(x, y) for x, y in zip(t1.tolist(), t2.tolist())]
 
 
+def test_band_edge_points_straddle_the_dispatch_band():
+    walls = np.sort(np.abs(np.sin(0.5 * np.array(
+        [[a + b, a, b] for a, b in band_edge_points()]))), axis=1) / EPS_WALL
+    cut = 6 * len(BAND_LOW) * len(BAND_HIGH)  # two orders at three corners
+    descent, weyl = walls[:cut], walls[cut:]
+    assert np.all(descent[:, 0] < 1.0)
+    assert np.all((1.0 <= descent[:, 1]) & (descent[:, 1] < 2.0))
+    assert np.all((1.0 <= weyl[:, 0]) & (weyl[:, 0] < 2.0) & (weyl[:, 1] > 100.0))
+
+
 def test_chi_stable_and_chi_on_grid_take_one_route_and_agree(twin_points):
-    # the bound is the scalar descent's known error (2.6e-9 dim at most);
-    # it holds for the twins as they are, not as a target
+    # the bound is the scalar Weyl quotient's known error at corner-ray
+    # points, where it divides by 8 s1 s2 s3 (1.8e-9 dim at most, at (1,0));
+    # the band-edge points reach 4.9e-10 dim.  It holds for the twins as
+    # they are, not as a target
     t1, t2, pts = twin_points
     for mu in TWIN_WEIGHTS:
         vals, methods = chi_on_grid(mu, t1, t2)

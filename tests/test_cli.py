@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -5,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from su3char import bounds, cli, read_report_csv
+from su3char import bounds, cli, lpnorms, read_report_csv
 from su3char.cli import (
     EXIT_INVARIANT,
     EXIT_NONCONVERGENCE,
@@ -502,6 +503,63 @@ def test_verify_envelope_artifacts_thread_invariant(capsys, tmp_path):
         assert code == EXIT_OK
         files[threads] = (open(csv_p, "rb").read(), open(json_p, "rb").read())
     assert files["1"] == files["3"]
+
+
+@pytest.mark.parametrize("argv, outs", [
+    (["scaling", "--family", "axis", "--p", "2.5", "--n-values", "8,16,32,64"],
+     ["--out-csv", "--out-json"]),
+    (["lp", "--mu", "24,0", "--p", "2.8"], ["--out"]),
+])
+def test_lp_artifacts_are_byte_identical_for_any_thread_count(capsys, monkeypatch, tmp_path,
+                                                              argv, outs):
+    files = {}
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("SU3CHAR_THREADS", threads)
+        paths = [tmp_path / f"{threads}{flag}" for flag in outs]
+        code = main([*argv, *[str(a) for pair in zip(outs, paths) for a in pair]])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        files[threads] = [out] + [p.read_bytes() for p in paths]
+    assert files["1"] == files["2"] == files["4"]
+
+
+@pytest.mark.parametrize("env", ["0", "65", "x"])
+def test_lp_thread_count_is_refused_before_level_zero(capsys, monkeypatch, env):
+    def no_work(*a, **k):
+        raise AssertionError("level 0 started")
+
+    monkeypatch.setattr(lpnorms, "_grid_levels", no_work)
+    monkeypatch.setenv("SU3CHAR_THREADS", env)
+    code, payload, err = run(capsys, "lp", "--mu", "3,2", "--p", "2.5")
+    assert code == EXIT_USAGE and payload is None
+    assert len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert "SU3CHAR_THREADS" in diag["message"]
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *a, **k):
+        built.append(k.get("prog"))
+        init(self, *a, **k)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert main(["eval", "--mu", "1,0", "--theta", "0,0,0"]) == EXIT_OK
+    assert len(built) == 1 + len(cli._COMMANDS)  # the parser and one per subcommand
+    monkeypatch.undo()
+    capsys.readouterr()
+    for cmd in ["", *cli._COMMANDS]:  # the kept parser's help is a new parser's
+        texts = []
+        for parser in (cli._build_parser(), cli._build_parser.__wrapped__()):
+            with pytest.raises(SystemExit):
+                parser.parse_args([cmd, "--help"] if cmd else ["--help"])
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "usage: su3char" in texts[0]
 
 
 def test_scaling_small_run(capsys, tmp_path):

@@ -1,6 +1,9 @@
 import itertools
 import math
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -40,8 +43,8 @@ from su3char.lpnorms import (
     _model_integrand,
     _norm_integrand,
     _ols_loglog,
+    _level_sums,
     _orbits,
-    _rgrid_sums,
     _weight,
 )
 from su3char.quadrature import _trapezoid_sum
@@ -273,13 +276,72 @@ def test_every_residue_of_an_orbit_has_its_representatives_sums(a, b, K):
     # W x {+-1} maps r-grids onto r-grids without changing |chi|^p w: checked
     # here for every residue, not assumed
     mu = DominantWeight(a, b)
-    m, d = multiplicities(mu), dim(mu)
+    md = multiplicities(mu) / dim(mu)
     for orbit in _orbits(K):
-        num, den = _rgrid_sums(m, d, 2.5, 24, K, orbit[0])
-        for r in orbit[1:]:
-            other = _rgrid_sums(m, d, 2.5, 24, K, r)
+        (num, den), *others = _level_sums(md, 2.5, 24, K, orbit, 1)
+        for r, other in zip(orbit[1:], others):
             assert other[0] == pytest.approx(num, rel=1e-14, abs=0.0), r
             assert other[1] == pytest.approx(den, rel=1e-14, abs=0.0), r
+
+
+# the first three levels' (numerator, normalizer) at n0 = 48, as float.hex,
+# from the r-grid kernel before its per-level tables: the kernel's bits
+GOLDEN_LEVELS = {
+    ((5, 2), 2.5): [("0x1.d53954442fb94p-14", "0x1.d9bdb2e9d68c9p+1"),
+                    ("0x1.d5139dd56360fp-14", "0x1.d9bdb2e9d68ccp+1"),
+                    ("0x1.d5100af748881p-14", "0x1.d9bdb2e9d68c9p+1")],
+    ((8, 0), 4.0): [("0x1.10912a6779287p-17", "0x1.d9bdb2e9d68c9p+1"),
+                    ("0x1.10912a6779287p-17", "0x1.d9bdb2e9d68ccp+1"),
+                    ("0x1.10912a6779287p-17", "0x1.d9bdb2e9d68c9p+1")],
+    ((4, 4), 8.0 / 3.0): [("0x1.c32b1d5a7b1dap-16", "0x1.d9bdb2e9d68c9p+1"),
+                          ("0x1.c34f411be718cp-16", "0x1.d9bdb2e9d68ccp+1"),
+                          ("0x1.c3500fd393e86p-16", "0x1.d9bdb2e9d68c9p+1")],
+}
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("key", list(GOLDEN_LEVELS))
+def test_grid_levels_keep_their_golden_bits(key, threads):
+    (a, b), p = key
+    mu = DominantWeight(a, b)
+    assert _fast_len(max(48, math.ceil(p * _bandwidth(mu)) + 8)) == 48
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers switch often, so a race would show in the bits
+    try:
+        levels = _grid_levels(multiplicities(mu), dim(mu), p, 48, threads)
+        assert [tuple(x.hex() for x in next(levels)) for _ in range(3)] == GOLDEN_LEVELS[key]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_level_workers_are_capped_by_the_stage_budget(monkeypatch):
+    # (24,0) at p = 2.8: n0 = 54, a 25 x 54 stage; with a budget of one
+    # stage, 4 threads run one r-grid at a time and give the same report
+    mu = DominantWeight(24, 0)
+    monkeypatch.setenv("SU3CHAR_THREADS", "1")
+    want = haar_lp_norm(mu, 2.8)
+    rgrid_sums, lock = lpnorms._rgrid_sums, threading.Lock()
+    flight = {"now": 0, "most": 0}
+
+    def counted(*args):
+        with lock:
+            flight["now"] += 1
+            flight["most"] = max(flight["most"], flight["now"])
+        time.sleep(0.002)  # long enough for workers to overlap, if they may
+        try:
+            return rgrid_sums(*args)
+        finally:
+            with lock:
+                flight["now"] -= 1
+
+    monkeypatch.setattr(lpnorms, "_rgrid_sums", counted)
+    monkeypatch.setenv("SU3CHAR_THREADS", "4")
+    assert haar_lp_norm(mu, 2.8) == want
+    assert flight["most"] > 1  # the stub sees overlap when the budget allows it
+    flight["most"] = 0
+    monkeypatch.setattr(lpnorms, "SCHUR_DIM_LIMIT", 25 * 54)
+    assert haar_lp_norm(mu, 2.8) == want
+    assert flight["most"] == 1
 
 
 def test_fast_len_is_the_next_5_smooth_integer():
