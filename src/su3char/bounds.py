@@ -69,16 +69,9 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class EnvelopeValue:
-    """min-form and product-form envelopes plus the six Weyl-term breakdown.
-
-    product_form replaces each factor min(x, 1/y) by x/(1 + x*y); every
-    factor obeys min(x,1/y)/2 <= x/(1+x*y) <= min(x,1/y), so the two forms
-    agree within a factor of 8 termwise.
-    """
+    """The envelope at one point, in its min form."""
 
     min_form: float
-    product_form: float
-    per_weyl_terms: Tuple[float, float, float, float, float, float]
 
 
 # Per Weyl image s and extended root (= wall): which of the pairings
@@ -92,21 +85,13 @@ _ENVELOPE_KINDS = tuple(
 
 def envelope_min(mu: DominantWeight, H: TorusPoint) -> EnvelopeValue:
     """The module docstring's sum at one point.  Its nine factors
-    min(x, 1/wall), and x/(1 + x*wall) for the product form, are computed
-    once; each Weyl term multiplies its three in wall order, picked by
-    _ENVELOPE_KINDS as in the grid envelope."""
+    min(x, 1/wall) are computed once; each Weyl term multiplies its three
+    in wall order, picked by _ENVELOPE_KINDS as in the grid envelope."""
     pairings = (float(mu.a + 1), float(mu.a + mu.b + 2), float(mu.b + 1))
     walls = H.wall_norms()  # in EXTENDED_ROOTS order
-    mins = [[x if y < 1e-300 else min(x, 1.0 / y) for x in pairings] for y in walls]
-    prods = [[x / (1.0 + x * y) for x in pairings] for y in walls]
-    terms, prod_terms = (
-        [f[0][q0] * f[1][q1] * f[2][q2] for q0, q1, q2 in _ENVELOPE_KINDS] for f in (mins, prods)
-    )
-    return EnvelopeValue(
-        min_form=math.fsum(terms),
-        product_form=math.fsum(prod_terms),
-        per_weyl_terms=tuple(terms),
-    )
+    f = [[x if y < 1e-300 else min(x, 1.0 / y) for x in pairings] for y in walls]
+    terms = (f[0][q0] * f[1][q1] * f[2][q2] for q0, q1, q2 in _ENVELOPE_KINDS)
+    return EnvelopeValue(min_form=math.fsum(terms))
 
 
 def _reciprocal(x: np.ndarray) -> np.ndarray:
@@ -122,14 +107,15 @@ def _envelope_tile(inv: np.ndarray, chunk: _GridChunk) -> np.ndarray:
     (a+1, a+b+2, b+1) of chunk.lam, are computed once per weight; each Weyl
     term picks its three by _ENVELOPE_KINDS, as envelope_min does, and the
     products and the sum over terms keep envelope_min's order."""
-    pairings = np.array([(l1 - l2, l1, l2) for l1, l2, _ in chunk.lam.tolist()], dtype=np.float64)
-    # f[weight, wall, pairing, point]
-    f = np.minimum(pairings[:, None, :, None], inv[None, :, None, :])
-    total = np.zeros(f[:, 0, 0].shape, dtype=np.float64)
+    pairings = np.array(list(zip(*((l1 - l2, l1, l2) for l1, l2, _ in chunk.lam.tolist()))),
+                        dtype=np.float64)
+    # f[wall, pairing, weight, point]: each factor a contiguous [weight x point] tile
+    f = np.minimum(pairings[None, :, :, None], inv[:, None, None, :])
+    total = np.zeros(f[0, 0].shape, dtype=np.float64)
     tmp = np.empty_like(total)
     for q0, q1, q2 in _ENVELOPE_KINDS:
-        np.multiply(f[:, 0, q0], f[:, 1, q1], out=tmp)
-        tmp *= f[:, 2, q2]
+        np.multiply(f[0, q0], f[1, q1], out=tmp)
+        tmp *= f[2, q2]
         total += tmp
     return total
 

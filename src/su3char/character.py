@@ -16,7 +16,8 @@
 ``chi_stable``  dispatcher picking among the three by wall distances.
 
 ``chi_on_grid`` vectorizes the dispatch.  The Weyl and descent routes read
-their phases from per-point rows exp(ik x), one per integer k; near two or
+their phases from per-point rows exp(ik x), one per integer k, each a
+product of two earlier rows past k = 3 (:class:`_PhaseRows`); near two or
 more walls it sums the patterns in closed form, O(a+b) per point.
 Everything that depends only on the points (wall sines, routes, descent
 prefactors, rank-one and phase rows) lives in one private geometry object,
@@ -430,29 +431,54 @@ def _cmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _PhaseRows(dict):
-    """exp(i k x) at fixed angles x per integer k, computed when first read."""
+    """exp(i k x) at fixed angles x per integer k >= 0, formed and kept when
+    first read; :meth:`row` keeps only the rows k <= 3 and powers of two.
+
+    Rows k <= 3 are np.exp(1j * (k * x)); row k > 3 is row r * row m, m the
+    largest power of two below k and r = k - m.  The chain is fixed by k, so
+    a row's bits do not depend on which rows were read first.  A squaring
+    doubles its factor's error, so row k errs by about 0.23 ulp per unit of
+    k, where exp(i fl(k x)) errs by up to |k x|/2 ulp as k x rounds.
+    """
 
     def __init__(self, x: np.ndarray):
         super().__init__()
         self.x = x
 
     def __missing__(self, k: int) -> np.ndarray:
-        row = self[k] = np.exp(1j * (k * self.x))
+        row = self[k] = self.row(k)
         return row
 
+    def row(self, k: int) -> np.ndarray:
+        if k <= 3:
+            return np.exp(1j * (k * self.x))
+        m = 1 << ((k - 1).bit_length() - 1)
+        r = k - m
+        low = self[r] if r in self or r <= 3 or not r & (r - 1) else self.row(r)
+        return _cmul(low, self[m], np.empty(self.x.shape, dtype=np.complex128))
+
     def stack(self, ks) -> np.ndarray:  # [len(ks) x points]
-        return np.stack([self[k] for k in ks])
+        return np.concatenate([self[k] for k in ks]).reshape(len(ks), -1)
+
+
+def _rows_for(rows: _PhaseRows, chunk: _GridChunk) -> _PhaseRows:
+    """rows, or fresh rows over the same angles for a chunk of one weight
+    (chi_on_grid's, a sweep block's last): no chunk follows to reuse them,
+    and chain rows kept past their read cost a one-weight call page faults."""
+    return rows if len(chunk.mus) > 1 else _PhaseRows(rows.x)
 
 
 class _WeylPoints:
-    """The Weyl-route points with their denominators and the phase rows
-    P1[k] = exp(ik t1) and P2[k] = exp(-ik t2)."""
+    """The Weyl-route points with their reciprocal denominators, the phase rows
+    P1[k] = exp(ik t1) and P2[k] = exp(-ik t2) and the common phase rows
+    exp(ik (t2 - t1)/3)."""
 
     def __init__(self, idx, t1, t2, sines):
         self.idx = idx
-        self.den = (2j * sines[1][idx]) * (2j * sines[2][idx]) * (2j * sines[0][idx])
+        # 1/den.imag, den = (2i s1)(2i s2)(2i s0): numpy's division by it is tile()'s two products
+        self.inv = -0.125 / (sines[1][idx] * sines[2][idx] * sines[0][idx])
         self.p1, self.p2 = _PhaseRows(t1[idx]), _PhaseRows(-t2[idx])
-        self.d = (t2[idx] - t1[idx]) / 3.0
+        self.common = _PhaseRows((t2[idx] - t1[idx]) / 3.0)
 
     def tile(self, chunk: _GridChunk) -> np.ndarray:
         """Weyl quotient at the Weyl-route points, [weights x points]."""
@@ -460,8 +486,10 @@ class _WeylPoints:
         # exp(i degree (t2 - t1)/3) sum_s sgn(s) P1[e1] P2[e3], and e1 or e3
         # is 0 in four of the six terms.  The common phase is one row per
         # run of weights of equal degree.
-        p1 = [self.p1.stack(chunk.lam[:, c].tolist()) for c in (0, 1)]
-        p2 = [self.p2.stack(chunk.lam[:, c].tolist()) for c in (0, 1)]
+        w, ks = len(chunk.mus), chunk.lam[:, 0].tolist() + chunk.lam[:, 1].tolist()
+        p1 = _rows_for(self.p1, chunk).stack(ks)
+        p2 = _rows_for(self.p2, chunk).stack(ks)
+        p1, p2, common = (p1[:w], p1[w:]), (p2[:w], p2[w:]), _rows_for(self.common, chunk)
         num = np.zeros(p1[0].shape, dtype=np.complex128)
         tmp = np.empty_like(num)
         # e1 and e3 of e = s.lambda are components c1 and c3 of
@@ -478,13 +506,18 @@ class _WeylPoints:
             else:
                 num -= term
         out = tmp
+        del p1, p2, term  # the stacks go before the common phase's chain rows come
         for degree, rows in chunk.runs:
-            phase = np.exp(1j * (degree * self.d))
             # num * phase in this operand order at any size: under FMA the
             # swapped product rounds differently (see _cmul)
-            _cmul(num[rows], phase, out[rows])
-        out /= self.den
-        return out
+            _cmul(num[rows], common.row(degree), out[rows])
+        # between chunks keep only the base rows: the powers of two, 128 kB
+        # a sweep block, raised the sweep's peak RSS by about 0.15 MB
+        for k in [k for k in common if k > 3]:
+            del common[k]
+        np.multiply(out.imag, self.inv, out=num.real)
+        np.multiply(out.real, self.inv * -1.0, out=num.imag)
+        return num
 
 
 class _WallPoints:
@@ -492,9 +525,10 @@ class _WallPoints:
     the prefactor, the rank-one rows at u = <beta_j, H>/2 (:class:`_Rank1Rows`)
     and the phase rows at theta_c/2, c the slot off the wall."""
 
-    def __init__(self, j: int, idx, th, pairing, sines):
+    def __init__(self, j: int, idx, t1, t2, pairing, sines):
         self.j = j
         self.idx = idx
+        th = theta_from_alcove(t1[idx], t2[idx])
         k1, k2 = _COMPLEMENT[j]
         self.prefactor = 1.0 / ((2j * sines[k1][idx]) * (2j * sines[k2][idx]))
         # rank1(m, u) = (-1)^(n(m-1)) rank1(m, v), v = u - n pi: m v rounds relative to v
@@ -502,7 +536,7 @@ class _WallPoints:
         v = 0.5 * pairing[idx] - n * np.pi
         self.rank1, self.flip = _Rank1Rows(v, np.sin(v)), n % 2 == 1
         self.c = 3 - sum(_WALL_SLOTS[j])  # the slot off the wall
-        self.phase = _PhaseRows(0.5 * th[self.c][idx])
+        self.phase = _PhaseRows(0.5 * th[self.c])
 
     def tile(self, chunk: _GridChunk) -> np.ndarray:
         """Descent at wall j, [weights x points].
@@ -522,21 +556,22 @@ class _WallPoints:
         phases.append(np.conjugate(_cmul(w1, w2, d), out=d))
         acc = np.zeros_like(d)
         for (_, p), m in zip(WALL_COSET_TABLES[self.j], chunk.descent[:, self.j].T):
-            rank1 = np.stack([self.rank1(x) for x in np.abs(m).tolist()])
-            rank1[(m < 0)[:, None] ^ ((m % 2 == 0)[:, None] & self.flip)] *= -1.0
+            rank1 = np.concatenate([self.rank1(x) for x in np.abs(m).tolist()]).reshape(m.size, -1)
+            rank1 *= np.where((m < 0)[:, None] ^ ((m % 2 == 0)[:, None] & self.flip), -1.0, 1.0)
             acc += _cmul(rank1, phases[p[self.c]], w1)
         _cmul(self.prefactor, acc, w1)
         return w1
 
 
 class _MultiWallPoints:
-    """The points near two or more walls, with theta2 and the angle
-    differences th1-th2 and th3-th2."""
+    """The points near two or more walls, with the common phase rows
+    exp(ik th2) and the angle differences th1-th2 and th3-th2."""
 
-    def __init__(self, idx, th):
+    def __init__(self, idx, t1, t2):
         self.idx = idx
-        self.th2 = th[1][idx]
-        self.d1, self.d3 = th[0][idx] - self.th2, th[2][idx] - self.th2
+        th = theta_from_alcove(t1[idx], t2[idx])
+        self.common = _PhaseRows(th[1])
+        self.d1, self.d3 = th[0] - th[1], th[2] - th[1]
 
     def tile(self, chunk: _GridChunk) -> np.ndarray:
         """chi on the multi-wall points, [weights x points]: the pattern
@@ -576,8 +611,7 @@ class _MultiWallPoints:
             sa, sd = s
             out[:, pts] = _cmul(sa, q[b], np.empty_like(sa)) - _cmul(q[a], sd, np.empty_like(sd))
         for degree, rows in chunk.runs:
-            phase = np.exp(1j * ((degree - 3) * self.th2))
-            out[rows] = _cmul(phase, out[rows], np.empty_like(out[rows]))
+            out[rows] = _cmul(self.common.row(degree - 3), out[rows], np.empty_like(out[rows]))
         return out
 
 
@@ -604,21 +638,21 @@ class _GridGeometry:
         """Each point's uint8 code into GRID_METHOD_NAMES, by the number of
         walls below EPS_WALL."""
         near = np.count_nonzero(self.walls < EPS_WALL, axis=0)
-        jmin = np.argmin(self.walls, axis=0)
-        return np.where(near == 1, 1 + jmin, 4 * (near > 1)).astype(np.uint8)
+        codes, one = (4 * (near > 1)).astype(np.uint8), np.nonzero(near == 1)[0]
+        codes[one] = 1 + np.argmin(self.walls[:, one], axis=0)  # slow: one-wall points only
+        return codes
 
     @cached_property
     def routes(self):
         """The non-empty routes -- :class:`_WeylPoints`, :class:`_WallPoints`
         per wall, :class:`_MultiWallPoints` -- with points ``idx`` and
         ``tile(chunk)``."""
-        th = theta_from_alcove(self.t1, self.t2)
+        t1, t2, s = self.t1, self.t2, self.sines
         idx = [np.nonzero(self.methods == code)[0] for code in range(5)]
-        routes = [_WeylPoints(idx[0], self.t1, self.t2, self.sines)]
-        routes += [_WallPoints(j, idx[1 + j], th, self.pairings[j], self.sines)
-                   for j in (0, 1, 2)]
-        routes.append(_MultiWallPoints(idx[4], th))
-        return [r for r in routes if r.idx.size]
+        return [_WeylPoints(i, t1, t2, s) if code == 0
+                else _MultiWallPoints(i, t1, t2) if code == 4
+                else _WallPoints(code - 1, i, t1, t2, self.pairings[code - 1], s)
+                for code, i in enumerate(idx) if i.size]
 
     def chi(self, chunk: _GridChunk) -> np.ndarray:
         """chi(mu, .) for every weight of the chunk at every point,

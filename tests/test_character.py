@@ -11,10 +11,12 @@ from su3char import (
     WEYL_GROUP,
     CharValue,
     DominantWeight,
+    GridSpec,
     ResourceLimitError,
     SingularInputError,
     TorusPoint,
     WallTooSmallError,
+    build_grid,
     chi_on_grid,
     chi_rank1,
     chi_schur,
@@ -30,6 +32,9 @@ from su3char.character import (
     EPS_WALL,
     GRID_BLOCK,
     GRID_METHOD_NAMES,
+    _GridChunk,
+    _GridGeometry,
+    _PhaseRows,
     _Rank1Rows,
 )
 from test_cartan import weyl_act_torus, weyl_act_weight
@@ -327,16 +332,44 @@ def test_dispatch_near_wall_uses_descent_and_matches_oracle():
     assert cv.value == pytest.approx(want, abs=1e-6 * dim(mu))
 
 
-def pattern_sum_40_digits(mu, H) -> complex:
-    """chi(mu, H) as the Gelfand-Tsetlin phase sum in 40-digit arithmetic."""
-    import mpmath  # only this oracle needs it
+def pattern_sum_40_digits(mu, theta) -> complex:
+    """chi(mu, theta) as the Gelfand-Tsetlin phase sum in 40-digit
+    arithmetic; theta is a triple of floats or 40-digit numbers."""
+    import mpmath  # only the 40-digit oracles need it
 
     w1, w2, w3 = pattern_weights(mu.a, mu.b)
     with mpmath.workdps(40):
-        th = [mpmath.mpf(x) for x in H.theta]
+        th = [mpmath.mpf(x) for x in theta]
         total = mpmath.fsum(mpmath.expj(int(x) * th[0] + int(y) * th[1] + int(z) * th[2])
                             for x, y, z in zip(w1, w2, w3))
         return complex(total)
+
+
+def theta_40_digits(t1: float, t2: float):
+    """The angle triple of alcove coordinates (t1, t2), formed in 40 digits
+    (theta_from_alcove without its roundings)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        t1, t2 = mpmath.mpf(t1), mpmath.mpf(t2)
+        return (2 * t1 + t2) / 3, (t2 - t1) / 3, -(t1 + 2 * t2) / 3
+
+
+def weyl_quotients_40_digits(mus, theta):
+    """chi(mu, theta) for each mu of mus as det(x_k^lambda_j) / det(x_k^rho_j),
+    x = exp(i theta), lambda = mu + rho = (a+b+2, b+1, 0), in 40-digit
+    arithmetic: exact but for the last digits wherever no wall vanishes."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        x = [mpmath.expj(t) for t in theta]
+        den = (x[0] - x[1]) * (x[0] - x[2]) * (x[1] - x[2])
+        out = []
+        for mu in mus:
+            p, q = ([mpmath.expj(ell * t) for t in theta] for ell in (mu.a + mu.b + 2, mu.b + 1))
+            num = p[0] * (q[1] - q[2]) - p[1] * (q[0] - q[2]) + p[2] * (q[0] - q[1])
+            out.append(complex(num / den))
+        return out
 
 
 def test_near_wall_descent_matches_a_40_digit_pattern_sum():
@@ -349,7 +382,7 @@ def test_near_wall_descent_matches_a_40_digit_pattern_sum():
         for H in near_wall:
             cv = chi_stable(mu, H)
             methods.add(cv.method)
-            assert abs(cv.value - pattern_sum_40_digits(mu, H)) <= 1e-13 * dim(mu), (mu, H)
+            assert abs(cv.value - pattern_sum_40_digits(mu, H.theta)) <= 1e-13 * dim(mu), (mu, H)
         assert methods == {"descent0", "descent1", "descent2"}
 
 
@@ -578,3 +611,121 @@ def test_grid_method_partition_thresholds():
     )
     names = [GRID_METHOD_NAMES[m] for m in methods]
     assert names == ["weyl", "descent1", "schur"]
+
+
+# ---------------------------------------------------------------------------
+# phase rows and the grid Weyl route against 40-digit oracles
+# ---------------------------------------------------------------------------
+
+def phase_row_angles():
+    """Angles of the kinds the grid rows use: t1 and -t2 up to 2 pi, the
+    common phase's (t2 - t1)/3, and small ones."""
+    rng = np.random.default_rng(41)
+    return np.concatenate((rng.uniform(-TWO_PI, TWO_PI, 12), 10.0 ** rng.uniform(-6.0, 0.0, 4)))
+
+
+def test_phase_rows_to_three_are_exponentials_bit_for_bit():
+    x = phase_row_angles()
+    rows = _PhaseRows(x)
+    for k in range(4):
+        assert rows[k].tobytes() == np.exp(1j * (k * x)).tobytes(), k
+        assert rows.row(k).tobytes() == rows[k].tobytes(), k
+
+
+def test_phase_row_bits_do_not_depend_on_the_reading_order():
+    x = phase_row_angles()
+    first, ascending, lean = _PhaseRows(x), _PhaseRows(x), _PhaseRows(x)
+    row41 = first[41]
+    rows = [ascending[k] for k in range(42)]
+    assert row41.tobytes() == rows[41].tobytes()
+    assert lean.row(41).tobytes() == row41.tobytes()
+    # 41 = 32 + 9 and 9 = 8 + 1: row() keeps the base and power-of-two rows
+    # of its chain only, a read keeps the row read as well
+    assert sorted(lean) == [1, 2, 4, 8, 16, 32]
+    assert sorted(first) == [1, 2, 4, 8, 16, 32, 41]
+    for k in sorted(first):
+        assert first[k].tobytes() == rows[k].tobytes(), k
+
+
+def test_phase_rows_to_1026_are_within_the_measured_bound_of_a_40_digit_exponential():
+    # measured: rows k <= 3 within 4.04 ulp (3x rounds); each product at most
+    # doubles the error of its factors, so larger rows grow linearly, by
+    # 0.2325 ulp per unit k beyond that (241 ulp at k = 1024).  exp(i fl(kx))
+    # rounds kx instead: 2 000 ulp at k = 1 000 for |x| near 2 pi.  The
+    # oracle is rounded to double, which adds up to 0.71 ulp.
+    import mpmath
+
+    x = phase_row_angles()
+    rows = _PhaseRows(x)
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        for k in range(1027):
+            want = np.array([complex(mpmath.expj(k * v)) for v in xs])
+            assert np.abs(rows[k] - want).max() <= (4.04 + 0.2325 * k) * 2.0**-52, k
+
+
+def test_a_one_weight_chunk_keeps_no_phase_rows():
+    # chi_on_grid's chunk of one weight forms its rows afresh, so that no
+    # chain row outlives its read; a larger chunk keeps the rows it reads
+    # and the base and power-of-two rows of their chains for the chunks
+    # after it, and of the common phase only the base rows.  Both give the
+    # same bits
+    rng = np.random.default_rng(6)
+    t1, t2 = rng.uniform(1.0, 2.0, (2, 64))
+    geom = _GridGeometry(t1, t2)
+    one = geom.chi(_GridChunk([DominantWeight(20, 7)]))
+    (weyl,) = geom.routes
+    assert len(weyl.p1) == len(weyl.p2) == len(weyl.common) == 0
+    two = geom.chi(_GridChunk([DominantWeight(20, 7), DominantWeight(3, 1)]))
+    assert sorted(weyl.p1) == sorted(weyl.p2) == [1, 2, 4, 6, 8, 16, 29]
+    assert sorted(weyl.common) == [1, 2]
+    assert two[0].tobytes() == one[0].tobytes()
+
+
+# chi_on_grid((0,0)) at five Weyl points of the seed-7 default grid, three
+# corner rays and two interior points, as (t1, t2, re, im) in float.hex,
+# taken with one complex exponential per phase row: rows k <= 3 keep those
+# bits, and (0,0) reads no other row
+TRIVIAL_GOLDEN = [
+    ("0x1.bf40aec95e655p-6", "0x1.3ccdd123f8327p-3", "0x1.ffffffffffeeap-1", "0x1.1ab25b36a9d83p-43"),
+    ("0x1.171dbdd0bb0a9p-4", "0x1.21d9f658c23c4p-3", "0x1.0000000000022p+0", "-0x1.b074d98def8a0p-45"),
+    ("0x1.c6f382afbd16dp-4", "0x1.c6f382afbd16dp-4", "0x1.000000000001dp+0", "0x0.0p+0"),
+    ("0x1.d244bf9707b0ap+1", "0x1.30f42f7b61721p-7", "0x1.000000000000ep+0", "0x1.4c834e335dea9p-49"),
+    ("0x1.149520d47ee1cp+0", "0x1.f1e8d72d3fb76p-2", "0x1.ffffffffffffdp-1", "-0x1.306fb5d9209c8p-54"),
+]
+
+
+def test_trivial_character_on_the_grid_keeps_its_golden_bits():
+    t1, t2 = (np.array([float.fromhex(p[c]) for p in TRIVIAL_GOLDEN]) for c in (0, 1))
+    vals, methods = chi_on_grid(DominantWeight(0, 0), t1, t2)
+    assert methods.tolist() == [0] * len(TRIVIAL_GOLDEN)
+    assert [(v.real.hex(), v.imag.hex()) for v in vals.tolist()] == [p[2:] for p in TRIVIAL_GOLDEN]
+
+
+def test_grid_weyl_route_is_within_its_measured_bound_of_a_40_digit_oracle():
+    # the Weyl points of the seed-7 default grid: every corner ray and every
+    # 10th other point, theta formed from the grid's (t1, t2) in 40 digits.
+    # Bounds (x dim) as measured; the worst point of each weight is a corner
+    # ray, where the quotient divides by 8 s1 s2 s3, the same on all 7 893
+    # Weyl points.  With one complex exponential per phase row they were
+    # 5.9e-12, 9.8e-13, 1.5e-13, 5.8e-13 and 6.0e-13.
+    bounds = {(5, 2): 3.06e-12, (13, 6): 8.11e-13, (20, 20): 6.74e-14, (30, 10): 1.84e-13,
+              (40, 0): 3.25e-13}
+    mus = [DominantWeight(a, b) for a, b in bounds]
+    grid = build_grid(GridSpec(), 7)
+    weyl = np.nonzero(chi_on_grid(DominantWeight(0, 0), grid.t1, grid.t2)[1] == 0)[0]
+    rays = [i for i in weyl.tolist() if grid.stratum[i] == "corner_ray"]
+    rest = [i for i in weyl.tolist() if grid.stratum[i] != "corner_ray"][::10]
+    assert len(rays) == 28 and len(rest) == 787
+    idx = np.array(rays + rest)
+    thetas = [theta_40_digits(grid.t1[i], grid.t2[i]) for i in idx.tolist()]
+    want = np.array([weyl_quotients_40_digits(mus, th) for th in thetas]).T
+    for mu, row in zip(mus, want):
+        vals, methods = chi_on_grid(mu, grid.t1[idx], grid.t2[idx])
+        assert np.all(methods == 0)
+        err = np.abs(vals - row) / dim(mu)
+        assert err.max() <= bounds[(mu.a, mu.b)], mu
+        assert grid.stratum[idx[np.argmax(err)]] == "corner_ray", mu
+    # the quotient oracle is the 40-digit pattern sum at the corner rays
+    for th, got in zip(thetas[:28], want[0, :28]):
+        assert abs(got - pattern_sum_40_digits(mus[0], th)) <= 1e-25 * dim(mus[0])
