@@ -411,26 +411,32 @@ def _merge_blocks(blocks, results):
     return top, first
 
 
-def thread_count(threads: Optional[int] = None) -> int:
-    """threads, else SU3CHAR_THREADS, else 1; ValueError unless in 1..MAX_THREADS."""
-    what = "threads"
-    if threads is None:
-        what = "SU3CHAR_THREADS"
-        raw = os.environ.get(what, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"{what} must be an integer, got {raw!r}") from None
+def thread_count() -> int:
+    """SU3CHAR_THREADS, else 1; ValueError unless an integer in 1..MAX_THREADS."""
+    raw = os.environ.get("SU3CHAR_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ValueError(f"SU3CHAR_THREADS must be an integer, got {raw!r}") from None
     if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"{what} must be between 1 and {MAX_THREADS}, got {threads}")
+        raise ValueError(f"SU3CHAR_THREADS must be between 1 and {MAX_THREADS}, got {threads}")
     return threads
+
+
+def thread_map(fn, items, workers: int) -> Iterator:
+    """fn(x) for x in items, in order, as the caller reads them: in the
+    calling thread for one worker (no pool), else on ``workers`` threads."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        yield from ex.map(fn, items)
 
 
 def sweep_constant(
     mu_range: Iterable,
     grid_spec: Optional[GridSpec] = None,
     seed: int = 2718,
-    threads: Optional[int] = None,
 ) -> SweepReport:
     """Max |chi|/envelope over a mu set x stratified alcove grid.
 
@@ -440,15 +446,16 @@ def sweep_constant(
     SWEEP_BLOCK points, each in grid order; each block builds its
     mu-independent geometry once and evaluates the weights on it in chunks
     (see the module docstring), and the per-chunk constants are built once.
-    Threads map over blocks.  Every value is computed from its point and
-    weight alone, and each weight's maximum is taken over the blocks on
-    (ratio, grid index) in np.argmax's order, so ties resolve to the first
-    grid index, the report does not depend on the thread count, and a
-    weight's record does not depend on the other weights swept with it.
+    SU3CHAR_THREADS workers map over blocks (:func:`thread_map`).  Every
+    value is computed from its point and weight alone, and each weight's
+    maximum is taken over the blocks on (ratio, grid index) in np.argmax's
+    order, so ties resolve to the first grid index, the report does not
+    depend on the thread count, and a weight's record does not depend on
+    the other weights swept with it.
     Refuses (ResourceLimitError), as mu_range is read, past MAX_WEIGHTS
     weights, CHUNK_WEIGHTS x (a+b+1) or grid points above SCHUR_DIM_LIMIT.
     """
-    threads = thread_count(threads)
+    threads = thread_count()
     spec = grid_spec or GridSpec()
     if spec.total > SCHUR_DIM_LIMIT:
         raise ResourceLimitError(f"grid total {spec.total} > {SCHUR_DIM_LIMIT}-point budget")
@@ -474,11 +481,7 @@ def sweep_constant(
     def run(blk: np.ndarray):
         return _sweep_block(grid, blk, chunks, len(slot))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            top, first = _merge_blocks(blocks, ex.map(run, blocks))
-    else:
-        top, first = _merge_blocks(blocks, map(run, blocks))
+    top, first = _merge_blocks(blocks, thread_map(run, blocks, threads))
 
     per_mu = tuple(
         RatioRecord(mu_a=mu.a, mu_b=mu.b, t1=float(grid.t1[i]), t2=float(grid.t2[i]),

@@ -361,19 +361,25 @@ def descent_terms(lam: RegularTriple, H: TorusPoint, j: int) -> DescentTermSet:
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def chi_stable(mu: DominantWeight, H: TorusPoint) -> CharValue:
-    """Evaluate chi(mu, H) by the best-conditioned of the three formulas.
+def _route(walls):
+    """The GRID_METHOD_NAMES code of the best-conditioned formula at walls,
+    the three wall norms as floats or as a [3 x n] array: all >= EPS_WALL,
+    0 (Weyl quotient); exactly one below, 1 + its index (descent at that
+    wall); two or more below, 4 (pattern sum).  Counted in ints: numpy adds
+    bool arrays as logical or."""
+    b0, b1, b2 = (1 * (w < EPS_WALL) for w in walls)
+    near = b0 + b1 + b2
+    return (near == 1) * (1 + b1 + 2 * b2) + (near > 1) * 4
 
-    All walls >= EPS_WALL: Weyl quotient.  Exactly one wall below: descent at
-    that wall.  Two or more walls below: pattern sum (may refuse very large
-    mu -- that resource guard is only raised when no formula is safe).
-    """
-    walls = H.wall_norms()  # indexed by wall 0, 1, 2
-    order = sorted(range(3), key=lambda i: walls[i])
-    if walls[order[0]] >= EPS_WALL:
+
+def chi_stable(mu: DominantWeight, H: TorusPoint) -> CharValue:
+    """chi(mu, H) by the formula :func:`_route` picks; the pattern sum's
+    resource guard is raised only where no other formula is safe."""
+    code = _route(H.wall_norms())
+    if code == 0:
         return chi_weyl(mu.shifted(), H)
-    if walls[order[1]] >= EPS_WALL:
-        return descent_terms(mu.shifted(), H, order[0]).char_value()
+    if code < 4:
+        return descent_terms(mu.shifted(), H, code - 1).char_value()
     return chi_schur(mu, H)
 
 
@@ -635,12 +641,8 @@ class _GridGeometry:
 
     @cached_property
     def methods(self) -> np.ndarray:
-        """Each point's uint8 code into GRID_METHOD_NAMES, by the number of
-        walls below EPS_WALL."""
-        near = np.count_nonzero(self.walls < EPS_WALL, axis=0)
-        codes, one = (4 * (near > 1)).astype(np.uint8), np.nonzero(near == 1)[0]
-        codes[one] = 1 + np.argmin(self.walls[:, one], axis=0)  # slow: one-wall points only
-        return codes
+        """Each point's uint8 code into GRID_METHOD_NAMES (:func:`_route`)."""
+        return _route(self.walls).astype(np.uint8)
 
     @cached_property
     def routes(self):
@@ -671,8 +673,8 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
     """chi(mu, .) over flat arrays of alcove coordinates.
 
     Returns (values, methods): complex128 values and a uint8 method code per
-    point, indexing GRID_METHOD_NAMES.  Mirrors chi_stable's dispatch by the
-    number of walls below EPS_WALL: none, Weyl quotient; one, descent at
+    point, indexing GRID_METHOD_NAMES.  Routes each point as chi_stable does
+    (:func:`_route`): no wall below EPS_WALL, Weyl quotient; one, descent at
     that wall; two or more, the pattern sum in closed form ("schur", O(a+b)
     per point, exact dim at H = 0, ResourceLimitError past SCHUR_DIM_LIMIT
     table entries a point).  The Weyl and descent routes read their phases

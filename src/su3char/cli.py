@@ -5,9 +5,9 @@ Configuration is flags-first with an optional JSON config file (``--config``)
 whose values the flags override.  Each parameter is declared once, as one
 row of ``_COMMANDS``, and flag text, config-file JSON and defaults all pass
 through that row's converter.  The resolved semantic configuration --
-command plus the parsed numeric parameters and seed, but not output paths or
-the thread count -- is echoed into every artifact so a run can be
-reproduced from any of its outputs.
+command plus the parsed numeric parameters and seed, but not output paths
+-- is echoed into every artifact so a run can be reproduced from any of its
+outputs.
 
 Exit codes: 0 success, 2 usage/parse error, non-finite number, empty work
 set or unwritable output path (output directories are checked before any
@@ -15,9 +15,9 @@ computation), 3 resource guard tripped, 4 quadrature non-convergence, 5
 invariant violation detected by a verify run.  Errors are also printed as
 one-line JSON diagnostics on stderr.
 
-``SU3CHAR_THREADS`` sets the worker count of sweeps (``verify-envelope
---threads`` overrides it) and of L^p levels; results are byte-identical for
-any thread count 1-64.
+``SU3CHAR_THREADS``, the only thread setting, sets the worker count of
+sweeps and of L^p levels; results are byte-identical for any thread count
+1-64.
 """
 
 from __future__ import annotations
@@ -103,10 +103,8 @@ _OUT_FILES = (
     ("out_json", None, dict(help="write the summary JSON here")),
 )
 
-# output paths, checked before any computation
+# output paths, checked before any computation and not echoed
 _OUTPUTS = tuple(name for name, _, _ in (_OUT, *_OUT_FILES))
-# runtime knobs that must not influence artifact bytes
-_NOT_ECHOED = {"threads", *_OUTPUTS}
 
 
 def _default(fn, name: str):
@@ -219,7 +217,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _echo(cfg: RunConfig) -> Dict[str, object]:
-    body = {k: v for k, v in sorted(cfg.params.items()) if k not in _NOT_ECHOED}
+    body = {k: v for k, v in sorted(cfg.params.items()) if k not in _OUTPUTS}
     return {"command": cfg.command, **body}
 
 
@@ -243,12 +241,10 @@ def _emit(cfg: RunConfig, summary: dict, rows=()) -> None:
 def _cmd_eval(cfg: RunConfig) -> int:
     p = cfg.params
     mu = DominantWeight(*p["mu"])
-    if p["theta"] is not None:
-        H = TorusPoint(tuple(p["theta"]))
-    elif p["alcove"] is not None:
-        H = TorusPoint.from_alcove_coords(*p["alcove"])
-    else:
-        raise UsageError("one of --theta or --alcove is required")
+    if (p["theta"] is None) == (p["alcove"] is None):
+        raise UsageError("exactly one of --theta or --alcove is required")
+    H = (TorusPoint.from_alcove_coords(*p["alcove"]) if p["theta"] is None
+         else TorusPoint(tuple(p["theta"])))
 
     method = p["method"]
     if method == "auto":
@@ -291,7 +287,7 @@ def _cmd_verify_envelope(cfg: RunConfig) -> int:
     )
     # read lazily: sweep_constant refuses too many weights before the list is built
     mus = mu_shells(p["dense_max"], p["shell_max"])
-    rep = sweep_constant(mus, spec, seed=p["seed"], threads=p["threads"])
+    rep = sweep_constant(mus, spec, seed=p["seed"])
     summary = {k: v for k, v in vars(rep).items() if k != "per_mu"}  # per_mu is not copied
     _emit(cfg, {**summary, "argmax": dataclasses.asdict(rep.argmax)}, rep.per_mu)
     if not (rep.finite_ok and rep.ratio_at_zero_exact):
@@ -490,7 +486,6 @@ _COMMANDS = {
         ("corner_scales", GridSpec.corner_scales, dict(type=int, least=0)),
         ("corner_rays", GridSpec.corner_rays, dict(type=int, least=0)),
         ("seed", _default(sweep_constant, "seed"), dict(type=int)),
-        ("threads", None, dict(type=int, help="sweep workers (default: SU3CHAR_THREADS, else 1)")),
         *_OUT_FILES,
     )),
     "lp": (_cmd_lp, "Lp norm of one character", (

@@ -29,9 +29,11 @@ most ``BLOCK_NODES`` nodes.  W x {+-1} maps r-grids onto r-grids without
 changing the integrand, so a level is a sum over the orbits of residues r
 of |orbit| times one r-grid's sums; the even residues are the previous
 level's grids, so each level computes only its new orbits (1, 1, 2, 6, 20,
-72 r-grids for K = 1..32) on up to SU3CHAR_THREADS workers, reading one
-table of wall factors.  Memory is fixed by n0 and the workers whatever the
-level, and scaling by dim keeps every power <= 1, so no p overflows.
+72 r-grids for K = 1..32) on up to SU3CHAR_THREADS workers
+(:func:`thread_map`), reading one table of wall factors.  Memory is fixed
+by n0 and the workers whatever the level, and scaling by dim keeps every
+power <= 1, so no finite p overflows; every entry point refuses p outside
+0 < p < inf.
 
 A Duffy-mapped triangle rule over A, which evaluates chi node by node
 through ``chi_on_grid``, is kept as the independent cross-check mapping.
@@ -46,14 +48,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import thread_count
+from .bounds import thread_count, thread_map
 from .cartan import DominantWeight, dim, mu_stats
 from .character import SCHUR_DIM_LIMIT, ResourceLimitError, chi_on_grid, multiplicities
 from .quadrature import (
@@ -118,6 +119,12 @@ class LpReport:
     levels: int
     last_delta: float
     converged: bool
+
+
+def _check_p(p: float) -> None:
+    """The p domain of every L^p entry point: 0 < p < inf (no NaN)."""
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p!r}")
 
 
 def _weight(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -225,15 +232,11 @@ def _rgrid_sums(md: np.ndarray, p: float, n0: int, K: int, S: np.ndarray,
 
 def _level_sums(md: np.ndarray, p: float, n0: int, K: int,
                 residues: Sequence[Tuple[int, int]], workers: int) -> List[Tuple[float, float]]:
-    """_rgrid_sums at each residue, in order, in the calling thread or on
-    ``workers`` > 1 threads, all reading S[c, i] = _sin2(K i + c, K n0), i < 2 n0."""
+    """_rgrid_sums at each residue, in order, on ``workers`` threads
+    (:func:`thread_map`), all reading S[c, i] = _sin2(K i + c, K n0), i < 2 n0."""
     S = np.empty((K, 2 * n0))
     S[:, :n0] = S[:, n0:] = _sin2(np.arange(K * n0), K * n0).reshape(n0, K).T
-    sums = partial(_rgrid_sums, md, p, n0, K, S)
-    if workers == 1:
-        return list(map(sums, residues))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(sums, residues))
+    return list(thread_map(partial(_rgrid_sums, md, p, n0, K, S), residues, workers))
 
 
 def _grid_levels(m: np.ndarray, d: int, p: float, n0: int,
@@ -278,8 +281,7 @@ def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec) -> List
 
 
 def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpReport:
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    _check_p(p)
     if not isinstance(mu, DominantWeight):
         mu = DominantWeight(*mu)
     spec = spec or QuadratureSpec()
@@ -318,8 +320,7 @@ def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpRepor
 
 def predicted_singular_bound(mu, p: float) -> float:
     """Seven-case majorant of ||chi_mu||_p in (mu_bar, mu_min); natural logs."""
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    _check_p(p)
     if not isinstance(mu, DominantWeight):
         mu = DominantWeight(*mu)
     st = mu_stats(mu)
@@ -342,6 +343,7 @@ def predicted_singular_bound(mu, p: float) -> float:
 
 def predicted_regular_bound(mu, p: float) -> float:
     """Three-case mu_bar-only majorant (the earlier regular-regime bound)."""
+    _check_p(p)
     if p < 2.0:
         raise ValueError("the regular-regime bound requires p >= 2")
     if not isinstance(mu, DominantWeight):
@@ -357,6 +359,7 @@ def predicted_regular_bound(mu, p: float) -> float:
 
 def predicted_dimension_bound(mu, p: float) -> float:
     """dim(mu)^{1 - 8/(3p)} for p > 8/3 (equals 1 at the boundary)."""
+    _check_p(p)
     if p < 8.0 / 3.0 - _P_TOL:
         raise ValueError("the dimension bound requires p > 8/3")
     if not isinstance(mu, DominantWeight):
@@ -404,10 +407,9 @@ def I_numeric_table(p_values: Sequence[float], triples: Sequence[Tuple[float, fl
     ConvergenceError for the first non-converged entry in (p, triple) order.
     """
     for p in p_values:
-        if p <= 0.0:
-            raise ValueError("p must be positive")
-        if any(min(t) <= 0.0 for t in triples):
-            raise ValueError("a_t, b_t, c_t must be positive")
+        _check_p(p)
+    if any(min(t) <= 0.0 for t in triples):
+        raise ValueError("a_t, b_t, c_t must be positive")
     spec = spec or QuadratureSpec()
     lower = ((0.0, 0.0), (A0_SIDE, 0.0), (A0_SIDE / 2.0, A0_SIDE / 2.0))
     flat = triangle_batch(
@@ -438,8 +440,7 @@ def I_numeric(p: float, a_t: float, b_t: float, c_t: float,
 
 def I_bound(p: float, a: float, b: float, c: float) -> float:
     """Seven-case majorant of I_numeric for sorted arguments a >= b >= c > 0."""
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    _check_p(p)
     if not (a >= b >= c > 0.0):
         raise ValueError(
             "I_bound requires a >= b >= c > 0; pass the sorted shifted-weight "

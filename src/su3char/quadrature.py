@@ -1,22 +1,19 @@
 """Deterministic 2-D quadrature primitives.
 
-Two rule families, both returning :class:`QuadratureResult`:
-
-* triangles: tensor Gauss-Legendre pulled onto a triangle through the Duffy
-  substitution u = xi*(1-eta), v = xi*eta (nodes cluster at the first
-  vertex), refined by midpoint subdivision until two successive levels
-  agree to a relative tolerance; each level subdivides only the triangles
-  whose last subdivision still moved the total (local refinement);
-* the periodic square: equal-weight trapezoid sums with grid doubling,
-  spectrally accurate for smooth periodic integrands and *exact* for
-  trigonometric polynomials once the grid outruns the bandwidth.
-
-Both families drive one level-indexed loop (:func:`_refine`) over a batch
-of integrals on shared nodes: each level's nodes are built once for all
-integrals still running, and each stops at its own first level that agrees
-with the previous one to a relative tolerance.  One integral is a batch of
-one.  Batching changes no operand and no reduction tree, so values, levels
-and deltas equal those of separate calls.
+The rule family, returning :class:`QuadratureResult`: tensor Gauss-Legendre
+pulled onto a triangle through the Duffy substitution u = xi*(1-eta), v =
+xi*eta (nodes cluster at the first vertex), refined by midpoint subdivision
+until two successive levels agree to a relative tolerance; each level
+subdivides only the triangles whose last subdivision still moved the total
+(local refinement).  It drives one level-indexed loop (:func:`_refine`),
+which the lpnorms module's FFT levels on the period square share, over a
+batch of integrals on shared nodes: each level's nodes are built once for
+all integrals still running, and each stops at its own first level that
+agrees with the previous one to a relative tolerance.  One integral is a
+batch of one.  Batching changes no operand and no reduction tree, so
+values, levels and deltas equal those of separate calls.
+``periodic_trapezoid_2d``, a node-by-node trapezoid sum over the period
+square, is no library path: tests check the FFT levels against it.
 
 Reductions are two-stage: ``np.sum`` over blocks whose shape is fixed by
 the rule alone (base_rule^2 nodes per triangle; a row block of an n x n
@@ -198,9 +195,10 @@ def adaptive_triangle(f: Callable[[np.ndarray, np.ndarray], np.ndarray], verts: 
                           max_refinements, rel_tol)[0]
 
 
-# Nodes per block of a grid level.  Blocks depend only on n, so the
-# partial-sum structure (and hence the rounded total) is identical no matter
-# who calls, and peak memory is a few arrays of this many nodes.
+# Nodes per block of an r-grid (lpnorms._rgrid_sums) and of the reference
+# trapezoid sum.  Blocks depend only on the grid length, so the partial-sum
+# structure (and hence the rounded total) is identical no matter who calls,
+# and peak memory is a few arrays of this many nodes.
 BLOCK_NODES = 2_000_000
 
 

@@ -331,12 +331,14 @@ def test_default_mu_set_shape():
         assert DominantWeight(s, 0) in shells[s]
 
 
-def test_sweep_small_is_deterministic_and_sane():
+def test_sweep_small_is_deterministic_and_sane(monkeypatch):
     spec = GridSpec(total=400, wall_points_per_edge=40, chamber_wall_points=30,
                     corner_scales=3, corner_rays=3)
     mus = list(mu_shells(2, 2))
+    monkeypatch.setenv("SU3CHAR_THREADS", "1")
     rep1 = sweep_constant(mus, spec, seed=11)
-    rep2 = sweep_constant(mus, spec, seed=11, threads=3)
+    monkeypatch.setenv("SU3CHAR_THREADS", "3")
+    rep2 = sweep_constant(mus, spec, seed=11)
     assert rep1 == rep2  # thread count must not change anything
     assert rep1.finite_ok
     assert rep1.ratio_at_zero_exact
@@ -371,16 +373,19 @@ def test_grid_point_bits_do_not_depend_on_the_block():
     assert set(grid.stratum[i] for i in starts) == set(grid.stratum)
 
 
-def test_multi_block_sweep_is_thread_invariant_and_matches_the_full_grid():
+def test_multi_block_sweep_is_thread_invariant_and_matches_the_full_grid(monkeypatch):
     spec = GridSpec(total=2500, wall_points_per_edge=200, chamber_wall_points=150,
                     corner_scales=4, corner_rays=3)
     assert spec.total > 2 * SWEEP_BLOCK  # three blocks
     mus = list(mu_shells(4, 6))
     assert len(mus) > 2 * CHUNK_WEIGHTS  # three weight chunks
     assert max(Counter(mu.a + 2 * mu.b for mu in mus).values()) >= 2  # chunks share degrees
-    rep1 = sweep_constant(mus, spec, seed=3, threads=1)
-    rep3 = sweep_constant(mus, spec, seed=3, threads=3)
+    monkeypatch.setenv("SU3CHAR_THREADS", "1")
+    rep1 = sweep_constant(mus, spec, seed=3)
+    monkeypatch.setenv("SU3CHAR_THREADS", "3")
+    rep3 = sweep_constant(mus, spec, seed=3)
     assert rep1 == rep3
+    monkeypatch.setenv("SU3CHAR_THREADS", "1")
     # a weight's record does not depend on the weights chunked with it
     assert sweep_constant(mus[::-1], spec, seed=3).per_mu == rep1.per_mu[::-1]
     for mu, rec in zip(mus, rep1.per_mu):
@@ -489,17 +494,25 @@ BAND_LOW, BAND_HIGH = (0.2, 0.5, 0.9), (1.05, 1.5, 1.9)
 def band_edge_points():
     """(t1, t2) pairs at walls of BAND_LOW and BAND_HIGH times EPS_WALL, on
     every wall index: descent points at each corner, whose smallest wall is
-    in BAND_LOW and second in BAND_HIGH (the third is about their sum), and
-    Weyl points near one wall only, that wall in BAND_HIGH."""
+    in BAND_LOW and second in BAND_HIGH (the third is about their sum);
+    Weyl points near one wall only, that wall in BAND_HIGH; and pattern-sum
+    points at each corner with two walls in BAND_LOW and the third, about
+    their sum, in BAND_HIGH."""
     def angle(f):
         return 2.0 * math.asin(f * EPS_WALL)
 
+    def corners(u, v):  # walls (u, v) at each corner, in both orders
+        return [p for x, y in ((u, v), (v, u)) for p in
+                ((x, y), (TWO_PI - x - y, y), (x, TWO_PI - x - y))]
+
     pts = []
     for x, y in itertools.product(map(angle, BAND_LOW), map(angle, BAND_HIGH)):
-        for u, v in ((x, y), (y, x)):
-            pts += [(u, v), (TWO_PI - u - v, v), (u, TWO_PI - u - v)]
+        pts += corners(x, y)
     for u in map(angle, BAND_HIGH):
         pts += [(u, 2.0), (2.0, u), (2.0, TWO_PI - 2.0 - u)]
+    for f, g in itertools.combinations_with_replacement(BAND_LOW, 2):
+        if f + g > BAND_HIGH[0]:
+            pts += corners(angle(f), angle(g))
     return pts
 
 
@@ -519,10 +532,14 @@ def test_band_edge_points_straddle_the_dispatch_band():
     walls = np.sort(np.abs(np.sin(0.5 * np.array(
         [[a + b, a, b] for a, b in band_edge_points()]))), axis=1) / EPS_WALL
     cut = 6 * len(BAND_LOW) * len(BAND_HIGH)  # two orders at three corners
-    descent, weyl = walls[:cut], walls[cut:]
+    mid = cut + 3 * len(BAND_HIGH)
+    descent, weyl, multi = walls[:cut], walls[cut:mid], walls[mid:]
     assert np.all(descent[:, 0] < 1.0)
     assert np.all((1.0 <= descent[:, 1]) & (descent[:, 1] < 2.0))
     assert np.all((1.0 <= weyl[:, 0]) & (weyl[:, 0] < 2.0) & (weyl[:, 1] > 100.0))
+    # two walls below, the third at or above: the pattern sum, not descent
+    assert len(multi) >= 6 and np.all(multi[:, 1] < 1.0)
+    assert np.all((1.0 <= multi[:, 2]) & (multi[:, 2] < 2.0))
 
 
 def test_chi_stable_and_chi_on_grid_take_one_route_and_agree(twin_points):

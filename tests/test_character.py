@@ -613,6 +613,27 @@ def test_grid_method_partition_thresholds():
     assert names == ["weyl", "descent1", "schur"]
 
 
+# (walls, route code): walls below, at and above EPS_WALL
+_LO, _AT, _HI = 0.5 * EPS_WALL, EPS_WALL, 2.0 * EPS_WALL
+ROUTE_TABLE = [
+    ((_HI, _HI, _HI), 0),
+    ((_LO, _HI, _HI), 1), ((_HI, _LO, _HI), 2), ((_HI, _HI, _LO), 3),
+    ((0.0, _HI, _HI), 1), ((_HI, 0.0, 1.0), 2),
+    ((_LO, _LO, _HI), 4), ((_LO, _HI, _LO), 4), ((_HI, _LO, _LO), 4),
+    ((_LO, _LO, _LO), 4), ((0.0, 0.0, 0.0), 4),
+    # a wall equal to EPS_WALL is not below it
+    ((_AT, _AT, _AT), 0), ((_AT, _HI, _HI), 0), ((_LO, _AT, _HI), 1),
+    ((_AT, _LO, _AT), 2), ((_AT, _AT, _LO), 3), ((_LO, _LO, _AT), 4),
+]
+
+
+def test_route_codes_on_floats_and_on_an_array():
+    for walls, code in ROUTE_TABLE:
+        assert character._route(walls) == code, walls
+    codes = character._route(np.array([walls for walls, _ in ROUTE_TABLE]).T)
+    assert codes.tolist() == [code for _, code in ROUTE_TABLE]
+
+
 # ---------------------------------------------------------------------------
 # phase rows and the grid Weyl route against 40-digit oracles
 # ---------------------------------------------------------------------------

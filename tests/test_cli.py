@@ -66,6 +66,24 @@ def test_eval_requires_a_point(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("config, flags", [
+    ({"mu": [1, 0], "theta": [0, 0, 0]}, ["--alcove", "1,2"]),
+    ({"mu": [1, 0], "alcove": [1, 2]}, ["--theta", "0,0,0"]),
+    ({"mu": [1, 0], "theta": [0, 0, 0], "alcove": [1, 2]}, []),
+    ({"mu": [1, 0]}, ["--theta", "0,0,0", "--alcove", "1,2"]),
+])
+def test_eval_refuses_two_point_forms(capsys, tmp_path, config, flags):
+    # neither form may win silently: the echo would record a point not evaluated
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, payload, err = run(capsys, "eval", "--config", str(cfg), *flags)
+    assert code == EXIT_USAGE and payload is None
+    assert len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["error"] == "usage"
+    assert "--theta" in diag["message"] and "--alcove" in diag["message"]
+
+
 def test_eval_weyl_on_singular_point_is_a_usage_error(capsys):
     code, _, err = run(
         capsys, "eval", "--mu", "2,1", "--theta", "0,0,0", "--method", "weyl"
@@ -170,29 +188,35 @@ def test_eval_non_finite_torus_point_is_a_usage_error(capsys, method):
     assert "finite" in diag["message"]
 
 
-@pytest.mark.parametrize("flags, env, name", [
-    (["--threads", "0"], None, "threads"),
-    (["--threads", "-3"], None, "threads"),
-    (["--threads", "65"], None, "threads"),
-    ([], "0", "SU3CHAR_THREADS"),
+@pytest.mark.parametrize("env, want", [
+    # this case keeps the id it had beside the former --threads cases
+    pytest.param("0", "between 1 and 64", id="flags3-0-SU3CHAR_THREADS"),
+    pytest.param("-3", "between 1 and 64", id="-3"),
+    pytest.param("65", "between 1 and 64", id="65"),
+    pytest.param("x", "an integer", id="x"),
 ])
-def test_thread_count_outside_1_to_64_is_refused_before_the_work(capsys, monkeypatch, flags,
-                                                                  env, name):
+def test_thread_count_outside_1_to_64_is_refused_before_the_work(capsys, monkeypatch, env, want):
     def no_work(*a, **k):
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr(bounds, "build_grid", no_work)
     monkeypatch.setattr(bounds, "ThreadPoolExecutor", no_work)
-    if env is None:
-        monkeypatch.delenv("SU3CHAR_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SU3CHAR_THREADS", env)
-    code, payload, err = run(capsys, "verify-envelope", *flags)
+    monkeypatch.setenv("SU3CHAR_THREADS", env)
+    code, payload, err = run(capsys, "verify-envelope")
     assert code == EXIT_USAGE and payload is None
     assert len(err.splitlines()) == 1
     diag = json.loads(err)
     assert diag["error"] == "usage"
-    assert f"{name} must be between 1 and 64" in diag["message"]
+    assert f"SU3CHAR_THREADS must be {want}" in diag["message"]
+
+
+def test_verify_envelope_has_no_threads_flag(capsys):
+    # SU3CHAR_THREADS is the only thread setting: argparse refuses the flag
+    # as it refuses any unknown one
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-envelope", "--threads", "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_bad_thread_count_names_the_variable(capsys, monkeypatch):
@@ -475,8 +499,7 @@ def test_echo_omits_runtime_knobs(capsys, tmp_path):
     code, payload, _ = run(
         capsys, "verify-envelope", "--dense-max", "2", "--shell-max", "2",
         "--grid-total", "300", "--wall-per-edge", "30", "--chamber", "20",
-        "--corner-scales", "3", "--corner-rays", "3", "--threads", "2",
-        "--out-json", out_json,
+        "--corner-scales", "3", "--corner-rays", "3", "--out-json", out_json,
     )
     assert code == EXIT_OK
     echo = payload["config"]
@@ -486,7 +509,7 @@ def test_echo_omits_runtime_knobs(capsys, tmp_path):
     assert body["config"] == echo
 
 
-def test_verify_envelope_artifacts_thread_invariant(capsys, tmp_path):
+def test_verify_envelope_artifacts_thread_invariant(capsys, monkeypatch, tmp_path):
     argv = [
         "verify-envelope", "--dense-max", "3", "--shell-max", "3",
         "--grid-total", "300", "--wall-per-edge", "30", "--chamber", "20",
@@ -496,10 +519,8 @@ def test_verify_envelope_artifacts_thread_invariant(capsys, tmp_path):
     for threads in ("1", "3"):
         csv_p = str(tmp_path / f"r{threads}.csv")
         json_p = str(tmp_path / f"s{threads}.json")
-        code, _, _ = run(
-            capsys, *argv, "--threads", threads,
-            "--out-csv", csv_p, "--out-json", json_p,
-        )
+        monkeypatch.setenv("SU3CHAR_THREADS", threads)
+        code, _, _ = run(capsys, *argv, "--out-csv", csv_p, "--out-json", json_p)
         assert code == EXIT_OK
         files[threads] = (open(csv_p, "rb").read(), open(json_p, "rb").read())
     assert files["1"] == files["3"]
@@ -523,7 +544,7 @@ def test_lp_artifacts_are_byte_identical_for_any_thread_count(capsys, monkeypatc
     assert files["1"] == files["2"] == files["4"]
 
 
-@pytest.mark.parametrize("env", ["0", "65", "x"])
+@pytest.mark.parametrize("env", ["0", "-3", "65", "x"])
 def test_lp_thread_count_is_refused_before_level_zero(capsys, monkeypatch, env):
     def no_work(*a, **k):
         raise AssertionError("level 0 started")
@@ -849,4 +870,4 @@ def test_every_table_row_is_a_config_key_and_a_flag(capsys, tmp_path, cmd, row):
 def test_echo_is_the_table_rows_minus_runtime_knobs(cmd):
     cfg = cli._resolve(cli._build_parser().parse_args([cmd, *_required_flags(cmd)]))
     names = {name for name, _, _ in cli._COMMANDS[cmd][2]}
-    assert set(cli._echo(cfg)) == {"command"} | names - {"threads", "out", "out_csv", "out_json"}
+    assert set(cli._echo(cfg)) == {"command"} | names - {"out", "out_csv", "out_json"}

@@ -51,3 +51,72 @@ def test_unused_import_check_sees_each_import_form():
         "x: np.ndarray = pi\n"
     )
     assert unused_imports(source) == ["os", "t"]
+
+
+def enclosing_functions(source: str, hit):
+    """The names of the innermost functions around each node of source that
+    hit accepts ("" at module level)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if hit(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def _reads_environ(node):
+    return isinstance(node, ast.Attribute) and node.attr == "environ"
+
+
+def _starts_a_pool(node):
+    return isinstance(node, ast.Call) and "ThreadPoolExecutor" in {
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+
+
+def _compares_eps_wall(node):
+    return isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Name) and n.id == "EPS_WALL" for n in ast.walk(node))
+
+
+# (what, node test, the one (module, function) allowed to do it)
+ONE_PLACE = [
+    ("environment read", _reads_environ, ("bounds", "thread_count")),
+    ("thread pool", _starts_a_pool, ("bounds", "thread_map")),
+    ("EPS_WALL comparison", _compares_eps_wall, ("character", "_route")),
+]
+
+
+@pytest.mark.parametrize("what, hit, place", ONE_PLACE, ids=[w for w, _, _ in ONE_PLACE])
+def test_each_decision_is_made_in_one_function(what, hit, place):
+    found = {(path.stem, fn) for path in MODULES
+             for fn in enclosing_functions(path.read_text(), hit)}
+    assert found == {place}, what
+
+
+def test_the_thread_setting_takes_no_argument():
+    # SU3CHAR_THREADS is the only thread setting: no parameter overrides it
+    tree = ast.parse((SRC / "bounds.py").read_text())
+    [fn] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "thread_count"]
+    assert not (fn.args.args or fn.args.kwonlyargs or fn.args.vararg or fn.args.kwarg)
+
+
+def test_one_place_checks_see_each_form():
+    source = (
+        "import os\n"
+        "from concurrent import futures\n"
+        "def f(x):\n"
+        "    return os.environ['A'], futures.ThreadPoolExecutor(2), x < 2 * EPS_WALL\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return ThreadPoolExecutor(max_workers=1), EPS_WALL >= self\n"
+        "y = os.environ\n"
+    )
+    assert enclosing_functions(source, _reads_environ) == {"f", ""}
+    assert enclosing_functions(source, _starts_a_pool) == {"f", "g"}
+    assert enclosing_functions(source, _compares_eps_wall) == {"f", "g"}

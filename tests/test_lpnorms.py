@@ -609,6 +609,30 @@ def test_model_integral_rejects_bad_args():
         I_numeric(2.0, 0.0, 1.0, 1.0)
 
 
+P_ENTRY_POINTS = {
+    "haar_lp_norm": lambda p: haar_lp_norm((3, 2), p),
+    "predicted_singular_bound": lambda p: predicted_singular_bound((3, 2), p),
+    "predicted_regular_bound": lambda p: predicted_regular_bound((3, 2), p),
+    "predicted_dimension_bound": lambda p: predicted_dimension_bound((3, 2), p),
+    "I_numeric_table": lambda p: I_numeric_table([2.0, p], [(1.0, 1.0, 1.0)]),
+    "I_numeric": lambda p: I_numeric(p, 1.0, 1.0, 1.0),
+    "I_bound": lambda p: I_bound(p, 3.0, 2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("entry", list(P_ENTRY_POINTS))
+def test_every_lp_entry_point_refuses_p_outside_0_to_inf(entry, p):
+    # not a number, a resource error (exit 3) or a quadrature of an inf power
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        P_ENTRY_POINTS[entry](p)
+
+
+def test_model_integral_table_checks_its_triples_without_any_p():
+    with pytest.raises(ValueError, match="a_t, b_t, c_t must be positive"):
+        I_numeric_table([], [(0.0, 1.0, 1.0)])
+
+
 def test_I_bound_examples():
     assert I_bound(2.0, 1.0, 1.0, 1.0) == 1.0
     assert I_bound(4.0, 16.0, 8.0, 2.0) == pytest.approx(
