@@ -461,7 +461,7 @@ def sweep_constant(
         raise ResourceLimitError(f"grid total {spec.total} > {SCHUR_DIM_LIMIT}-point budget")
     mus, slot, duals = [], {}, []  # slot: the distinct (max(a,b), min(a,b)), in order
     for m in mu_range:  # checked as read, so a list past the budget is never built
-        mus.append(mu := m if isinstance(m, DominantWeight) else DominantWeight(*m))
+        mus.append(mu := DominantWeight.of(m))
         duals.append(slot.setdefault(DominantWeight(max(mu.a, mu.b), min(mu.a, mu.b)), len(slot)))
         if len(mus) > MAX_WEIGHTS or CHUNK_WEIGHTS * (mu.a + mu.b + 1) > SCHUR_DIM_LIMIT:
             raise ResourceLimitError(f"weight {len(mus)}, ({mu.a},{mu.b}), is past the sweep's "

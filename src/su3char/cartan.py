@@ -157,6 +157,11 @@ class DominantWeight:
         if self.a < 0 or self.b < 0:
             raise ValueError(f"dominant weight needs a,b >= 0, got ({self.a},{self.b})")
 
+    @classmethod
+    def of(cls, mu) -> "DominantWeight":
+        """mu itself if it is a DominantWeight, else one from an (a, b) pair."""
+        return mu if isinstance(mu, cls) else cls(*mu)
+
     def shifted(self) -> "RegularTriple":
         """lambda = mu + rho as a regular triple."""
         return RegularTriple.from_dominant(self)

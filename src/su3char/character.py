@@ -273,8 +273,7 @@ def multiplicities(mu) -> np.ndarray:
     (:func:`_pattern_counts`).  O((a+b)^2) work, no loop.  Refuses, before
     allocating, arrays of more than SCHUR_DIM_LIMIT entries.
     """
-    if not isinstance(mu, DominantWeight):
-        mu = DominantWeight(*mu)
+    mu = DominantWeight.of(mu)
     a, b = mu.a, mu.b
     n = a + b + 1
     if n * n > SCHUR_DIM_LIMIT:

@@ -58,7 +58,7 @@ from .lpnorms import (
     haar_lp_norm,
     scaling_fit,
 )
-from .quadrature import ConvergenceError, QuadratureResult
+from .quadrature import ConvergenceError
 from .reports import ReportWriteError, emit_json, emit_report, strict_json
 
 EXIT_OK = 0
@@ -311,20 +311,14 @@ def _cmd_lp(cfg: RunConfig) -> int:
     p = cfg.params
     rep = haar_lp_norm(DominantWeight(*p["mu"]), p["p"], _quad_spec(p))
     _emit(cfg, dataclasses.asdict(rep))
-    if not rep.converged:
-        raise ConvergenceError(
-            f"haar_lp_norm did not converge (last relative delta {rep.last_delta:.3e})",
-            QuadratureResult(rep.norm, rep.levels, rep.last_delta, False),
-        )
+    rep.require_converged("haar_lp_norm")
     return EXIT_OK
 
 
 def _cmd_scaling(cfg: RunConfig) -> int:
     p = cfg.params
     try:
-        fit = scaling_fit(
-            p["family"], p["p"], tuple(p["n_values"]), _quad_spec(p), b0=p["b0"],
-        )
+        fit = scaling_fit(p["family"], p["p"], p["n_values"], _quad_spec(p), b0=p["b0"])
     except ConvergenceError as e:
         partial = getattr(e, "partial_table", ())
         if p["out_csv"] and partial:
@@ -343,12 +337,13 @@ def _cmd_prop_i(cfg: RunConfig) -> int:
         (z, y, x)
         for x, y, z in itertools.combinations_with_replacement(pool, 3)
     ]
+    # an overflowing or vanishing bound is refused before any quadrature
+    i_bounds = [[I_bound(pv, *t) for t in triples] for pv in p_values]
     rows = []
     per_p = []
-    for pv, i_nums in zip(p_values, I_numeric_table(p_values, triples, spec)):
+    for pv, i_bds, i_nums in zip(p_values, i_bounds, I_numeric_table(p_values, triples, spec)):
         shell_max: Dict[float, float] = {}
-        for (a, b, c), i_num in zip(triples, i_nums):
-            i_bd = I_bound(pv, a, b, c)
+        for (a, b, c), i_num, i_bd in zip(triples, i_nums, i_bds):
             ratio = i_num / i_bd
             rows.append({
                 "p": pv, "a": a, "b": b, "c": c,
@@ -494,8 +489,9 @@ _COMMANDS = {
     "scaling": (_cmd_scaling, "log-log exponent fit along a weight family", (
         ("family", None, dict(choices=_FAMILIES, required=True)),
         ("p", None, dict(type=float, required=True)),
-        ("n_values", "8,16,32,64,128,256,512", dict(type=int, nargs="+", help="comma-separated N list")),
-        ("b0", 2, dict(type=int)),
+        ("n_values", list(_default(scaling_fit, "N_values")),
+         dict(type=int, nargs="+", help="comma-separated N list")),
+        ("b0", _default(scaling_fit, "b0"), dict(type=int)),
         *_QUAD, _MAPPING, *_OUT_FILES,
     )),
     "prop-i": (_cmd_prop_i, "model-integral one-sided bound check", (

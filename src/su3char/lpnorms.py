@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -80,6 +80,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 A0_SIDE = 4.0 * math.pi / 3.0
+_BREAKS = (8.0 / 3.0, 3.0, 5.0)  # where the L^p bounds change form
 _P_TOL = 1e-9  # width of the exact-exponent boundary cases p = 8/3, 3, 5
 
 _MAPPINGS = ("periodic_square", "duffy")
@@ -115,16 +116,31 @@ class LpReport:
     normalizer_z: float
     predicted_singular: float
     predicted_regular: Optional[float]   # None when p < 2
-    predicted_dimension: Optional[float]  # None when p <= 8/3
+    predicted_dimension: Optional[float]  # None below 8/3 (regime 0)
     levels: int
     last_delta: float
     converged: bool
+
+    def require_converged(self, what: str) -> None:
+        """ConvergenceError naming ``what`` unless the norm converged."""
+        QuadratureResult(self.norm, self.levels, self.last_delta,
+                         self.converged).require_converged(what)
 
 
 def _check_p(p: float) -> None:
     """The p domain of every L^p entry point: 0 < p < inf (no NaN)."""
     if not 0.0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p!r}")
+
+
+def _regime(p: float) -> int:
+    """The bounds' case of p: 2i below _BREAKS[i], 2i + 1 within _P_TOL of it, 6 past 5."""
+    for i, x in enumerate(_BREAKS):
+        if p < x - _P_TOL:
+            return 2 * i
+        if abs(p - x) <= _P_TOL:
+            return 2 * i + 1
+    return 6
 
 
 def _weight(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -281,10 +297,12 @@ def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec) -> List
 
 
 def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpReport:
+    """||chi_mu||_p and the bounds defined at p.  The norm, (N_p / Z)^(1/p), moves by
+    1/p times N_p's relative change: below p = 1 both integrals refine to rel_tol * p."""
     _check_p(p)
-    if not isinstance(mu, DominantWeight):
-        mu = DominantWeight(*mu)
+    mu = DominantWeight.of(mu)
     spec = spec or QuadratureSpec()
+    spec = replace(spec, rel_tol=max(spec.rel_tol * min(1.0, p), math.ulp(0.0)))  # no underflow
 
     if spec.mapping == "periodic_square":
         num, den = _periodic_square(mu, p, spec)
@@ -309,62 +327,49 @@ def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpRepor
         normalizer_z=den.value,
         predicted_singular=predicted_singular_bound(mu, p),
         predicted_regular=predicted_regular_bound(mu, p) if p >= 2.0 else None,
-        predicted_dimension=(
-            predicted_dimension_bound(mu, p) if p > 8.0 / 3.0 - _P_TOL else None
-        ),
+        predicted_dimension=predicted_dimension_bound(mu, p) if _regime(p) else None,
         levels=num.levels,
         last_delta=num.last_delta,
         converged=num.converged and den.converged,
     )
 
 
+# ||chi_mu||_p's majorant in (p, mu_bar, mu_min) per regime; call only the selected case
+_SINGULAR = (
+    lambda p, ub, lb: 1.0,
+    lambda p, ub, lb: math.log(2.0 + lb) ** 0.375,
+    lambda p, ub, lb: lb ** (3.0 - 8.0 / p),
+    lambda p, ub, lb: lb ** (1.0 / 3.0) * math.log(2.0 + ub / lb) ** (1.0 / 3.0),
+    lambda p, ub, lb: ub ** (1.0 - 3.0 / p) * lb ** (2.0 - 5.0 / p),
+    lambda p, ub, lb: ub ** 0.4 * lb * math.log(2.0 + ub / lb) ** 0.2,
+    lambda p, ub, lb: ub ** (2.0 - 8.0 / p) * lb,
+)
+
+
 def predicted_singular_bound(mu, p: float) -> float:
-    """Seven-case majorant of ||chi_mu||_p in (mu_bar, mu_min); natural logs."""
+    """Seven-case majorant of ||chi_mu||_p in (mu_bar, mu_min), natural logs; a log
+    factor at each break 8/3, 3 and 5, within 1e-9 (:func:`_regime`)."""
     _check_p(p)
-    if not isinstance(mu, DominantWeight):
-        mu = DominantWeight(*mu)
-    st = mu_stats(mu)
-    ub, lb = float(st.mu_bar), float(st.mu_min)
-    third = 8.0 / 3.0
-    if p < third - _P_TOL:
-        return 1.0
-    if abs(p - third) <= _P_TOL:
-        return math.log(2.0 + lb) ** 0.375
-    if p < 3.0 - _P_TOL:
-        return lb ** (3.0 - 8.0 / p)
-    if abs(p - 3.0) <= _P_TOL:
-        return lb ** (1.0 / 3.0) * math.log(2.0 + ub / lb) ** (1.0 / 3.0)
-    if p < 5.0 - _P_TOL:
-        return ub ** (1.0 - 3.0 / p) * lb ** (2.0 - 5.0 / p)
-    if abs(p - 5.0) <= _P_TOL:
-        return ub ** 0.4 * lb * math.log(2.0 + ub / lb) ** 0.2
-    return ub ** (2.0 - 8.0 / p) * lb
+    st = mu_stats(DominantWeight.of(mu))
+    return _SINGULAR[_regime(p)](p, float(st.mu_bar), float(st.mu_min))
 
 
 def predicted_regular_bound(mu, p: float) -> float:
-    """Three-case mu_bar-only majorant (the earlier regular-regime bound)."""
+    """Three-case mu_bar-only majorant for p >= 2 (the earlier regular-regime bound):
+    the singular bound's cases up to 3 with mu_min = mu_bar, kept past 3."""
     _check_p(p)
     if p < 2.0:
         raise ValueError("the regular-regime bound requires p >= 2")
-    if not isinstance(mu, DominantWeight):
-        mu = DominantWeight(*mu)
-    ub = float(mu_stats(mu).mu_bar)
-    third = 8.0 / 3.0
-    if p < third - _P_TOL:
-        return 1.0
-    if abs(p - third) <= _P_TOL:
-        return math.log(2.0 + ub) ** 0.375
-    return ub ** (3.0 - 8.0 / p)
+    ub = float(mu_stats(DominantWeight.of(mu)).mu_bar)
+    return _SINGULAR[min(_regime(p), 2)](p, ub, ub)
 
 
 def predicted_dimension_bound(mu, p: float) -> float:
-    """dim(mu)^{1 - 8/(3p)} for p > 8/3 (equals 1 at the boundary)."""
+    """dim(mu)^{1 - 8/(3p)} from the 8/3 break on (about 1 at it); ValueError below."""
     _check_p(p)
-    if p < 8.0 / 3.0 - _P_TOL:
+    if not _regime(p):
         raise ValueError("the dimension bound requires p > 8/3")
-    if not isinstance(mu, DominantWeight):
-        mu = DominantWeight(*mu)
-    return float(dim(mu)) ** (1.0 - 8.0 / (3.0 * p))
+    return float(dim(DominantWeight.of(mu))) ** (1.0 - 8.0 / (3.0 * p))
 
 
 # ---------------------------------------------------------------------------
@@ -438,28 +443,35 @@ def I_numeric(p: float, a_t: float, b_t: float, c_t: float,
     return I_numeric_table([p], [(a_t, b_t, c_t)], spec, full)[0][0]
 
 
+# I_numeric's majorant in (p, a, b, c) per regime; call only the selected case
+_MODEL = (
+    lambda p, a, b, c: a ** -p * b ** -p * c ** -p,
+    lambda p, a, b, c: a ** -p * b ** -p * c ** -p * math.log(2.0 + c),
+    lambda p, a, b, c: a ** -p * b ** -p * c ** (2.0 * p - 8.0),
+    lambda p, a, b, c: a ** -3.0 * b ** -3.0 * c ** -2.0 * math.log(2.0 + a / c),
+    lambda p, a, b, c: a ** -3.0 * b ** -p * c ** (p - 5.0),
+    lambda p, a, b, c: a ** -3.0 * b ** -5.0 * math.log(2.0 + b / c),
+    lambda p, a, b, c: a ** -3.0 * b ** -5.0,
+)
+
+
 def I_bound(p: float, a: float, b: float, c: float) -> float:
-    """Seven-case majorant of I_numeric for sorted arguments a >= b >= c > 0."""
+    """Seven-case majorant of I_numeric for sorted a >= b >= c > 0, with a log factor
+    at each break 8/3, 3 and 5 (:func:`_regime`).  ValueError naming p and the
+    triple where the value overflows or underflows."""
     _check_p(p)
     if not (a >= b >= c > 0.0):
         raise ValueError(
             "I_bound requires a >= b >= c > 0; pass the sorted shifted-weight "
             "pairings (mu_stats gives the extremes)"
         )
-    third = 8.0 / 3.0
-    if p < third - _P_TOL:
-        return a ** -p * b ** -p * c ** -p
-    if abs(p - third) <= _P_TOL:
-        return a ** -p * b ** -p * c ** -p * math.log(2.0 + c)
-    if p < 3.0 - _P_TOL:
-        return a ** -p * b ** -p * c ** (2.0 * p - 8.0)
-    if abs(p - 3.0) <= _P_TOL:
-        return a ** -3.0 * b ** -3.0 * c ** -2.0 * math.log(2.0 + a / c)
-    if p < 5.0 - _P_TOL:
-        return a ** -3.0 * b ** -p * c ** (p - 5.0)
-    if abs(p - 5.0) <= _P_TOL:
-        return a ** -3.0 * b ** -5.0 * math.log(2.0 + b / c)
-    return a ** -3.0 * b ** -5.0
+    try:
+        value = _MODEL[_regime(p)](p, a, b, c)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"I_bound(p={p}, {a}, {b}, {c}) = {value} is not a positive finite float")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -535,26 +547,13 @@ def scaling_fit(
     for N in N_values:
         mu = family_weight(family, N, b0)
         rep = haar_lp_norm(mu, p, spec)
-        predicted = rep.predicted_singular
-        rows.append(
-            ScalingRow(
-                N=N,
-                mu_a=mu.a,
-                mu_b=mu.b,
-                p=p,
-                norm=rep.norm,
-                predicted=predicted,
-                ratio=rep.norm / predicted,
-            )
-        )
-        if not rep.converged:
-            err = ConvergenceError(
-                f"haar_lp_norm did not converge at N={N} "
-                f"(last relative delta {rep.last_delta:.3e})",
-                QuadratureResult(rep.norm, rep.levels, rep.last_delta, False),
-            )
+        rows.append(ScalingRow(N, mu.a, mu.b, p, rep.norm, rep.predicted_singular,
+                               rep.norm / rep.predicted_singular))
+        try:
+            rep.require_converged(f"haar_lp_norm at N={N}")
+        except ConvergenceError as err:
             err.partial_table = tuple(rows)
-            raise err
+            raise
 
     slope, residual = _ols_loglog([r.N for r in rows], [r.norm for r in rows])
     slope_trimmed = residual_trimmed = None

@@ -24,8 +24,16 @@ from su3char import (
     theta_from_alcove,
     wall_coset,
 )
+from su3char.bounds import GridSpec, sweep_constant
 from su3char.cartan import WALL_COSET_TABLES, WALL_POSITIVE_ROOT, WEYL_TABLE
-from su3char.character import chi_schur
+from su3char.character import chi_schur, multiplicities
+from su3char.lpnorms import (
+    QuadratureSpec,
+    haar_lp_norm,
+    predicted_dimension_bound,
+    predicted_regular_bound,
+    predicted_singular_bound,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,6 +173,38 @@ def test_weight_validation():
         DominantWeight(1.0, 0)
     with pytest.raises(ValueError):
         RegularTriple((2, 2, 0))
+
+
+def test_dominant_weight_of_takes_a_weight_or_an_a_b_pair():
+    mu = DominantWeight(3, 2)
+    assert DominantWeight.of(mu) is mu
+    assert DominantWeight.of((3, 2)) == DominantWeight.of([3, 2]) == mu
+    with pytest.raises(ValueError):
+        DominantWeight.of((-1, 0))
+    with pytest.raises(TypeError):
+        DominantWeight.of((1, 0, 2))
+
+
+# each entry point that takes a weight, with what it returns for it
+WEIGHT_ENTRY_POINTS = {
+    "multiplicities": lambda mu: multiplicities(mu).tolist(),
+    "haar_lp_norm": lambda mu: haar_lp_norm(mu, 2.5),
+    "haar_lp_norm:duffy": lambda mu: haar_lp_norm(
+        mu, 3.0, QuadratureSpec(base_rule=8, max_refinements=1, mapping="duffy")),
+    "predicted_singular_bound": lambda mu: [predicted_singular_bound(mu, p)
+                                            for p in (2.0, 3.0, 4.0, 6.0)],
+    "predicted_regular_bound": lambda mu: [predicted_regular_bound(mu, p) for p in (2.0, 4.0)],
+    "predicted_dimension_bound": lambda mu: predicted_dimension_bound(mu, 4.0),
+    "sweep_constant": lambda mu: sweep_constant(
+        [mu, (1, 0)], GridSpec(total=200, wall_points_per_edge=20, chamber_wall_points=10,
+                               corner_scales=2, corner_rays=2), seed=3),
+}
+
+
+@pytest.mark.parametrize("entry", list(WEIGHT_ENTRY_POINTS))
+def test_weight_entry_points_take_an_a_b_pair(entry):
+    f = WEIGHT_ENTRY_POINTS[entry]
+    assert repr(f((3, 2))) == repr(f(DominantWeight(3, 2)))  # repr: every float's bits
 
 
 def test_regular_triple_gauge_canonicalization():

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import time
@@ -241,6 +242,16 @@ def test_lp_nonconvergence_exit_code(capsys):
     assert json.loads(lines[0])["error"] == "non-convergence"
 
 
+def test_lp_small_p_is_judged_on_the_norm(capsys):
+    # N_p agrees to 1e-6 at p = 1e-10, which says nothing of its 1/p-th root
+    code, payload, err = run(capsys, "lp", "--mu", "3,2", "--p", "1e-10")
+    assert code == EXIT_NONCONVERGENCE and payload["converged"] is False
+    [line] = err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "non-convergence"
+    assert diag["message"].startswith("haar_lp_norm: no convergence after 7 levels")
+
+
 def test_scaling_nonconvergence_writes_the_partial_table_and_no_summary(capsys, tmp_path):
     csv_p, json_p = tmp_path / "scale.csv", tmp_path / "scale.json"
     code, payload, err = run(
@@ -291,6 +302,39 @@ def test_rank1_command(capsys):
     code, payload, _ = run(capsys, "rank1", "--n-max", "40", "--grid", "500")
     assert code == EXIT_OK
     assert payload["min_margin"] >= -1e-12
+
+
+def _violated_sweep(real):
+    return lambda *args, **kw: dataclasses.replace(real(*args, **kw), finite_ok=False)
+
+
+@pytest.mark.parametrize("argv, target, stub, outputs", [
+    (["verify-envelope", "--dense-max", "1", "--shell-max", "2", "--grid-total", "300",
+      "--wall-per-edge", "20", "--chamber", "10", "--corner-scales", "2", "--corner-rays", "2"],
+     "sweep_constant", _violated_sweep(cli.sweep_constant), ("out_csv", "out_json")),
+    (["rank1", "--n-max", "5", "--grid", "10"],
+     "rank1_margin_min", lambda n_max, thetas: (-1.0, 3, 0.5), ("out",)),
+])
+def test_a_violated_invariant_exits_5_after_writing_the_artifacts(capsys, monkeypatch, tmp_path,
+                                                                  argv, target, stub, outputs):
+    monkeypatch.setattr(cli, target, stub)
+    paths = [tmp_path / name for name in outputs]
+    flags = [x for path in paths for x in ("--" + path.name.replace("_", "-"), str(path))]
+    code, payload, err = run(capsys, *argv, *flags)
+    assert code == EXIT_INVARIANT and payload is not None
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "invariant-violation"
+    assert all(path.stat().st_size > 0 for path in paths)
+
+
+@pytest.mark.parametrize("text", [None, "{not json"])
+def test_unreadable_config_file_is_a_usage_error(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, payload, err = run(capsys, "rank1", "--config", str(cfg))
+    assert code == EXIT_USAGE and payload is None
+    assert json.loads(err)["message"].startswith(f"cannot read config file {cfg}: ")
 
 
 def test_config_file_merging_and_flag_override(capsys, tmp_path):
@@ -583,6 +627,18 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
         assert texts[0] == texts[1] and "usage: su3char" in texts[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--pool", "1e-300,1", "--p-values", "2.7"], "I_bound(p=2.7, 1e-300, 1e-300, 1e-300) = inf "),
+    (["--pool", "1e200", "--p-values", "2"], "I_bound(p=2.0, 1e+200, 1e+200, 1e+200) = 0.0 "),
+])
+def test_prop_i_bound_outside_the_floats_is_a_usage_error(capsys, argv, message):
+    code, payload, err = run(capsys, "prop-i", *argv)
+    assert code == EXIT_USAGE and payload is None
+    [line] = err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "usage" and diag["message"].startswith(message)
+
+
 def test_scaling_small_run(capsys, tmp_path):
     csv_p = str(tmp_path / "scale.csv")
     code, payload, _ = run(
@@ -852,7 +908,7 @@ def test_every_table_row_is_a_config_key_and_a_flag(capsys, tmp_path, cmd, row):
     def resolved(*argv):
         return cli._resolve(parser.parse_args([cmd, *_required_flags(cmd, name), *argv])).params[name]
 
-    if kw.get("nargs") and default is not None:
+    if kw.get("nargs") and isinstance(default, str):
         default = [kw["type"](x) for x in default.split(",")]  # written as flag text
     if kw.get("required"):
         with pytest.raises(cli.UsageError, match=f"{flag} \\({name}\\) is required"):

@@ -74,21 +74,25 @@ def _reads_environ(node):
     return isinstance(node, ast.Attribute) and node.attr == "environ"
 
 
-def _starts_a_pool(node):
-    return isinstance(node, ast.Call) and "ThreadPoolExecutor" in {
+def _calls(name):
+    """A node test: a call of ``name``, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in {
         getattr(node.func, "id", None), getattr(node.func, "attr", None)}
 
 
-def _compares_eps_wall(node):
-    return isinstance(node, ast.Compare) and any(
-        isinstance(n, ast.Name) and n.id == "EPS_WALL" for n in ast.walk(node))
+def _compares(name):
+    """A node test: a comparison that reads the name ``name``."""
+    return lambda node: isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
 
 
 # (what, node test, the one (module, function) allowed to do it)
 ONE_PLACE = [
     ("environment read", _reads_environ, ("bounds", "thread_count")),
-    ("thread pool", _starts_a_pool, ("bounds", "thread_map")),
-    ("EPS_WALL comparison", _compares_eps_wall, ("character", "_route")),
+    ("thread pool", _calls("ThreadPoolExecutor"), ("bounds", "thread_map")),
+    ("EPS_WALL comparison", _compares("EPS_WALL"), ("character", "_route")),
+    ("L^p regime comparison", _compares("_P_TOL"), ("lpnorms", "_regime")),
+    ("ConvergenceError raise", _calls("ConvergenceError"), ("quadrature", "require_converged")),
 ]
 
 
@@ -118,5 +122,5 @@ def test_one_place_checks_see_each_form():
         "y = os.environ\n"
     )
     assert enclosing_functions(source, _reads_environ) == {"f", ""}
-    assert enclosing_functions(source, _starts_a_pool) == {"f", "g"}
-    assert enclosing_functions(source, _compares_eps_wall) == {"f", "g"}
+    assert enclosing_functions(source, _calls("ThreadPoolExecutor")) == {"f", "g"}
+    assert enclosing_functions(source, _compares("EPS_WALL")) == {"f", "g"}

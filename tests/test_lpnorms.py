@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 import sys
 import threading
@@ -34,9 +35,11 @@ from su3char import lpnorms
 from conftest import pattern_weights
 from su3char.cli import _DEFAULTS, _quad_spec
 from su3char.lpnorms import (
+    _BREAKS,
     A0_SIDE,
     MAX_BASE_RULE,
     MAX_REFINEMENTS,
+    LpReport,
     _bandwidth,
     _fast_len,
     _grid_levels,
@@ -45,9 +48,10 @@ from su3char.lpnorms import (
     _ols_loglog,
     _level_sums,
     _orbits,
+    _regime,
     _weight,
 )
-from su3char.quadrature import _trapezoid_sum
+from su3char.quadrature import ConvergenceError, QuadratureResult, _trapezoid_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -369,6 +373,54 @@ def test_report_fields_and_gating():
         haar_lp_norm(DominantWeight(1, 1), 0.0)
 
 
+def _break_points():
+    """Each break, 1e-9 and 2e-9 either side, and one ulp either side of those."""
+    for x in _BREAKS:
+        for q in (x + d for d in (-2e-9, -1e-9, 0.0, 1e-9, 2e-9)):
+            yield from (math.nextafter(q, -math.inf), q, math.nextafter(q, math.inf))
+
+
+def test_haar_reports_the_dimension_bound_exactly_where_it_is_defined():
+    # at p = 8/3 - 1e-9 the bound was defined while the report left it out
+    spec = QuadratureSpec(max_refinements=0)
+    for p in _break_points():
+        rep = haar_lp_norm((3, 2), p, spec)
+        try:
+            bound = predicted_dimension_bound((3, 2), p)
+        except ValueError:
+            bound = None
+        assert rep.predicted_dimension == bound, p
+        assert rep.predicted_singular == predicted_singular_bound((3, 2), p)
+
+
+@pytest.mark.parametrize("p", [1e-10, 1e-6])
+def test_small_p_is_judged_on_the_norm(p):
+    # the norm moves by 1/p times N_p's change: N_p agreeing to 1e-6 is not enough
+    rep = haar_lp_norm((3, 2), p)
+    assert not rep.converged
+    with pytest.raises(ConvergenceError, match="haar_lp_norm: no convergence after 7 levels"):
+        rep.require_converged("haar_lp_norm")
+
+
+@pytest.mark.parametrize("target, mapping", [("_refine", "periodic_square"),
+                                             ("triangle_batch", "duffy")])
+@pytest.mark.parametrize("p, rel_tol, tol", [
+    (0.25, 1e-6, 1e-6 * 0.25), (1.0, 1e-6, 1e-6), (4.0, 1e-6, 1e-6),
+    (1e-100, 1e-300, math.ulp(0.0)),  # the product underflows: the least float, not 0
+])
+def test_both_mappings_refine_to_the_tolerance_times_p_below_1(monkeypatch, target, mapping,
+                                                               p, rel_tol, tol):
+    seen = []
+
+    def spy(*args):
+        seen.append(args[-1])  # rel_tol, the last positional argument
+        return [QuadratureResult(1.0, 1, 0.0, True)] * 2
+
+    monkeypatch.setattr(lpnorms, target, spy)
+    haar_lp_norm((3, 2), p, QuadratureSpec(rel_tol=rel_tol, mapping=mapping))
+    assert seen == [tol]
+
+
 def test_weight_function_vanishes_on_walls():
     t = np.array([0.0, 1.0, 2.0])
     assert (_weight(np.zeros(3), t) == 0.0).all()
@@ -436,6 +488,16 @@ def test_predicted_dimension_examples():
     )
     with pytest.raises(ValueError):
         predicted_dimension_bound(mu, 2.0)
+
+
+def test_regime_keeps_the_break_tests_float_forms():
+    for i, x in enumerate(_BREAKS):
+        assert _regime(x - 2e-9) == 2 * i and _regime(x + 2e-9) == 2 * i + 2
+        assert _regime(x) == _regime(math.nextafter(x, math.inf)) == 2 * i + 1
+        # "at" is abs(p - x) <= 1e-9, under which x + 1e-9 rounds past the
+        # band; the form x - 1e-9 <= p <= x + 1e-9 would put it inside
+        assert _regime(x + 1e-9) == 2 * i + 2
+    assert _regime(1e-300) == 0 and _regime(1e300) == 6
 
 
 @given(weights, st.floats(0.1, 8.0))
@@ -656,6 +718,21 @@ def test_I_bound_boundary_cases_carry_logs():
     )
 
 
+def test_I_bound_evaluates_only_its_own_case():
+    # below 8/3 this triple's c^-p would overflow; above 5 the bound is a^-3 b^-5
+    assert I_bound(6.0, 1.0, 1.0, 1e-200) == 1.0
+
+
+@pytest.mark.parametrize("p, triple, value", [
+    (2.7, (1e-300, 1e-300, 1e-300), "inf"),  # a ** -p overflows
+    (2.0, (1e200, 1e200, 1e200), "0.0"),  # the product underflows
+])
+def test_I_bound_outside_the_floats_is_refused_naming_p_and_the_triple(p, triple, value):
+    a, b, c = triple
+    with pytest.raises(ValueError, match=re.escape(f"I_bound(p={p}, {a}, {b}, {c}) = {value} ")):
+        I_bound(p, *triple)
+
+
 def test_I_bound_rejects_unsorted_and_names_the_fix():
     with pytest.raises(ValueError, match="mu_stats"):
         I_bound(2.0, 1.0, 2.0, 3.0)
@@ -683,6 +760,20 @@ def test_ols_recovers_exact_power_law():
     slope, residual = _ols_loglog(ns, norms)
     assert slope == pytest.approx(0.4, abs=1e-12)
     assert residual == pytest.approx(0.0, abs=1e-12)
+
+
+def test_scaling_fit_refits_without_the_smallest_N_past_the_residual_limit(monkeypatch):
+    def kinked(mu, p, spec=None):  # N^(1/2) but for a transient at the smallest N
+        norm = 50.0 if mu.a == 4 else mu.a ** 0.5
+        return LpReport(mu.a, mu.b, p, norm, 1.0, 1.0, None, None, 1, 0.0, True)
+
+    monkeypatch.setattr(lpnorms, "haar_lp_norm", kinked)
+    fit = scaling_fit("axis", 2.0, N_values=(4, 8, 16, 32, 64))
+    assert fit.residual > 0.02
+    rest = fit.table[1:]
+    assert (fit.slope_trimmed, fit.residual_trimmed) == \
+        _ols_loglog([r.N for r in rest], [r.norm for r in rest])
+    assert fit.slope_trimmed == pytest.approx(0.5, abs=1e-12)
 
 
 def test_scaling_fit_requires_four_points():

@@ -57,6 +57,15 @@ def test_csv_format_details(tmp_path):
     assert lines[2].startswith("8,1.2589254117941673,axis,true")
 
 
+@pytest.mark.parametrize("row", ["8,1.5,axis", "8,1.5,axis,true,x"])
+def test_csv_reader_refuses_a_row_of_the_wrong_width(tmp_path, row):
+    path = tmp_path / "t.csv"
+    emit_report(ROWS, "csv", str(path), config={"seed": 7})
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(ValueError, match=f"malformed CSV row in {path}: '{row}'"):
+        read_report_csv(str(path))
+
+
 def test_empty_records_error_and_no_file(tmp_path):
     path = tmp_path / "never.csv"
     with pytest.raises(ValueError):
