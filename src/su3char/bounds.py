@@ -45,12 +45,11 @@ from .cartan import (
 )
 from .character import (
     GRID_METHOD_NAMES,
-    SCHUR_DIM_LIMIT,
-    ResourceLimitError,
     _GridChunk,
     _GridGeometry,
     _Rank1Rows,
     chi_stable,
+    require_within_budget,
 )
 
 __all__ = [
@@ -457,16 +456,14 @@ def sweep_constant(
     """
     threads = thread_count()
     spec = grid_spec or GridSpec()
-    if spec.total > SCHUR_DIM_LIMIT:
-        raise ResourceLimitError(f"grid total {spec.total} > {SCHUR_DIM_LIMIT}-point budget")
+    require_within_budget(spec.total, "grid total", "point")
     mus, slot, duals = [], {}, []  # slot: the distinct (max(a,b), min(a,b)), in order
     for m in mu_range:  # checked as read, so a list past the budget is never built
         mus.append(mu := DominantWeight.of(m))
         duals.append(slot.setdefault(DominantWeight(max(mu.a, mu.b), min(mu.a, mu.b)), len(slot)))
-        if len(mus) > MAX_WEIGHTS or CHUNK_WEIGHTS * (mu.a + mu.b + 1) > SCHUR_DIM_LIMIT:
-            raise ResourceLimitError(f"weight {len(mus)}, ({mu.a},{mu.b}), is past the sweep's "
-                                     f"budget: {MAX_WEIGHTS} weights, {CHUNK_WEIGHTS}(a+b+1) <= "
-                                     f"{SCHUR_DIM_LIMIT}")
+        require_within_budget(len(mus), "weights", "sweep's weight", MAX_WEIGHTS)
+        require_within_budget(CHUNK_WEIGHTS * (mu.a + mu.b + 1),
+                              f"{CHUNK_WEIGHTS} x (a+b+1) at ({mu.a},{mu.b})", "multi-wall tables")
     if not mus:
         raise ValueError("sweep_constant needs at least one weight")
     grid = build_grid(spec, seed)

@@ -76,8 +76,8 @@ RANK1_SIN_SWITCH = 1e-8
 # Exact-zero guard for denominators (an exact wall hit).
 WALL_FLOOR = 1e-14
 
-# chi_schur's pattern budget, multiplicities' array-entry budget and the
-# multi-wall grid route's, weights x (a+b+1) table entries a point.
+# Entries one allocation may hold where its check names no other limit: patterns,
+# multiplicity arrays, multi-wall table entries a point, r-grid stages, sweep grids.
 SCHUR_DIM_LIMIT = 10**7
 
 
@@ -90,7 +90,18 @@ class WallTooSmallError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Pattern enumeration or multiplicity array refused; mu too large."""
+    """An allocation past its budget refused (:func:`require_within_budget`)."""
+
+
+def require_within_budget(entries: int, what: str, budget: str, limit=None,
+                          entry_bytes: int = 0) -> None:
+    """The one allocation-budget rule, checked before the allocation it guards:
+    ResourceLimitError when ``entries``, the count ``what``, exceeds ``limit``
+    (SCHUR_DIM_LIMIT, read at the call, when None), naming the count, its MB
+    at ``entry_bytes`` an entry, and the budget."""
+    if entries > (limit := SCHUR_DIM_LIMIT if limit is None else limit):
+        size = f" ({entries * entry_bytes / 1e6:.1f} MB)" if entry_bytes else ""
+        raise ResourceLimitError(f"{what} = {entries}{size} exceeds the {budget} budget {limit}")
 
 
 @dataclass(frozen=True)
@@ -243,11 +254,7 @@ def chi_schur(mu: DominantWeight, H: TorusPoint) -> CharValue:
     terms has the bits of math.fsum over the dim(mu) pattern phases.
     Refuses dim(mu) > SCHUR_DIM_LIMIT before allocating.
     """
-    d = dim(mu)
-    if d > SCHUR_DIM_LIMIT:
-        raise ResourceLimitError(
-            f"dim(mu) = {d} exceeds the pattern-sum budget {SCHUR_DIM_LIMIT}"
-        )
+    require_within_budget(dim(mu), "dim(mu)", "pattern-sum")
     (w1, w2, w3, m), ones = _schur_table(mu.a, mu.b)
     k, th = w1.size, H.theta
     # [cos; sin] per weight, M hi in place of the split ones, M lo after
@@ -276,11 +283,7 @@ def multiplicities(mu) -> np.ndarray:
     mu = DominantWeight.of(mu)
     a, b = mu.a, mu.b
     n = a + b + 1
-    if n * n > SCHUR_DIM_LIMIT:
-        raise ResourceLimitError(
-            f"(a+b+1)^2 = {n * n} exceeds the multiplicity-array budget "
-            f"{SCHUR_DIM_LIMIT}"
-        )
+    require_within_budget(n * n, "(a+b+1)^2", "multiplicity-array", entry_bytes=8)
     w1 = np.arange(n, dtype=np.int64)[:, None]
     m = _pattern_counts(a, b, w1, (a + 2 * b) - np.arange(n, dtype=np.int64))
     return np.maximum(m, 0, out=m)
@@ -597,9 +600,7 @@ class _MultiWallPoints:
         w, b = len(chunk.mus), chunk.lam[:, 1] - 1
         a = chunk.lam[:, 0] - b - 2
         n = int((a + b).max()) + 1
-        if w * n > SCHUR_DIM_LIMIT:
-            raise ResourceLimitError(f"the multi-wall tables, {w} x {n} entries a point, "
-                                     f"exceed the {SCHUR_DIM_LIMIT}-entry budget")
+        require_within_budget(w * n, f"{w} x (a+b+1)", "multi-wall tables")
         k = np.arange(n, dtype=np.float64)
         out = np.empty((w, self.idx.size), dtype=np.complex128)
         step = max(1, GRID_BLOCK // (w * k.size))

@@ -46,11 +46,13 @@ from .character import (
     chi_stable,
     chi_weyl,
     descent_terms,
+    require_within_budget,
 )
 from .lpnorms import (
     _FAMILIES,
     _MAPPINGS,
     MAX_BASE_RULE,
+    MAX_INTEGRALS,
     MAX_REFINEMENTS,
     I_bound,
     I_numeric_table,
@@ -66,6 +68,10 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_INVARIANT = 5
+
+# Most oracle-diff samples: each keeps a row of about 1.2 kB until the CSV is
+# written (tracemalloc, 10^3 and 10^4 samples), so about 120 MB
+MAX_SAMPLES = 10**5
 
 
 class UsageError(ValueError):
@@ -151,8 +157,8 @@ def _entry(what: str, x, text: bool, kw: dict):
         raise UsageError(f"{what} must be at least {kw['least']}, got {y!r}")
     if "most" in kw and y > kw["most"]:
         raise UsageError(f"{what} must be at most {kw['most']}, got {y!r}")
-    if "budget" in kw and y > kw["budget"]:
-        raise ResourceLimitError(f"{what} = {y} exceeds the {kw['budget']}-entry budget")
+    if "budget" in kw:
+        require_within_budget(y, what, "entry", kw["budget"])
     return y
 
 
@@ -332,15 +338,13 @@ def _cmd_scaling(cfg: RunConfig) -> int:
 def _cmd_prop_i(cfg: RunConfig) -> int:
     p = cfg.params
     p_values, pool = p["p_values"], sorted(p["pool"])
+    require_within_budget(len(p_values) * math.comb(len(pool) + 2, 3), "p values x triples",
+                          "model-integral", MAX_INTEGRALS)
     spec = _quad_spec(p)
-    triples = [
-        (z, y, x)
-        for x, y, z in itertools.combinations_with_replacement(pool, 3)
-    ]
+    triples = [(z, y, x) for x, y, z in itertools.combinations_with_replacement(pool, 3)]
     # an overflowing or vanishing bound is refused before any quadrature
     i_bounds = [[I_bound(pv, *t) for t in triples] for pv in p_values]
-    rows = []
-    per_p = []
+    rows, per_p = [], []
     for pv, i_bds, i_nums in zip(p_values, i_bounds, I_numeric_table(p_values, triples, spec)):
         shell_max: Dict[float, float] = {}
         for (a, b, c), i_num, i_bd in zip(triples, i_nums, i_bds):
@@ -352,13 +356,8 @@ def _cmd_prop_i(cfg: RunConfig) -> int:
             # magnitude shell = the smallest entry: the whole triple has been
             # scaled up by at least that factor from the unit boundary
             shell_max[c] = max(shell_max.get(c, 0.0), ratio)
-        shells = [
-            {"shell": s, "K_shell": shell_max[s]} for s in sorted(shell_max)
-        ]
-        growths = [
-            shells[i + 1]["K_shell"] / shells[i]["K_shell"]
-            for i in range(len(shells) - 1)
-        ]
+        shells = [{"shell": s, "K_shell": shell_max[s]} for s in sorted(shell_max)]
+        growths = [hi["K_shell"] / lo["K_shell"] for lo, hi in zip(shells, shells[1:])]
         # the first step leaves the unit boundary layer, where the integral
         # is still transient; stability is asserted between grown shells and
         # the boundary step is reported unmetered
@@ -507,7 +506,7 @@ _COMMANDS = {
     )),
     "oracle-diff": (_cmd_oracle_diff, "cross-method agreement on random torus points", (
         _MU,
-        ("samples", 100, dict(type=int, least=1)),
+        ("samples", 100, dict(type=int, least=1, budget=MAX_SAMPLES)),
         ("seed", 1234, dict(type=int)),
         ("regime", "regular", dict(choices=["regular", "wall"])),
         ("tol", None, dict(type=float, least=0.0)),

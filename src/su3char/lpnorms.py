@@ -56,7 +56,7 @@ import numpy as np
 
 from .bounds import thread_count, thread_map
 from .cartan import DominantWeight, dim, mu_stats
-from .character import SCHUR_DIM_LIMIT, ResourceLimitError, chi_on_grid, multiplicities
+from .character import SCHUR_DIM_LIMIT, chi_on_grid, multiplicities, require_within_budget
 from .quadrature import (
     BLOCK_NODES,
     ConvergenceError,
@@ -86,6 +86,9 @@ _P_TOL = 1e-9  # width of the exact-exponent boundary cases p = 8/3, 3, 5
 _MAPPINGS = ("periodic_square", "duffy")
 MAX_BASE_RULE = 512  # leggauss(n) builds an n x n companion matrix
 MAX_REFINEMENTS = 8  # 4^k triangles on the Duffy path, 4^k residues on the period square
+# Most integrals of one model-integral table: about 1.0 kB each at the default
+# spec (tracemalloc, prop-i at pools of 10 and 20 values), so about 100 MB
+MAX_INTEGRALS = 10**5
 
 
 @dataclass(frozen=True)
@@ -120,11 +123,12 @@ class LpReport:
     levels: int
     last_delta: float
     converged: bool
+    applied_rel_tol: float  # what both integrals refined to: rel_tol * min(1, p)
 
     def require_converged(self, what: str) -> None:
-        """ConvergenceError naming ``what`` unless the norm converged."""
+        """ConvergenceError naming ``what`` and its tolerance unless the norm converged."""
         QuadratureResult(self.norm, self.levels, self.last_delta,
-                         self.converged).require_converged(what)
+                         self.converged).require_converged(what, self.applied_rel_tol)
 
 
 def _check_p(p: float) -> None:
@@ -134,11 +138,11 @@ def _check_p(p: float) -> None:
 
 
 def _regime(p: float) -> int:
-    """The bounds' case of p: 2i below _BREAKS[i], 2i + 1 within _P_TOL of it, 6 past 5."""
+    """p's case, nondecreasing: 2i below x - _P_TOL, 2i + 1 to x + _P_TOL (x = _BREAKS[i]), 6."""
     for i, x in enumerate(_BREAKS):
         if p < x - _P_TOL:
             return 2 * i
-        if abs(p - x) <= _P_TOL:
+        if p <= x + _P_TOL:
             return 2 * i + 1
     return 6
 
@@ -220,8 +224,8 @@ def _rgrid_sums(md: np.ndarray, p: float, n0: int, K: int, S: np.ndarray,
     # g[q2, w1]; at r = 0, M is real and w even, so columns q2 and n0 - q2
     # agree: only the rfft's columns q2 <= n0/2 are formed, pairs counted once
     real = not (r1 or r2)
-    g = np.ascontiguousarray((np.fft.rfft(x, n=n0, axis=1) if real
-                              else np.fft.fft(x, n=n0, axis=1)).T)
+    x = np.fft.rfft(x, n=n0, axis=1) if real else np.fft.fft(x, n=n0, axis=1)  # frees the input
+    g = np.ascontiguousarray(x.T)  # the second stage held, not the third
     del x
     s1, s2 = S[r1, :n0], S[r2, :len(g)]
     if real:  # twice, but at q2 = 0 and n0/2
@@ -260,7 +264,9 @@ def _grid_levels(m: np.ndarray, d: int, p: float, n0: int,
     """(h^2 sum (|chi|/d)^p w, h^2 sum w) over the (K n0)-grid for K = 1, 2,
     4, ...: running sums of |orbit| times r-grid sums, adding at each level
     the orbits off the even residues, on up to ``threads`` workers: as many
-    as SCHUR_DIM_LIMIT holds of their min(len(m), n0) x n0 stages."""
+    as SCHUR_DIM_LIMIT holds of their min(len(m), n0) x n0 stages.  A worker
+    peaks at about two stages (an FFT and its transposed copy) or one stage
+    and a block: at most about 2 x 10^7 complex entries of stages a level."""
     md, cap = m / d, SCHUR_DIM_LIMIT // (min(len(m), n0) * n0)
     nums, dens = [], []
     K = 1
@@ -276,18 +282,13 @@ def _grid_levels(m: np.ndarray, d: int, p: float, n0: int,
 
 def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec) -> List[QuadratureResult]:
     """N_p / dim^p and Z on the period square, one batch of two integrals.
-    Refuses, before level 0, an r-grid stage of more than SCHUR_DIM_LIMIT
-    complex entries (rows of M after folding times n0) or a bad thread count."""
-    m = multiplicities(mu)
+    Refuses, before the multiplicities, an r-grid stage of more than SCHUR_DIM_LIMIT
+    complex entries (min(a+b+1, n0) x n0) or a bad thread count."""
     # p * bandwidth capped at the budget, which any n0 past it exceeds anyway
     n0 = _fast_len(max(48, math.ceil(min(p * _bandwidth(mu), SCHUR_DIM_LIMIT)) + 8))
-    rows = min(len(m), n0)
-    if rows * n0 > SCHUR_DIM_LIMIT:
-        raise ResourceLimitError(
-            f"r-grids of n0 = {n0} need a {rows} x {n0} complex stage ({rows * n0} "
-            f"entries, {16e-6 * rows * n0:.0f} MB), over the {SCHUR_DIM_LIMIT}-entry budget"
-        )
-    levels = _grid_levels(m, dim(mu), p, n0, thread_count())
+    require_within_budget(min(mu.a + mu.b + 1, n0) * n0, f"n0 = {n0}: min(a+b+1, n0) x n0",
+                          "r-grid stage", entry_bytes=16)
+    levels = _grid_levels(multiplicities(mu), dim(mu), p, n0, thread_count())
 
     def level_sums(level: int, active: List[int]) -> List[float]:
         sums = next(levels)
@@ -331,6 +332,7 @@ def haar_lp_norm(mu, p: float, spec: Optional[QuadratureSpec] = None) -> LpRepor
         levels=num.levels,
         last_delta=num.last_delta,
         converged=num.converged and den.converged,
+        applied_rel_tol=spec.rel_tol,
     )
 
 
@@ -410,7 +412,10 @@ def I_numeric_table(p_values: Sequence[float], triples: Sequence[Tuple[float, fl
     :func:`triangle_batch`), each with its own stop, so every entry is
     bit-identical to its own I_numeric call.  Without ``full``, raises
     ConvergenceError for the first non-converged entry in (p, triple) order.
+    Refuses more than MAX_INTEGRALS integrals before any is set up.
     """
+    require_within_budget(len(p_values) * len(triples), "p values x triples", "model-integral",
+                          MAX_INTEGRALS)
     for p in p_values:
         _check_p(p)
     if any(min(t) <= 0.0 for t in triples):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,13 +59,11 @@ class QuadratureResult:
     last_delta: float  # relative change at the final comparison (inf if none)
     converged: bool
 
-    def require_converged(self, what: str) -> "QuadratureResult":
+    def require_converged(self, what: str, rel_tol: Optional[float] = None) -> "QuadratureResult":
         if not self.converged:
-            raise ConvergenceError(
-                f"{what}: no convergence after {self.levels} levels "
-                f"(last relative delta {self.last_delta:.3e})",
-                self,
-            )
+            judged = "" if rel_tol is None else f" against rel_tol {rel_tol:.3e}"
+            raise ConvergenceError(f"{what}: no convergence after {self.levels} levels (last "
+                                   f"relative delta {self.last_delta:.3e}{judged})", self)
         return self
 
 

@@ -626,12 +626,15 @@ def test_argmax_key_is_np_argmax_order_over_any_blocks():
 def test_sweep_budget_is_refused_before_the_grid_is_built(monkeypatch):
     monkeypatch.setattr(bounds, "build_grid", lambda *a: pytest.fail("grid built"))
     weights = bounds.mu_shells(100_000, 100_000)  # read lazily, refused at MAX_WEIGHTS + 1
-    with pytest.raises(ResourceLimitError, match=f"weight {bounds.MAX_WEIGHTS + 1}, .*budget"):
+    with pytest.raises(ResourceLimitError, match=f"weights = {bounds.MAX_WEIGHTS + 1} exceeds "
+                                                 f"the sweep's weight budget {bounds.MAX_WEIGHTS}"):
         sweep_constant(weights, GridSpec())
     with pytest.raises(ResourceLimitError, match="budget"):
         sweep_constant([(0, 0)] * (bounds.MAX_WEIGHTS + 1), GridSpec())
     # CHUNK_WEIGHTS x (a+b+1) multi-wall table entries a point, past 10^7
-    with pytest.raises(ResourceLimitError, match=r"\(1250000,0\), is past the sweep's budget"):
+    with pytest.raises(ResourceLimitError, match=rf"{CHUNK_WEIGHTS} x \(a\+b\+1\) at \(1250000,0\) "
+                                                 f"= {CHUNK_WEIGHTS * 1_250_001} exceeds the "
+                                                 "multi-wall tables budget 10000000"):
         sweep_constant([(0, 0), (1_250_000, 0)], GridSpec())
     with pytest.raises(ResourceLimitError, match="point budget"):
         sweep_constant(list(mu_shells()), GridSpec(total=10**7 + 1))

@@ -188,6 +188,19 @@ def test_schur_resource_guard():
         chi_schur(big, TorusPoint((0.0, 0.0, 0.0)))
 
 
+def test_one_budget_rule_reads_its_limit_at_the_call(monkeypatch):
+    character.require_within_budget(10**7, "x", "test")  # at the limit: allowed
+    with pytest.raises(ResourceLimitError) as err:
+        character.require_within_budget(10**7 + 1, "x", "test", entry_bytes=16)
+    assert str(err.value) == "x = 10000001 (160.0 MB) exceeds the test budget 10000000"
+    character.require_within_budget(6, "y", "z", 6)
+    with pytest.raises(ResourceLimitError, match=r"^y = 7 exceeds the z budget 6$"):
+        character.require_within_budget(7, "y", "z", 6)
+    monkeypatch.setattr(character, "SCHUR_DIM_LIMIT", 5)  # no default holds the old limit
+    with pytest.raises(ResourceLimitError, match=r"^y = 6 exceeds the z budget 5$"):
+        character.require_within_budget(6, "y", "z")
+
+
 def test_schur_domain_is_dim_up_to_the_budget(monkeypatch):
     # accepted exactly while dim <= SCHUR_DIM_LIMIT, also where the dense
     # (a+b+1)^2 multiplicity array would be over it; refused past it before

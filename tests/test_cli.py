@@ -102,7 +102,8 @@ def test_eval_resource_guard(capsys):
 
 
 def test_lp_multiplicity_budget_trips_fast(capsys):
-    code, _, err = run(capsys, "lp", "--mu", "4000,4000", "--p", "4")
+    # a 48 x 48 stage passes; at p = 4 its 8001 x 16000 stage is refused first
+    code, _, err = run(capsys, "lp", "--mu", "4000,4000", "--p", "0.01")
     assert code == EXIT_RESOURCE
     diag = json.loads(err)
     assert diag["error"] == "resource-limit"
@@ -250,6 +251,15 @@ def test_lp_small_p_is_judged_on_the_norm(capsys):
     diag = json.loads(line)
     assert diag["error"] == "non-convergence"
     assert diag["message"].startswith("haar_lp_norm: no convergence after 7 levels")
+
+
+def test_lp_report_names_the_tolerance_it_was_judged_against(capsys):
+    # rel_tol 1e-6 at p = 1e-6 is 1e-12 on both integrals
+    code, payload, err = run(capsys, "lp", "--mu", "3,2", "--p", "1e-6")
+    assert code == EXIT_NONCONVERGENCE
+    assert payload["config"]["rel_tol"] == 1e-6 and payload["applied_rel_tol"] == 1e-6 * 1e-6
+    assert payload["applied_rel_tol"] < payload["last_delta"] < 1e-6
+    assert json.loads(err)["message"].endswith(" against rel_tol 1.000e-12)")
 
 
 def test_scaling_nonconvergence_writes_the_partial_table_and_no_summary(capsys, tmp_path):
@@ -728,6 +738,48 @@ def test_lp_grid_stage_budget_trips_before_allocating(capsys):
 def test_lp_overflowing_grid_size_is_a_resource_error(capsys):
     # p * bandwidth overflows to inf; capped at the budget, not a traceback
     assert "n0 = 10077696" in _refused_stage(capsys, "lp", "--mu", "5,0", "--p", "1e308")
+
+
+@pytest.mark.parametrize("mu, p, n0", [("3000,0", "2.8", "5625"), ("4000,4000", "4", "16200")])
+def test_lp_stage_budget_trips_before_the_multiplicities(capsys, mu, p, n0):
+    # a 3001 x 5625 stage: multiplicities' 3001^2 int64 array (9.0e6 entries,
+    # under its own budget) was built first, a 137.5 MB tracemalloc peak
+    message = _refused_stage(capsys, "lp", "--mu", mu, "--p", p)
+    assert f"n0 = {n0}:" in message and "r-grid stage budget" in message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["prop-i", "--p-values", "2", "--pool", ",".join(map(str, range(1, 85)))],
+     "p values x triples = 102340 exceeds the model-integral budget 100000"),
+    (["oracle-diff", "--mu", "3,2", "--samples", "100001"],
+     "--samples (samples) = 100001 exceeds the entry budget 100000"),
+])
+def test_table_budgets_trip_before_any_row(capsys, argv, message):
+    # 84 pool values make C(86, 3) triples; each integral or sample holds
+    # about 1 kB until the tables are written
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.1
+    assert code == EXIT_RESOURCE
+    [line] = err.splitlines()
+    assert json.loads(line) == {"error": "resource-limit", "message": message}
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv)[0] == EXIT_RESOURCE
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_prop_i_budget_counts_every_p_and_triple(capsys, monkeypatch):
+    # the default pool's 35 triples: one p at a cap of 69 runs, two are refused
+    monkeypatch.setattr(cli, "MAX_INTEGRALS", 69)
+    monkeypatch.setattr(lpnorms, "MAX_INTEGRALS", 69)
+    assert run(capsys, "prop-i", "--p-values", "2", "--max-refinements", "1")[0] == EXIT_OK
+    monkeypatch.setattr(cli, "I_numeric_table", lambda *a: pytest.fail("integrals set up"))
+    code, _, err = run(capsys, "prop-i", "--p-values", "2,3")
+    assert code == EXIT_RESOURCE and "= 70 exceeds the model-integral budget 69" in err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -93,6 +93,10 @@ ONE_PLACE = [
     ("EPS_WALL comparison", _compares("EPS_WALL"), ("character", "_route")),
     ("L^p regime comparison", _compares("_P_TOL"), ("lpnorms", "_regime")),
     ("ConvergenceError raise", _calls("ConvergenceError"), ("quadrature", "require_converged")),
+    ("ResourceLimitError raise", _calls("ResourceLimitError"),
+     ("character", "require_within_budget")),
+    ("SCHUR_DIM_LIMIT comparison", _compares("SCHUR_DIM_LIMIT"),
+     ("character", "require_within_budget")),
 ]
 
 

@@ -264,6 +264,23 @@ def test_rgrid_blocks_of_two_rows_match_node_by_node_sums(monkeypatch):
             assert den == pytest.approx(_trapezoid_sum(_weight, TWO_PI, K * n0), rel=1e-14)
 
 
+def test_an_rgrid_holds_two_stages_at_once_not_three(monkeypatch):
+    # the twisted input is freed before the transposed copy of its FFT: at
+    # an odd residue (119+1) x 120 complex entries are the stage, and one row
+    # a block keeps the inverse FFTs out of the peak
+    mu, n0 = DominantWeight(119, 0), 120
+    md, stage = multiplicities(mu) / dim(mu), 16 * 120 * n0
+    monkeypatch.setattr(lpnorms, "BLOCK_NODES", n0)
+    want = _level_sums(md, 1.5, n0, 2, [(1, 0)], 1)  # and the FFT plans are made
+    tracemalloc.start()
+    try:
+        assert _level_sums(md, 1.5, n0, 2, [(1, 0)], 1) == want
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * stage  # about 3.0 stages with the input kept
+
+
 def test_residue_orbits_partition_the_residues():
     counts = []
     for K in (1, 2, 4, 8, 16, 32):
@@ -402,6 +419,33 @@ def test_small_p_is_judged_on_the_norm(p):
         rep.require_converged("haar_lp_norm")
 
 
+def test_model_integral_table_is_refused_past_its_budget_before_any_work(monkeypatch):
+    spec = QuadratureSpec(base_rule=8, max_refinements=0)
+    cap = lpnorms.MAX_INTEGRALS
+    monkeypatch.setattr(lpnorms, "MAX_INTEGRALS", 2)
+    assert len(I_numeric_table([2.0], [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0)], spec, full=True)[0]) == 2
+    monkeypatch.setattr(lpnorms, "triangle_batch", lambda *a: pytest.fail("integrals set up"))
+    with pytest.raises(ResourceLimitError, match="^p values x triples = 3 exceeds the "
+                                                 "model-integral budget 2$"):
+        I_numeric_table([2.0, 3.0, 4.0], [(1.0, 1.0, 1.0)], spec)
+    monkeypatch.setattr(lpnorms, "MAX_INTEGRALS", cap)
+    with pytest.raises(ResourceLimitError, match=f"= {cap + 1} exceeds the model-integral "
+                                                 f"budget {cap}$"):
+        I_numeric_table([2.0], [(1.0, 1.0, 1.0)] * (cap + 1))
+
+
+def test_lp_report_states_the_tolerance_it_was_judged_against():
+    # below p = 1 both integrals refine to rel_tol * p; the report and its
+    # non-convergence error say so
+    rep = haar_lp_norm((3, 2), 1e-6)
+    assert rep.applied_rel_tol == 1e-6 * 1e-6 and not rep.converged
+    with pytest.raises(ConvergenceError, match=r"delta \S+ against rel_tol 1\.000e-12\)$"):
+        rep.require_converged("haar_lp_norm")
+    assert haar_lp_norm((3, 2), 4.0, QuadratureSpec(rel_tol=1e-7)).applied_rel_tol == 1e-7
+    spec = QuadratureSpec(mapping="duffy", max_refinements=1)
+    assert haar_lp_norm((1, 0), 0.5, spec).applied_rel_tol == 1e-6 * 0.5
+
+
 @pytest.mark.parametrize("target, mapping", [("_refine", "periodic_square"),
                                              ("triangle_batch", "duffy")])
 @pytest.mark.parametrize("p, rel_tol, tol", [
@@ -494,10 +538,34 @@ def test_regime_keeps_the_break_tests_float_forms():
     for i, x in enumerate(_BREAKS):
         assert _regime(x - 2e-9) == 2 * i and _regime(x + 2e-9) == 2 * i + 2
         assert _regime(x) == _regime(math.nextafter(x, math.inf)) == 2 * i + 1
-        # "at" is abs(p - x) <= 1e-9, under which x + 1e-9 rounds past the
-        # band; the form x - 1e-9 <= p <= x + 1e-9 would put it inside
-        assert _regime(x + 1e-9) == 2 * i + 2
+        # the band is [x - 1e-9, x + 1e-9] in the float forms p < x - 1e-9
+        # (below) and p <= x + 1e-9 (at): both of its float ends are inside
+        assert _regime(x + 1e-9) == _regime(x - 1e-9) == 2 * i + 1
+        assert _regime(math.nextafter(x + 1e-9, math.inf)) == 2 * i + 2
+        assert _regime(math.nextafter(x - 1e-9, 0.0)) == 2 * i
     assert _regime(1e-300) == 0 and _regime(1e300) == 6
+
+
+def _ulps(x: float, n: int):
+    """The floats within n ulps of x."""
+    out, lo, hi = {x}, x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        out |= {lo, hi}
+    return out
+
+
+def test_regime_is_nondecreasing_ulp_by_ulp_across_each_break():
+    # p = 8/3 - 1e-9 fell between its neighbours' cases (0, 2, 1) under the
+    # old "at" test abs(p - x) <= 1e-9.  Every ulp within 2^12 of each band
+    # end and of the break, and a 1e-12 stride over the whole +-2e-9 span.
+    for i, x in enumerate(_BREAKS):
+        ends = (x - 2e-9, x - 1e-9, x, x + 1e-9, x + 2e-9)
+        ps = sorted(set().union(*(_ulps(c, 4096) for c in ends),
+                                (x + k * 1e-12 for k in range(-2000, 2001))))
+        cases = [_regime(p) for p in ps]
+        assert all(lo <= hi for lo, hi in zip(cases, cases[1:])), x
+        assert cases[0] == 2 * i and cases[-1] == 2 * i + 2 and 2 * i + 1 in cases
 
 
 @given(weights, st.floats(0.1, 8.0))
@@ -765,7 +833,7 @@ def test_ols_recovers_exact_power_law():
 def test_scaling_fit_refits_without_the_smallest_N_past_the_residual_limit(monkeypatch):
     def kinked(mu, p, spec=None):  # N^(1/2) but for a transient at the smallest N
         norm = 50.0 if mu.a == 4 else mu.a ** 0.5
-        return LpReport(mu.a, mu.b, p, norm, 1.0, 1.0, None, None, 1, 0.0, True)
+        return LpReport(mu.a, mu.b, p, norm, 1.0, 1.0, None, None, 1, 0.0, True, 1e-6)
 
     monkeypatch.setattr(lpnorms, "haar_lp_norm", kinked)
     fit = scaling_fit("axis", 2.0, N_values=(4, 8, 16, 32, 64))
