@@ -48,6 +48,7 @@ from .character import (
     _GridChunk,
     _GridGeometry,
     _Rank1Rows,
+    _dual_form,
     chi_stable,
     require_within_budget,
 )
@@ -457,10 +458,10 @@ def sweep_constant(
     threads = thread_count()
     spec = grid_spec or GridSpec()
     require_within_budget(spec.total, "grid total", "point")
-    mus, slot, duals = [], {}, []  # slot: the distinct (max(a,b), min(a,b)), in order
+    mus, slot, duals = [], {}, []  # slot: the distinct dual forms, in order
     for m in mu_range:  # checked as read, so a list past the budget is never built
         mus.append(mu := DominantWeight.of(m))
-        duals.append(slot.setdefault(DominantWeight(max(mu.a, mu.b), min(mu.a, mu.b)), len(slot)))
+        duals.append(slot.setdefault(_dual_form(mu), len(slot)))
         require_within_budget(len(mus), "weights", "sweep's weight", MAX_WEIGHTS)
         require_within_budget(CHUNK_WEIGHTS * (mu.a + mu.b + 1),
                               f"{CHUNK_WEIGHTS} x (a+b+1) at ({mu.a},{mu.b})", "multi-wall tables")

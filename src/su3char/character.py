@@ -396,11 +396,17 @@ GRID_METHOD_NAMES = ("weyl", "descent0", "descent1", "descent2", "schur")
 GRID_BLOCK = 1 << 18
 
 
+def _dual_form(mu: DominantWeight) -> DominantWeight:
+    """(max(a,b), min(a,b)), the one of mu and its dual (b,a) that the grid
+    routes evaluate: chi_mu is the conjugate of its chi when they differ,
+    and the envelope, a permanent over pairings that swapping a and b only
+    permutes, is the same."""
+    return DominantWeight(max(mu.a, mu.b), min(mu.a, mu.b))
+
+
 class _GridChunk:
     """What the grid routes need of a chunk of weights, each read as its
-    form (max(a,b), min(a,b)) in ``mus``: the routes give chi of that form,
-    conj chi_(a,b) for a < b ((b,a) is the dual), and the envelope, a
-    permanent over pairings that swapping a and b only permutes, is the same.
+    dual form (:func:`_dual_form`) in ``mus``.
     Every lambda = mu + rho is (a+b+2, b+1, 0): ``lam`` per weight.  Weights
     of one degree a+2b+3 share the common phase of the Weyl and multi-wall
     routes; ``runs`` lists (degree, rows) per run of equal degree.
@@ -410,7 +416,7 @@ class _GridChunk:
     """
 
     def __init__(self, mus):
-        self.mus = tuple(DominantWeight(max(mu.a, mu.b), min(mu.a, mu.b)) for mu in mus)
+        self.mus = tuple(map(_dual_form, mus))
         ells = [mu.shifted().ell for mu in self.mus]
         degrees = [sum(ell) for ell in ells]
         starts = [w for w in range(len(ells)) if w == 0 or degrees[w] != degrees[w - 1]]
@@ -679,11 +685,11 @@ def chi_on_grid(mu: DominantWeight, t1: np.ndarray, t2: np.ndarray):
     per point, exact dim at H = 0, ResourceLimitError past SCHUR_DIM_LIMIT
     table entries a point).  The Weyl and descent routes read their phases
     from per-point rows (:class:`_PhaseRows`).  It is a chunk of one
-    weight through the same kernels as the envelope sweep, at (max(a,b),
-    min(a,b)) and conjugated for a < b (see _GridChunk).  Every point's
-    value is computed from that point alone, so its bits do not depend on
-    the other points of the call, nor on the call's size.
+    weight through the same kernels as the envelope sweep, at its dual
+    form and conjugated when that is not mu (:func:`_dual_form`).  Every
+    point's value is computed from that point alone, so its bits do not
+    depend on the other points of the call, nor on the call's size.
     """
-    geom = _GridGeometry(t1, t2)
-    vals = geom.chi(_GridChunk([mu]))[0]
-    return (np.conjugate(vals) if mu.a < mu.b else vals), geom.methods
+    geom, chunk = _GridGeometry(t1, t2), _GridChunk([mu])
+    vals = geom.chi(chunk)[0]
+    return (np.conjugate(vals) if chunk.mus[0] != mu else vals), geom.methods

@@ -527,9 +527,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _resolve(args)
         return _COMMANDS[cfg.command][0](cfg)
-    except UsageError as e:
-        _diag("usage", e)
-        return EXIT_USAGE
     except (SingularInputError, WallTooSmallError) as e:
         _diag("singular-input", e)
         return EXIT_USAGE

@@ -30,10 +30,11 @@ changing the integrand, so a level is a sum over the orbits of residues r
 of |orbit| times one r-grid's sums; the even residues are the previous
 level's grids, so each level computes only its new orbits (1, 1, 2, 6, 20,
 72 r-grids for K = 1..32) on up to SU3CHAR_THREADS workers
-(:func:`thread_map`), reading one table of wall factors.  Memory is fixed
-by n0 and the workers whatever the level, and scaling by dim keeps every
-power <= 1, so no finite p overflows; every entry point refuses p outside
-0 < p < inf.
+(:func:`thread_map`), reading one table of wall factors.  Whatever the
+level, an r-grid's largest array has (a+b+1) x max(a+b+1, n0) complex
+entries; that one count is refused past the budget and caps the workers
+(:func:`_periodic_square`).  Scaling by dim keeps every power <= 1, so no
+finite p overflows; every entry point refuses p outside 0 < p < inf.
 
 A Duffy-mapped triangle rule over A, which evaluates chi node by node
 through ``chi_on_grid``, is kept as the independent cross-check mapping.
@@ -260,19 +261,16 @@ def _level_sums(md: np.ndarray, p: float, n0: int, K: int,
 
 
 def _grid_levels(m: np.ndarray, d: int, p: float, n0: int,
-                 threads: int = 1) -> Iterator[Tuple[float, float]]:
+                 workers: int = 1) -> Iterator[Tuple[float, float]]:
     """(h^2 sum (|chi|/d)^p w, h^2 sum w) over the (K n0)-grid for K = 1, 2,
     4, ...: running sums of |orbit| times r-grid sums, adding at each level
-    the orbits off the even residues, on up to ``threads`` workers: as many
-    as SCHUR_DIM_LIMIT holds of their min(len(m), n0) x n0 stages.  A worker
-    peaks at about two stages (an FFT and its transposed copy) or one stage
-    and a block: at most about 2 x 10^7 complex entries of stages a level."""
-    md, cap = m / d, SCHUR_DIM_LIMIT // (min(len(m), n0) * n0)
+    the orbits off the even residues, on up to ``workers`` threads."""
+    md = m / d
     nums, dens = [], []
     K = 1
     while True:
         new = [orbit for orbit in _orbits(K) if K == 1 or orbit[0][0] % 2 or orbit[0][1] % 2]
-        level = _level_sums(md, p, n0, K, [o[0] for o in new], min(threads, len(new), cap))
+        level = _level_sums(md, p, n0, K, [o[0] for o in new], min(workers, len(new)))
         nums += [len(orbit) * num for orbit, (num, _) in zip(new, level)]
         dens += [len(orbit) * den for orbit, (_, den) in zip(new, level)]
         h2 = (TWO_PI / (K * n0)) ** 2
@@ -282,13 +280,22 @@ def _grid_levels(m: np.ndarray, d: int, p: float, n0: int,
 
 def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec) -> List[QuadratureResult]:
     """N_p / dim^p and Z on the period square, one batch of two integrals.
-    Refuses, before the multiplicities, an r-grid stage of more than SCHUR_DIM_LIMIT
-    complex entries (min(a+b+1, n0) x n0) or a bad thread count."""
+    An r-grid's largest array -- the twisted M when a+b+1 > n0 (M is then
+    folded to n0), else its (a+b+1) x n0 FFT stage -- has (a+b+1) x
+    max(a+b+1, n0) complex entries.  Past SCHUR_DIM_LIMIT it is refused
+    before the multiplicities, as is a bad thread count; else a level runs
+    as many r-grids at once as the budget holds of it, up to SU3CHAR_THREADS.
+    An r-grid peaks at about 2 of these counts unfolded, or one and a block
+    of BLOCK_NODES nodes, and at about 3.3 folded, or up to 7 where a+b+1
+    is just past n0 and _fold pads M to 2 n0."""
     # p * bandwidth capped at the budget, which any n0 past it exceeds anyway
     n0 = _fast_len(max(48, math.ceil(min(p * _bandwidth(mu), SCHUR_DIM_LIMIT)) + 8))
-    require_within_budget(min(mu.a + mu.b + 1, n0) * n0, f"n0 = {n0}: min(a+b+1, n0) x n0",
+    side = mu.a + mu.b + 1  # M is side x side
+    entries = side * max(side, n0)
+    require_within_budget(entries, f"n0 = {n0}: (a+b+1) x max(a+b+1, n0)",
                           "r-grid stage", entry_bytes=16)
-    levels = _grid_levels(multiplicities(mu), dim(mu), p, n0, thread_count())
+    workers = min(thread_count(), SCHUR_DIM_LIMIT // entries)
+    levels = _grid_levels(multiplicities(mu), dim(mu), p, n0, workers)
 
     def level_sums(level: int, active: List[int]) -> List[float]:
         sums = next(levels)

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import re
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 __all__ = [
     "emit_report",
@@ -69,16 +69,12 @@ def _formatter(values: list):
     return (_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None) or _fmt_scalar
 
 
-def _record_fields(rec) -> List[Tuple[str, object]]:
-    if dataclasses.is_dataclass(rec) and not isinstance(rec, type):
-        return [(f.name, getattr(rec, f.name)) for f in dataclasses.fields(rec)]
-    if isinstance(rec, dict):
-        return list(rec.items())
-    raise TypeError(f"records must be dataclasses or dicts, got {type(rec)!r}")
-
-
 def _field_names(rec) -> List[str]:
-    return list(rec) if isinstance(rec, dict) else [name for name, _ in _record_fields(rec)]
+    if isinstance(rec, dict):
+        return list(rec)
+    if dataclasses.is_dataclass(rec) and not isinstance(rec, type):
+        return [f.name for f in dataclasses.fields(rec)]
+    raise TypeError(f"records must be dataclasses or dicts, got {type(rec)!r}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -90,33 +86,25 @@ def _write_text(path: str, text: str) -> None:
 
 
 def emit_report(records: Iterable, format: str, path: str, config=None) -> None:
-    """Write a table of records as CSV or JSON.  Empty input is an error and
-    creates no file."""
+    """Write a table of records as CSV; any other ``format`` is refused.
+    Empty input is an error and creates no file."""
+    if format != "csv":
+        raise ValueError(f"format must be 'csv', got {format!r}")
     records = list(records)
     if not records:
         raise ValueError(f"no records to emit; refusing to create {path}")
     fields = _field_names(records[0])
-
-    if format == "csv":
-        lines = []
-        if config is not None:
-            lines.append("# config=" + strict_json(config, sort_keys=True, separators=(",", ":")))
-        lines.append(",".join(fields))
-        if any(map(fields.__ne__, map(_field_names, records))):
-            raise ValueError("all records must share one field set")
-        columns = [[rec[name] if isinstance(rec, dict) else getattr(rec, name) for rec in records]
-                   for name in fields]
-        # each column's formatter chosen once; cells formatted row by row
-        lines += map(",".join, zip(*map(map, map(_formatter, columns), columns)))
-        _write_text(path, "\n".join(lines) + "\n")
-    elif format == "json":
-        payload = {
-            "config": config,
-            "records": [dict(_record_fields(rec)) for rec in records],
-        }
-        _write_text(path, strict_json(payload, indent=2) + "\n")
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    lines = []
+    if config is not None:
+        lines.append("# config=" + strict_json(config, sort_keys=True, separators=(",", ":")))
+    lines.append(",".join(fields))
+    if any(map(fields.__ne__, map(_field_names, records))):
+        raise ValueError("all records must share one field set")
+    columns = [[rec[name] if isinstance(rec, dict) else getattr(rec, name) for rec in records]
+               for name in fields]
+    # each column's formatter chosen once; cells formatted row by row
+    lines += map(",".join, zip(*map(map, map(_formatter, columns), columns)))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_json(payload: dict, path: str, config=None) -> None:

@@ -101,15 +101,6 @@ def test_eval_resource_guard(capsys):
     assert json.loads(err)["error"] == "resource-limit"
 
 
-def test_lp_multiplicity_budget_trips_fast(capsys):
-    # a 48 x 48 stage passes; at p = 4 its 8001 x 16000 stage is refused first
-    code, _, err = run(capsys, "lp", "--mu", "4000,4000", "--p", "0.01")
-    assert code == EXIT_RESOURCE
-    diag = json.loads(err)
-    assert diag["error"] == "resource-limit"
-    assert "multiplicity-array budget" in diag["message"]
-
-
 @pytest.mark.parametrize("argv, work", [
     (["prop-i", "--out-csv"], "I_numeric_table"),
     (["verify-envelope", "--out-json"], "sweep_constant"),
@@ -740,11 +731,16 @@ def test_lp_overflowing_grid_size_is_a_resource_error(capsys):
     assert "n0 = 10077696" in _refused_stage(capsys, "lp", "--mu", "5,0", "--p", "1e308")
 
 
-@pytest.mark.parametrize("mu, p, n0", [("3000,0", "2.8", "5625"), ("4000,4000", "4", "16200")])
+@pytest.mark.parametrize("mu, p, n0", [("3000,0", "2.8", "5625"), ("4000,4000", "4", "16200"),
+                                      ("4000,4000", "0.01", "48"), ("3162,0", "0.5", "1080")])
 def test_lp_stage_budget_trips_before_the_multiplicities(capsys, mu, p, n0):
     # a 3001 x 5625 stage: multiplicities' 3001^2 int64 array (9.0e6 entries,
-    # under its own budget) was built first, a 137.5 MB tracemalloc peak
+    # under its own budget) was built first, a 137.5 MB tracemalloc peak.
+    # Where n0 < a+b+1 the largest array is the twisted (a+b+1)^2 M, not
+    # the folded n0 x n0 stage: 3163^2 is past the budget, 1080^2 is not
+    t0 = time.perf_counter()
     message = _refused_stage(capsys, "lp", "--mu", mu, "--p", p)
+    assert time.perf_counter() - t0 < 0.1
     assert f"n0 = {n0}:" in message and "r-grid stage budget" in message
 
 

@@ -86,6 +86,11 @@ def _compares(name):
         isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
 
 
+def _max_of_a_and_b(node):
+    """A node test: a ``max`` call whose arguments read ``.a`` and ``.b``."""
+    return _calls("max")(node) and {getattr(arg, "attr", None) for arg in node.args} == {"a", "b"}
+
+
 # (what, node test, the one (module, function) allowed to do it)
 ONE_PLACE = [
     ("environment read", _reads_environ, ("bounds", "thread_count")),
@@ -97,6 +102,7 @@ ONE_PLACE = [
      ("character", "require_within_budget")),
     ("SCHUR_DIM_LIMIT comparison", _compares("SCHUR_DIM_LIMIT"),
      ("character", "require_within_budget")),
+    ("dual weight form", _max_of_a_and_b, ("character", "_dual_form")),
 ]
 
 
@@ -124,7 +130,10 @@ def test_one_place_checks_see_each_form():
         "    def g(self):\n"
         "        return ThreadPoolExecutor(max_workers=1), EPS_WALL >= self\n"
         "y = os.environ\n"
+        "z = max(mu.a, mu.b), max(mu.a + mu.b, mu.b), max(a, b)\n"
     )
     assert enclosing_functions(source, _reads_environ) == {"f", ""}
     assert enclosing_functions(source, _calls("ThreadPoolExecutor")) == {"f", "g"}
     assert enclosing_functions(source, _compares("EPS_WALL")) == {"f", "g"}
+    assert [ast.unparse(n) for n in ast.walk(ast.parse(source)) if _max_of_a_and_b(n)] == [
+        "max(mu.a, mu.b)"]

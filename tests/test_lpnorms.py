@@ -336,11 +336,11 @@ def test_grid_levels_keep_their_golden_bits(key, threads):
 
 
 def test_level_workers_are_capped_by_the_stage_budget(monkeypatch):
-    # (24,0) at p = 2.8: n0 = 54, a 25 x 54 stage; with a budget of one
-    # stage, 4 threads run one r-grid at a time and give the same report
-    mu = DominantWeight(24, 0)
-    monkeypatch.setenv("SU3CHAR_THREADS", "1")
-    want = haar_lp_norm(mu, 2.8)
+    # (24,0) at p = 2.8: n0 = 54, a 25 x 54 stage.  (60,0) at p = 0.5:
+    # n0 = 48 < 61, so M is twisted at 61 x 61 before it is folded to
+    # 48 x 48; a budget of two folded stages holds one twisted M.  With a
+    # budget of one largest array, 4 threads run one r-grid at a time and
+    # give the same report
     rgrid_sums, lock = lpnorms._rgrid_sums, threading.Lock()
     flight = {"now": 0, "most": 0}
 
@@ -355,14 +355,40 @@ def test_level_workers_are_capped_by_the_stage_budget(monkeypatch):
             with lock:
                 flight["now"] -= 1
 
-    monkeypatch.setattr(lpnorms, "_rgrid_sums", counted)
-    monkeypatch.setenv("SU3CHAR_THREADS", "4")
-    assert haar_lp_norm(mu, 2.8) == want
-    assert flight["most"] > 1  # the stub sees overlap when the budget allows it
-    flight["most"] = 0
-    monkeypatch.setattr(lpnorms, "SCHUR_DIM_LIMIT", 25 * 54)
-    assert haar_lp_norm(mu, 2.8) == want
-    assert flight["most"] == 1
+    for mu, p, budget in [(DominantWeight(24, 0), 2.8, 25 * 54),
+                          (DominantWeight(60, 0), 0.5, 2 * 48 * 48)]:
+        monkeypatch.undo()
+        monkeypatch.setenv("SU3CHAR_THREADS", "1")
+        want = haar_lp_norm(mu, p)
+        monkeypatch.setattr(lpnorms, "_rgrid_sums", counted)
+        monkeypatch.setenv("SU3CHAR_THREADS", "4")
+        flight["most"] = 0
+        assert haar_lp_norm(mu, p) == want
+        assert flight["most"] > 1  # the stub sees overlap when the budget allows it
+        flight["most"] = 0
+        monkeypatch.setattr(lpnorms, "SCHUR_DIM_LIMIT", budget)
+        assert haar_lp_norm(mu, p) == want
+        assert flight["most"] == 1, mu
+
+
+def test_folded_rgrid_workers_count_the_twisted_m(monkeypatch):
+    # (1200,0) at p = 0.5: n0 = 432, and M is twisted at 1201 x 1201 before
+    # the fold, so 10^7 // 1201^2 = 6 r-grids run at once, not the
+    # 10^7 // 432^2 = 53 of the folded stage
+    class Started(Exception):
+        pass
+
+    seen = []
+
+    def started(m, d, p, n0, workers):
+        seen.append((m.shape, n0, workers))
+        raise Started
+
+    monkeypatch.setattr(lpnorms, "_grid_levels", started)
+    monkeypatch.setenv("SU3CHAR_THREADS", "64")
+    with pytest.raises(Started):
+        haar_lp_norm(DominantWeight(1200, 0), 0.5)
+    assert seen == [((1201, 1201), 432, 6)]
 
 
 def test_fast_len_is_the_next_5_smooth_integer():

@@ -74,8 +74,12 @@ def test_empty_records_error_and_no_file(tmp_path):
 
 
 def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        emit_report(ROWS, "xml", str(tmp_path / "t.xml"))
+    # tables are CSV only; JSON artifacts are summaries (emit_json)
+    for fmt in ("xml", "json"):
+        path = tmp_path / f"t.{fmt}"
+        with pytest.raises(ValueError, match="format must be 'csv'"):
+            emit_report(ROWS, fmt, str(path))
+        assert not path.exists()
 
 
 def test_mixed_field_sets_rejected(tmp_path):
@@ -86,16 +90,6 @@ def test_mixed_field_sets_rejected(tmp_path):
 def test_fields_needing_quoting_are_refused(tmp_path):
     with pytest.raises(ValueError):
         emit_report([{"s": "a,b"}], "csv", str(tmp_path / "t.csv"))
-
-
-def test_json_payload_shape(tmp_path):
-    path = str(tmp_path / "t.json")
-    emit_report(ROWS, "json", path, config={"seed": 1})
-    body = json.loads(open(path).read())
-    assert body["config"] == {"seed": 1}
-    assert [r["n"] for r in body["records"]] == [8, 16, 32]
-    # floats survive the JSON round trip exactly (repr round-trip)
-    assert body["records"][1]["norm"] == 1.0 / 3.0
 
 
 def test_emit_json_config_first(tmp_path):
