@@ -31,7 +31,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,9 +183,12 @@ def ratio(mu: DominantWeight, H: TorusPoint) -> RatioRecord:
     )
 
 
-def _rank1_margins(t: np.ndarray, ns: Iterable[int]) -> Iterator[np.ndarray]:
-    """rank1_bound_margin(n, t) for each n of ns in turn, from one sin t and
-    one :class:`_Rank1Rows`, whose rows are not kept past their n."""
+def _rank1_margins(t: np.ndarray, ns: Sequence[int]) -> Iterator[np.ndarray]:
+    """rank1_bound_margin(n, t) for each n of the ascending ns in turn, from
+    one sin t and one :class:`_Rank1Rows`, whose rows are not kept past
+    their n.  Refuses, at the call, an empty ns or one below 0."""
+    if not ns or ns[0] < 0:
+        raise ValueError("n must be >= 0")
     sin_t = np.sin(t)
     inv = _reciprocal(np.abs(sin_t))
     rows = _Rank1Rows(t, sin_t)
@@ -198,15 +201,14 @@ def rank1_bound_margin(n: int, theta):
     Accepts a scalar angle (returns a float) or an ndarray.  n is the su(2)
     highest weight, so the character in question has n+1 terms.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     margin = next(_rank1_margins(np.atleast_1d(np.asarray(theta, dtype=np.float64)), (n,)))
     return float(margin[0]) if np.ndim(theta) == 0 else margin
 
 
 def rank1_margin_min(n_max: int, theta: np.ndarray) -> Tuple[float, int, float]:
     """(min, argmin n, argmin theta) of rank1_bound_margin(n, theta) over
-    n = 0..n_max, the first in (n, angle) order, in O(len(theta)) memory."""
+    n = 0..n_max, the first in (n, angle) order, in O(len(theta)) memory;
+    refuses n_max < 0."""
     t = np.asarray(theta, dtype=np.float64)
     best = (math.inf, -1, math.nan)
     for n, margins in enumerate(_rank1_margins(t, range(n_max + 1))):

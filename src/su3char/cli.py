@@ -474,7 +474,7 @@ _COMMANDS = {
     "verify-envelope": (_cmd_verify_envelope, "ratio sweep certifying the envelope bound", (
         ("dense_max", _default(mu_shells, "dense_shell_max"), dict(type=int, least=0)),
         ("shell_max", _default(mu_shells, "shell_max"), dict(type=int, least=0)),
-        ("grid_total", GridSpec.total, dict(type=int, budget=SCHUR_DIM_LIMIT)),
+        ("grid_total", GridSpec.total, dict(type=int)),
         ("wall_per_edge", GridSpec.wall_points_per_edge, dict(type=int, least=0)),
         ("chamber", GridSpec.chamber_wall_points, dict(type=int, least=0)),
         ("corner_scales", GridSpec.corner_scales, dict(type=int, least=0)),

@@ -24,17 +24,19 @@ chi = sum M[w1, w3] exp(i(w1 t1 - w3 t2)).  Level k's grid, n = K n0 nodes
 per axis with K = 2^k and n0 5-smooth, is the union of K^2 shifted n0-grids
 t = 2pi (K q + r)/n, the "r-grids" (decimation in frequency).  On one,
 chi is an n0 x n0 2-D DFT of M times the phases exp(2pi i (w1 r1 - w3 r2)/n),
-folded modulo n0, and (|chi|/dim)^p * w and Z are summed over blocks of at
-most ``BLOCK_NODES`` nodes.  W x {+-1} maps r-grids onto r-grids without
-changing the integrand, so a level is a sum over the orbits of residues r
-of |orbit| times one r-grid's sums; the even residues are the previous
-level's grids, so each level computes only its new orbits (1, 1, 2, 6, 20,
-72 r-grids for K = 1..32) on up to SU3CHAR_THREADS workers
-(:func:`thread_map`), reading one table of wall factors.  Whatever the
-level, an r-grid's largest array has (a+b+1) x max(a+b+1, n0) complex
-entries; that one count is refused past the budget and caps the workers
-(:func:`_periodic_square`).  Scaling by dim keeps every power <= 1, so no
-finite p overflows; every entry point refuses p outside 0 < p < inf.
+folded modulo n0 one block of n0 rows at a time, and (|chi|/dim)^p * w and
+Z are summed over blocks of at most ``BLOCK_NODES`` nodes.  W x {+-1} maps
+r-grids onto r-grids without changing the integrand, so a level is a sum
+over the orbits of residues r of |orbit| times one r-grid's sums; the even
+residues are the previous level's grids, so each level computes only its
+new orbits (1, 1, 2, 6, 20, 72 r-grids for K = 1..32) on up to
+SU3CHAR_THREADS workers (:func:`thread_map`), reading one table of wall
+factors.  Whatever the level, an r-grid's stages have at most (a+b+1) x
+max(a+b+1, n0) complex entries each, and it peaks at about two of these
+counts, or one and a block (:func:`_periodic_square`); that one count is
+refused past the budget and caps the workers.  Scaling by dim keeps every
+power <= 1, so no finite p overflows; every entry point refuses p outside
+0 < p < inf.
 
 A Duffy-mapped triangle rule over A, which evaluates chi node by node
 through ``chi_on_grid``, is kept as the independent cross-check mapping.
@@ -175,16 +177,6 @@ def _bandwidth(mu: DominantWeight) -> float:
     return max(2 * mu.a + mu.b, mu.a + 2 * mu.b) / 3.0
 
 
-def _fold(m: np.ndarray, n: int) -> np.ndarray:
-    """Sum the entries of a square array over indices congruent modulo n."""
-    if m.shape[0] <= n:
-        return m
-    k = -(-m.shape[0] // n) * n
-    padded = np.zeros((k, k), dtype=m.dtype)
-    padded[:m.shape[0], :m.shape[1]] = m
-    return padded.reshape(k // n, n, k // n, n).sum(axis=(0, 2))
-
-
 @lru_cache(maxsize=None)
 def _fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (a fast FFT length): the least m 2^i >= n
@@ -217,14 +209,28 @@ def _rgrid_sums(md: np.ndarray, p: float, n0: int, K: int, S: np.ndarray,
                 r: Tuple[int, int]) -> Tuple[float, float]:
     """(sum (|chi|/d)^p w, sum w) over the r-grid t = 2pi (K q + r)/(K n0),
     from md = M/d and level K's wall table S (see _level_sums)."""
-    n, (r1, r2) = K * n0, r
-    k = np.arange(len(md))
+    n, (r1, r2), side = K * n0, r, len(md)
+    k = np.arange(side)
     # a zero residue's twist, exp(0) = 1+0j, is exact: it is skipped
-    x = md * np.exp(2j * np.pi * (k * r1 % n / n))[:, None] if r1 else md
-    x = _fold(x * np.exp(-2j * np.pi * (k * r2 % n / n)) if r2 else x, n0)
+    t1 = np.exp(2j * np.pi * (k * r1 % n / n))[:, None] if r1 else None
+    t2 = np.exp(-2j * np.pi * (k * r2 % n / n)) if r2 else None
+    real = not (r1 or r2)
+    # M past n0 is folded modulo n0 as twisted, one block of n0 rows at a
+    # time; its n0 x n0 blocks are added in (row block, column block) order,
+    # which fixes the sums' bits
+    x = np.zeros((n0, n0), float if real else complex) if side > n0 else None
+    for lo in range(0, side, n0):
+        b = md[lo:lo + n0] * t1[lo:lo + n0] if r1 else md[lo:lo + n0]
+        if r2:  # in place on the row twist's copy, never on md
+            b = np.multiply(b, t2, out=b if r1 else None)
+        if x is None:  # unfolded: M is one block
+            x = b
+        else:
+            for j in range(0, side, n0):
+                x[:len(b), :min(n0, side - j)] += b[:, j:j + n0]
+        del b  # before the next block is made
     # g[q2, w1]; at r = 0, M is real and w even, so columns q2 and n0 - q2
     # agree: only the rfft's columns q2 <= n0/2 are formed, pairs counted once
-    real = not (r1 or r2)
     x = np.fft.rfft(x, n=n0, axis=1) if real else np.fft.fft(x, n=n0, axis=1)  # frees the input
     g = np.ascontiguousarray(x.T)  # the second stage held, not the third
     del x
@@ -280,14 +286,14 @@ def _grid_levels(m: np.ndarray, d: int, p: float, n0: int,
 
 def _periodic_square(mu: DominantWeight, p: float, spec: QuadratureSpec) -> List[QuadratureResult]:
     """N_p / dim^p and Z on the period square, one batch of two integrals.
-    An r-grid's largest array -- the twisted M when a+b+1 > n0 (M is then
-    folded to n0), else its (a+b+1) x n0 FFT stage -- has (a+b+1) x
-    max(a+b+1, n0) complex entries.  Past SCHUR_DIM_LIMIT it is refused
-    before the multiplicities, as is a bad thread count; else a level runs
-    as many r-grids at once as the budget holds of it, up to SU3CHAR_THREADS.
-    An r-grid peaks at about 2 of these counts unfolded, or one and a block
-    of BLOCK_NODES nodes, and at about 3.3 folded, or up to 7 where a+b+1
-    is just past n0 and _fold pads M to 2 n0."""
+    (a+b+1) x max(a+b+1, n0) complex entries bound each stage of an r-grid
+    -- its (a+b+1) x n0 FFT stage, or when a+b+1 > n0 the n0 x (a+b+1) row
+    blocks of the twisted M and their n0 x n0 fold -- and the shared M and
+    M/dim.  Past SCHUR_DIM_LIMIT the count is refused before the
+    multiplicities, as is a bad thread count; else a level runs as many
+    r-grids at once as the budget holds of it, up to SU3CHAR_THREADS.  An
+    r-grid, folded or not, peaks at about 2 of these counts, or at one and
+    a block of BLOCK_NODES nodes (24 bytes a node) where that is more."""
     # p * bandwidth capped at the budget, which any n0 past it exceeds anyway
     n0 = _fast_len(max(48, math.ceil(min(p * _bandwidth(mu), SCHUR_DIM_LIMIT)) + 8))
     side = mu.a + mu.b + 1  # M is side x side

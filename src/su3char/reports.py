@@ -59,16 +59,6 @@ def _fmt_scalar(v) -> str:
     return s
 
 
-_FORMATS = {bool: {True: "true", False: "false"}.__getitem__, float: "%.17g".__mod__, int: str}
-
-
-def _formatter(values: list):
-    """One formatter for a column whose values share a type, else
-    _fmt_scalar cell by cell (which writes the same text)."""
-    kinds = set(map(type, values))
-    return (_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None) or _fmt_scalar
-
-
 def _field_names(rec) -> List[str]:
     if isinstance(rec, dict):
         return list(rec)
@@ -102,8 +92,7 @@ def emit_report(records: Iterable, format: str, path: str, config=None) -> None:
         raise ValueError("all records must share one field set")
     columns = [[rec[name] if isinstance(rec, dict) else getattr(rec, name) for rec in records]
                for name in fields]
-    # each column's formatter chosen once; cells formatted row by row
-    lines += map(",".join, zip(*map(map, map(_formatter, columns), columns)))
+    lines += map(",".join, zip(*(map(_fmt_scalar, column) for column in columns)))
     _write_text(path, "\n".join(lines) + "\n")
 
 

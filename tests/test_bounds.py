@@ -258,6 +258,14 @@ def test_rank1_margin_min_equals_the_per_n_loop():
         assert row.tobytes() == rank1_bound_margin(n, thetas).tobytes(), n
 
 
+@pytest.mark.parametrize("fn, n", [(rank1_bound_margin, -1), (rank1_margin_min, -1),
+                                   (rank1_margin_min, -5)], ids=lambda x: getattr(x, "__name__", x))
+def test_rank1_entry_points_refuse_a_negative_n(fn, n):
+    # rank1_margin_min(-1) swept no n and returned (inf, -1, nan)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        fn(n, np.linspace(0.1, 3.0, 5))
+
+
 @given(st.integers(0, 60), st.floats(1e-4, math.pi - 1e-4))
 def test_rank1_margin_nonnegative(n, theta):
     assert rank1_bound_margin(n, theta) >= -1e-12

@@ -807,7 +807,7 @@ def test_lp_diagonal_256_at_the_critical_exponent_converges(capsys):
 
 @pytest.mark.parametrize("argv, size", [
     (["rank1", "--grid", "10000001"], "--grid (grid) = 10000001"),
-    (["verify-envelope", "--grid-total", "10000001"], "--grid-total (grid_total) = 10000001"),
+    (["verify-envelope", "--grid-total", "10000001"], "grid total = 10000001"),
 ])
 def test_grid_budgets_trip_before_allocating(capsys, argv, size):
     # one past the 10^7-entry budget: 80 MB per float64 array had it run

@@ -91,6 +91,15 @@ def _max_of_a_and_b(node):
     return _calls("max")(node) and {getattr(arg, "attr", None) for arg in node.args} == {"a", "b"}
 
 
+def _value_error(prefix):
+    """A node test: a ``ValueError`` call whose message starts with ``prefix``."""
+    def hit(node):
+        msg = node.args[0] if _calls("ValueError")(node) and node.args else None
+        msg = msg.values[0] if isinstance(msg, ast.JoinedStr) and msg.values else msg
+        return isinstance(msg, ast.Constant) and str(msg.value).startswith(prefix)
+    return hit
+
+
 # (what, node test, the one (module, function) allowed to do it)
 ONE_PLACE = [
     ("environment read", _reads_environ, ("bounds", "thread_count")),
@@ -103,6 +112,7 @@ ONE_PLACE = [
     ("SCHUR_DIM_LIMIT comparison", _compares("SCHUR_DIM_LIMIT"),
      ("character", "require_within_budget")),
     ("dual weight form", _max_of_a_and_b, ("character", "_dual_form")),
+    ("rank-one n >= 0 refusal", _value_error("n must be"), ("bounds", "_rank1_margins")),
 ]
 
 
@@ -131,9 +141,14 @@ def test_one_place_checks_see_each_form():
         "        return ThreadPoolExecutor(max_workers=1), EPS_WALL >= self\n"
         "y = os.environ\n"
         "z = max(mu.a, mu.b), max(mu.a + mu.b, mu.b), max(a, b)\n"
+        "def h(n):\n"
+        "    raise ValueError('n must be >= 0') if n else ValueError(f'n must be {n}')\n"
+        "def k(n):\n"
+        "    return ValueError('p must be'), TypeError('n must be'), ValueError()\n"
     )
     assert enclosing_functions(source, _reads_environ) == {"f", ""}
     assert enclosing_functions(source, _calls("ThreadPoolExecutor")) == {"f", "g"}
     assert enclosing_functions(source, _compares("EPS_WALL")) == {"f", "g"}
     assert [ast.unparse(n) for n in ast.walk(ast.parse(source)) if _max_of_a_and_b(n)] == [
         "max(mu.a, mu.b)"]
+    assert enclosing_functions(source, _value_error("n must be")) == {"h"}

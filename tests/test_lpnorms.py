@@ -281,6 +281,21 @@ def test_an_rgrid_holds_two_stages_at_once_not_three(monkeypatch):
     assert peak < 2.5 * stage  # about 3.0 stages with the input kept
 
 
+def test_a_folded_rgrid_holds_two_counts_not_seven():
+    # (216,0) at p = 1.4: n0 = 216, M 217 x 217, so the folded M's row blocks
+    # and their sum are the stages; a zero-padded fold to 432^2 peaked at 6.96
+    mu, n0 = DominantWeight(216, 0), 216
+    md, count = multiplicities(mu) / dim(mu), 16 * 217 * 217
+    want = _level_sums(md, 1.4, n0, 2, [(1, 1)], 1)  # and the FFT plans are made
+    tracemalloc.start()
+    try:
+        assert _level_sums(md, 1.4, n0, 2, [(1, 1)], 1) == want
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * count  # about 2.5: one count and its whole r-grid as one block
+
+
 def test_residue_orbits_partition_the_residues():
     counts = []
     for K in (1, 2, 4, 8, 16, 32):
@@ -306,7 +321,14 @@ def test_every_residue_of_an_orbit_has_its_representatives_sums(a, b, K):
 
 
 # the first three levels' (numerator, normalizer) at n0 = 48, as float.hex,
-# from the r-grid kernel before its per-level tables: the kernel's bits
+# from the r-grid kernel before its per-level tables: the kernel's bits.
+# (48,0) and (60,0) fold M (49 and 61 rows at n0 = 48); theirs are the
+# bits of the zero-padded fold that numpy summed over n0-blocks, from
+#     for (a, b), p in [((48, 0), 1.0), ((60, 0), 0.5)]:
+#         mu = DominantWeight(a, b)
+#         for threads in (1, 4):
+#             levels = _grid_levels(multiplicities(mu), dim(mu), p, 48, threads)
+#             print([tuple(x.hex() for x in next(levels)) for _ in range(3)])
 GOLDEN_LEVELS = {
     ((5, 2), 2.5): [("0x1.d53954442fb94p-14", "0x1.d9bdb2e9d68c9p+1"),
                     ("0x1.d5139dd56360fp-14", "0x1.d9bdb2e9d68ccp+1"),
@@ -317,6 +339,12 @@ GOLDEN_LEVELS = {
     ((4, 4), 8.0 / 3.0): [("0x1.c32b1d5a7b1dap-16", "0x1.d9bdb2e9d68c9p+1"),
                           ("0x1.c34f411be718cp-16", "0x1.d9bdb2e9d68ccp+1"),
                           ("0x1.c3500fd393e86p-16", "0x1.d9bdb2e9d68c9p+1")],
+    ((48, 0), 1.0): [("0x1.8c02418c17078p-9", "0x1.d9bdb2e9d68c9p+1"),
+                     ("0x1.3dde0856eee88p-9", "0x1.d9bdb2e9d68ccp+1"),
+                     ("0x1.387f7aa3ab4c3p-9", "0x1.d9bdb2e9d68c9p+1")],
+    ((60, 0), 0.5): [("0x1.2671e96ad4ac8p-4", "0x1.d9bdb2e9d68c9p+1"),
+                     ("0x1.25e82d77b74e7p-4", "0x1.d9bdb2e9d68ccp+1"),
+                     ("0x1.25ee5d753d1b6p-4", "0x1.d9bdb2e9d68c9p+1")],
 }
 
 
@@ -337,10 +365,9 @@ def test_grid_levels_keep_their_golden_bits(key, threads):
 
 def test_level_workers_are_capped_by_the_stage_budget(monkeypatch):
     # (24,0) at p = 2.8: n0 = 54, a 25 x 54 stage.  (60,0) at p = 0.5:
-    # n0 = 48 < 61, so M is twisted at 61 x 61 before it is folded to
-    # 48 x 48; a budget of two folded stages holds one twisted M.  With a
-    # budget of one largest array, 4 threads run one r-grid at a time and
-    # give the same report
+    # n0 = 48 < 61, so M is folded to 48 x 48 and counted at 61 x 61; a
+    # budget of 2 x 48^2 holds one such count, not two.  With a budget of
+    # one count, 4 threads run one r-grid at a time and give the same report
     rgrid_sums, lock = lpnorms._rgrid_sums, threading.Lock()
     flight = {"now": 0, "most": 0}
 
@@ -372,9 +399,9 @@ def test_level_workers_are_capped_by_the_stage_budget(monkeypatch):
 
 
 def test_folded_rgrid_workers_count_the_twisted_m(monkeypatch):
-    # (1200,0) at p = 0.5: n0 = 432, and M is twisted at 1201 x 1201 before
-    # the fold, so 10^7 // 1201^2 = 6 r-grids run at once, not the
-    # 10^7 // 432^2 = 53 of the folded stage
+    # (1200,0) at p = 0.5: n0 = 432, and the count is M's 1201 x 1201 (the
+    # shared M and the 432 x 1201 twisted row blocks), so 10^7 // 1201^2 = 6
+    # r-grids run at once, not the 10^7 // 432^2 = 53 of the folded stage
     class Started(Exception):
         pass
 
